@@ -211,66 +211,54 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def read_trace_csv(path) -> TimeTrace:
+def _read_csv(path, axis):
+    """(axis column, its uniform step, values) of an axis,value or
+    axis,re,im CSV file."""
     data = np.genfromtxt(path, delimiter=",", names=True)
     names = data.dtype.names
-    t = np.atleast_1d(data["t"])
-    if len(t) < 2:
+    a = np.atleast_1d(data[axis])
+    if len(a) < 2:
         raise YGraphError(f"{path}: need at least two samples")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
-        raise YGraphError(f"{path}: t column must be uniform")
+    step = a[1] - a[0]
+    if not np.allclose(np.diff(a), step, rtol=1e-9, atol=1e-12):
+        raise YGraphError(f"{path}: {axis} column must be uniform")
     if "value" in names:
         vals = np.atleast_1d(data["value"])
     elif "re" in names and "im" in names:
         vals = np.atleast_1d(data["re"]) + 1j * np.atleast_1d(data["im"])
     else:
-        raise YGraphError(f"{path}: expected columns t,value or t,re,im")
-    return TimeTrace(float(dt), vals, causal=bool(abs(t[0]) < 1e-12))
+        raise YGraphError(f"{path}: expected columns {axis},value or {axis},re,im")
+    return a, float(step), vals
+
+
+def _write_csv(path, axis, coords, samples):
+    with open(path, "w") as fh:
+        if samples.dtype.kind == "c":
+            fh.write(f"{axis},re,im\n")
+            for c, v in zip(coords, samples):
+                fh.write(f"{c:.12g},{v.real:.17g},{v.imag:.17g}\n")
+        else:
+            fh.write(f"{axis},value\n")
+            for c, v in zip(coords, samples):
+                fh.write(f"{c:.12g},{v:.17g}\n")
+
+
+def read_trace_csv(path) -> TimeTrace:
+    t, dt, vals = _read_csv(path, "t")
+    return TimeTrace(dt, vals, causal=bool(abs(t[0]) < 1e-12))
 
 
 def write_trace_csv(path, trace: TimeTrace):
-    t = trace.times
-    with open(path, "w") as fh:
-        if trace.is_complex:
-            fh.write("t,re,im\n")
-            for tt, v in zip(t, trace.samples):
-                fh.write(f"{tt:.12g},{v.real:.17g},{v.imag:.17g}\n")
-        else:
-            fh.write("t,value\n")
-            for tt, v in zip(t, trace.samples):
-                fh.write(f"{tt:.12g},{v:.17g}\n")
+    _write_csv(path, "t", trace.times, trace.samples)
 
 
 def read_field_csv(path) -> GridFunction:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    x = np.atleast_1d(data["x"])
-    if len(x) < 2:
-        raise YGraphError(f"{path}: need at least two samples")
-    hx = x[1] - x[0]
-    if not np.allclose(np.diff(x), hx, rtol=1e-9, atol=1e-12):
-        raise YGraphError(f"{path}: x column must be uniform")
-    if "value" in names:
-        vals = np.atleast_1d(data["value"])
-    elif "re" in names and "im" in names:
-        vals = np.atleast_1d(data["re"]) + 1j * np.atleast_1d(data["im"])
-    else:
-        raise YGraphError(f"{path}: expected columns x,value or x,re,im")
-    return GridFunction(float(x[0]), float(hx), vals)
+    x, hx, vals = _read_csv(path, "x")
+    return GridFunction(float(x[0]), hx, vals)
 
 
 def write_field_csv(path, grid: GridFunction):
-    x = grid.x
-    with open(path, "w") as fh:
-        if grid.is_complex:
-            fh.write("x,re,im\n")
-            for xx, v in zip(x, grid.samples):
-                fh.write(f"{xx:.12g},{v.real:.17g},{v.imag:.17g}\n")
-        else:
-            fh.write("x,value\n")
-            for xx, v in zip(x, grid.samples):
-                fh.write(f"{xx:.12g},{v:.17g}\n")
+    _write_csv(path, "x", grid.x, grid.samples)
 
 
 def _stamp(t: float) -> str:
@@ -401,9 +389,8 @@ def _cmd_vertex_construct(args):
     os.makedirs(args.out, exist_ok=True)
     lam = LambdaVector(*args.lam) if args.lam else \
         LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
-    n = int(round(2 * cfg.L / args.h)) + 1
-    xs = np.linspace(-cfg.L, cfg.L, n)
-    h = xs[1] - xs[0]
+    h = args.h
+    n = int(round(2 * cfg.L / h)) + 1
     grid = GridFunction(-cfg.L, h, np.zeros(n))
     from .graphsim import whole_line_extension
     nu = int(round(cfg.L / h)) + 1

@@ -34,8 +34,9 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import ContractError, DomainError
-from .fracops import (TimeTrace, riemann_liouville, product_weights,
-                      _first_sample_correction, sampled_derivative)
+from .fracops import (ONE_SIDED_EXTRAP, TimeTrace, riemann_liouville,
+                      product_weights, _first_sample_correction,
+                      sampled_derivative)
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
     group_trace_history
 from .specfun import airy_scaled
@@ -149,33 +150,22 @@ def smooth_window(n: int, spacing: float, passband: float = 0.35,
     return out
 
 
-def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
-                           deriv: int = 0, window: str | None = None,
-                           scale: float = 3.0) -> SpaceTimeField:
-    """Field of scale * int_0^t exp(-(t-t') dx^3) delta_0 f(t') dt'.
+def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
+                 real: bool) -> SpaceTimeField:
+    """Filon recurrence shared by the spectral routes.
 
-    ``smoothed`` is the already fractionally-smoothed trace f (for V g it is
-    I_{-2/3} g).  The time integral is exact per cell for the piecewise-
-    linear interpolant of f; ``deriv`` applies (i xi)^j in frequency space.
-    window="smooth" applies :func:`smooth_window`, which derivative fields
-    with vertex steps need before any polynomial limit extraction.
+    phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
+    for the piecewise-linear interpolant of f; each output level is
+    ifft(3 phi mult), where ``mult`` holds the frequency filter with the
+    grid phase and 1/spacing.  ``real`` keeps the real part.
     """
     idx = _check_times(times, smoothed.dt, len(smoothed))
     n = len(grid)
-    xi = frequencies(n, grid.spacing)
-    omega = xi ** 3
-    p, e0, e1 = _filon_base(omega, smoothed.dt)
+    p, e0, e1 = _filon_base(frequencies(n, grid.spacing) ** 3, smoothed.dt)
     f = smoothed.samples.astype(complex)
     df = np.diff(f)
 
-    mult = (1j * xi) ** deriv * np.exp(1j * xi * grid.origin) / grid.spacing
-    if window == "smooth":
-        mult = mult * smooth_window(n, grid.spacing)
-    elif window is not None:
-        raise DomainError(f"unknown window {window!r}")
-
     want = {int(i): m for m, i in enumerate(idx)}
-    is_c = smoothed.is_complex
     levels = np.zeros((len(idx), n), dtype=complex)
     phi = np.zeros(n, dtype=complex)   # any level at t = 0 stays zero
     e1od = e1 / smoothed.dt
@@ -183,12 +173,32 @@ def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
         phi = phi * p + f[m + 1] * e0 - df[m] * e1od
         k = want.get(m + 1)
         if k is not None:
-            out = np.fft.ifft(scale * phi * mult)
-            levels[k] = out
-    dt_out = float(times[1] - times[0])
-    if not is_c:
+            levels[k] = np.fft.ifft(3.0 * phi * mult)
+    if real:
         levels = levels.real
+    dt_out = float(times[1] - times[0])
     return SpaceTimeField(grid.origin, grid.spacing, dt_out, levels)
+
+
+def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
+                           deriv: int = 0,
+                           window: str | None = None) -> SpaceTimeField:
+    """Field of 3 * int_0^t exp(-(t-t') dx^3) delta_0 f(t') dt'.
+
+    ``smoothed`` is the already fractionally-smoothed trace f (for V g it is
+    I_{-2/3} g).  The time integral is exact per cell for the piecewise-
+    linear interpolant of f; ``deriv`` applies (i xi)^j in frequency space.
+    window="smooth" applies :func:`smooth_window`, which derivative fields
+    with vertex steps need before any polynomial limit extraction.
+    """
+    n = len(grid)
+    xi = frequencies(n, grid.spacing)
+    mult = (1j * xi) ** deriv * np.exp(1j * xi * grid.origin) / grid.spacing
+    if window == "smooth":
+        mult = mult * smooth_window(n, grid.spacing)
+    elif window is not None:
+        raise DomainError(f"unknown window {window!r}")
+    return _filon_field(smoothed, grid, times, mult, not smoothed.is_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +291,15 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
             # is exact where the x-space convolution would have to
             # differentiate through the vertex
             fld = _spectral_class_negative(smoothed, grid, times, lam, sign)
-        elif lam == 0.0:
-            base = spectral_forcing_field(smoothed, grid, times)
-            lv = base.levels.astype(complex) if sign == "plus" else base.levels
-            fld = SpaceTimeField(base.origin, base.spacing, base.dt, lv)
         else:
-            base = spectral_forcing_field(smoothed, grid, times)
-            fld = _convolved_class(base, grid, lam, sign)
+            fld = _convolved_class(spectral_forcing_field(smoothed, grid, times),
+                                   grid, lam, sign)
     elif method == "simpson":
         base = _sigma_field(smoothed, grid, times, panels)
         if lam < 0.0:
             k = int(math.ceil(-lam))
-            work_lam = lam + k
-            if work_lam > 0.0:
-                base = _convolved_class(base, grid, work_lam, sign)
-            elif sign == "plus":
-                base = SpaceTimeField(base.origin, base.spacing, base.dt,
-                                      base.levels.astype(complex))
-            fld = field_spatial_derivative(base, k)
-        elif lam == 0.0:
-            lv = base.levels.astype(complex) if sign == "plus" else base.levels
-            fld = SpaceTimeField(base.origin, base.spacing, base.dt, lv)
+            fld = field_spatial_derivative(
+                _convolved_class(base, grid, lam + k, sign), k)
         else:
             fld = _convolved_class(base, grid, lam, sign)
     else:
@@ -311,12 +309,14 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
 
 def _convolved_class(base: SpaceTimeField, grid: GridFunction, lam: float,
                      sign: str) -> SpaceTimeField:
-    conv = _one_sided_convolve(base.levels.astype(
-        complex if sign == "plus" else base.levels.dtype),
-        grid.spacing, lam, from_left=(sign == "minus"))
-    if sign == "plus":
-        conv = cmath.exp(1j * math.pi * lam) * conv
-    return SpaceTimeField(base.origin, base.spacing, base.dt, conv)
+    """Class field of order lam >= 0 from the base field; order 0 is V."""
+    levels = base.levels.astype(complex) if sign == "plus" else base.levels
+    if lam > 0.0:
+        levels = _one_sided_convolve(levels, grid.spacing, lam,
+                                     from_left=(sign == "minus"))
+        if sign == "plus":
+            levels = cmath.exp(1j * math.pi * lam) * levels
+    return SpaceTimeField(base.origin, base.spacing, base.dt, levels)
 
 
 def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
@@ -327,13 +327,8 @@ def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
     complex kernel of the plus class contributes e^{i pi lam} (-i xi)^{-lam}.
     At lam = -1 both reduce to the plain derivative multiplier i xi.
     """
-    idx = _check_times(times, smoothed.dt, len(smoothed))
     n = len(grid)
     xi = frequencies(n, grid.spacing)
-    p, e0, e1 = _filon_base(xi ** 3, smoothed.dt)
-    f = smoothed.samples.astype(complex)
-    df = np.diff(f)
-
     mag = np.abs(xi) ** (-lam)
     if sign == "minus":
         kernel_mult = mag * np.exp(-1j * lam * 0.5 * math.pi * np.sign(xi))
@@ -344,20 +339,8 @@ def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
     mult = kernel_mult * np.exp(1j * xi * grid.origin) / grid.spacing
     if lam < -1.0:
         mult = mult * smooth_window(n, grid.spacing)
-
-    want = {int(i): m for m, i in enumerate(idx)}
-    levels = np.zeros((len(idx), n), dtype=complex)
-    phi = np.zeros(n, dtype=complex)
-    e1od = e1 / smoothed.dt
-    for m in range(int(idx.max())):
-        phi = phi * p + f[m + 1] * e0 - df[m] * e1od
-        k = want.get(m + 1)
-        if k is not None:
-            levels[k] = np.fft.ifft(3.0 * phi * mult)
-    if sign == "minus" and not smoothed.is_complex:
-        levels = levels.real
-    dt_out = float(times[1] - times[0])
-    return SpaceTimeField(grid.origin, grid.spacing, dt_out, levels)
+    return _filon_field(smoothed, grid, times, mult,
+                        sign == "minus" and not smoothed.is_complex)
 
 
 def minus_trace_factor(lam: float) -> float:
@@ -396,9 +379,8 @@ def one_sided_limits(fld: SpaceTimeField, t: float, offset: int = 1,
         return left, right
     if i0 < offset + 3 or i0 > len(lev) - 1 - (offset + 3):
         raise DomainError("need at least four usable nodes on each side of x = 0")
-    coef = np.array([4.0, -6.0, 4.0, -1.0])
-    right = coef @ v[i0 + offset: i0 + offset + 4]
-    left = coef @ v[i0 - offset: i0 - offset - 4: -1]
+    right = ONE_SIDED_EXTRAP @ v[i0 + offset: i0 + offset + 4]
+    left = ONE_SIDED_EXTRAP @ v[i0 - offset: i0 - offset - 4: -1]
     return left, right
 
 

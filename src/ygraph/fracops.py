@@ -54,9 +54,6 @@ class TimeTrace:
     def is_complex(self):
         return self.samples.dtype.kind == "c"
 
-    def map(self, fn):
-        return TimeTrace(self.dt, fn(self.samples), self.causal)
-
 
 def trace_from_function(fn, dt, n, causal=True):
     """Sample ``fn`` on the grid 0, dt, ..., (n-1) dt."""
@@ -111,6 +108,28 @@ def boundary_layer_width(alpha: float) -> int:
     return int(math.ceil(3.0 + abs(alpha)))
 
 
+# One-sided stencils at the end of a sample row, coefficients for nodes
+# 0, 1, 2, ... counted inward from the end: the value one node beyond the
+# end (cubic extrapolation), and second-order h * slope and h^2 * curvature
+# at the end node.  The solver's vertex constraints and traces, the Taylor
+# extension and the one-sided vertex limits take their coefficients here.
+ONE_SIDED_EXTRAP = (4.0, -6.0, 4.0, -1.0)
+ONE_SIDED_SLOPE = (-1.5, 2.0, -0.5)              # (-3, 4, -1) / 2
+ONE_SIDED_CURVATURE = (2.0, -5.0, 4.0, -1.0)
+
+
+def one_sided(coef, nodes):
+    """sum_j coef[j] * nodes[j], accumulated in node order.
+
+    ``nodes`` is indexed by node first: a list of floats or an array whose
+    leading axis runs inward from the end.
+    """
+    acc = coef[0] * nodes[0]
+    for c, v in zip(coef[1:], nodes[1:]):
+        acc = acc + c * v
+    return acc
+
+
 def sampled_derivative(vals: np.ndarray, dt: float, k: int) -> np.ndarray:
     """k-th derivative along the last axis in a single pass, k in {1, 2, 3}.
 
@@ -125,8 +144,9 @@ def sampled_derivative(vals: np.ndarray, dt: float, k: int) -> np.ndarray:
         out[..., -1] = (11 * v[..., -1] - 18 * v[..., -2] + 9 * v[..., -3] - 2 * v[..., -4]) / (6 * dt)
     elif k == 2:
         out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / dt ** 2
-        out[..., 0] = (2 * v[..., 0] - 5 * v[..., 1] + 4 * v[..., 2] - v[..., 3]) / dt ** 2
-        out[..., -1] = (2 * v[..., -1] - 5 * v[..., -2] + 4 * v[..., -3] - v[..., -4]) / dt ** 2
+        nodes = np.moveaxis(v, -1, 0)
+        out[..., 0] = one_sided(ONE_SIDED_CURVATURE, nodes) / dt ** 2
+        out[..., -1] = one_sided(ONE_SIDED_CURVATURE, nodes[::-1]) / dt ** 2
     elif k == 3:
         h3 = dt ** 3
         out[..., 2:-2] = (-v[..., :-4] + 2 * v[..., 1:-3] - 2 * v[..., 3:-1] + v[..., 4:]) / (2 * h3)

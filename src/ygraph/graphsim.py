@@ -22,13 +22,14 @@ from scipy.sparse.linalg import splu
 from scipy.interpolate import CubicSpline
 
 from .errors import ContractError, DomainError, YGraphError
-from .fracops import TimeTrace, riemann_liouville, sampled_derivative
+from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, TimeTrace,
+                      one_sided, riemann_liouville, sampled_derivative)
 from .linops import GridFunction, SpaceTimeField, group_multi, \
     group_trace_history, duhamel_inhomog
-from .vertex import (VertexCoupling, CouplingKind, LambdaVector,
-                     build_matrix, solve_gamma, _build_rhs)
+from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
+                     LambdaVector, build_matrix, compatibility_deviation,
+                     solve_gamma, _build_rhs)
 from .forcing import forcing_class
-from .util import worker_count
 
 BLOWUP_LIMIT = 1e6
 
@@ -115,21 +116,14 @@ class ScenarioConfig:
             problems.append("sponge_strength must be >= 0")
         if self.coupling is not None and \
                 self.coupling.kind is CouplingKind.TYPE1:
-            dev = self.compatibility_deviation()
-            if dev > 1e-8:
+            dev = compatibility_deviation(
+                self.coupling, float(self.initial_u(0.0)),
+                float(self.initial_v(0.0)), float(self.initial_w(0.0)))
+            if not dev <= COMPATIBILITY_TOL:
                 problems.append(
                     f"type-1 initial data violate u0(0) = a2 v0(0) = a3 w0(0) "
-                    f"by {dev:.2e} (tolerance 1e-08)")
+                    f"by {dev:.2e} (tolerance {COMPATIBILITY_TOL:.0e})")
         return problems
-
-    def compatibility_deviation(self) -> float:
-        u00 = float(self.initial_u(0.0))
-        v00 = float(self.initial_v(0.0))
-        w00 = float(self.initial_w(0.0))
-        if self.coupling.kind is CouplingKind.TYPE1:
-            return max(abs(u00 - self.coupling.a2 * v00),
-                       abs(u00 - self.coupling.a3 * w00))
-        return abs(u00 - self.coupling.a2 * v00 - self.coupling.a3 * w00)
 
     @property
     def n_edge(self) -> int:
@@ -175,53 +169,52 @@ class Trajectory:
     def final(self) -> GraphState:
         return self.states[-1]
 
-    def state_at(self, t: float) -> GraphState:
-        for s in self.states:
-            if abs(s.t - t) <= 1e-9 * max(1.0, abs(t)):
-                return s
-        raise DomainError(f"no stored state at t={t}")
-
 
 # ---------------------------------------------------------------------------
 # solver assembly
 # ---------------------------------------------------------------------------
 
-def _third_derivative_rows(n_u: int, h: float):
-    """(row, col, coef) triplets of the d^3/dx^3 stencils for one edge.
+def _edge_operators(n: int, h: float, dt: float, sigma: np.ndarray):
+    """Crank-Nicolson triplets (rows, cols, A values, B values) of one edge.
 
-    Rows 1..n-3: the left-skewed second-order stencil at node 1 and the
-    centered stencil elsewhere.  Node 0 and nodes n-2, n-1 are closed by
-    boundary or vertex relations: one condition at the left (outflow) end
-    of an edge, two at the right (inflow) end, matching the characteristic
-    count of the third-order operator.
+    Rows 1..n-3 advance (1 + dt sigma/2 + dt/2 D3) u_new =
+    (1 - dt sigma/2 - dt/2 D3) u_old, with the left-skewed second-order
+    d^3/dx^3 stencil at node 1 and the centered stencil elsewhere.  Node 0
+    and nodes n-2, n-1 are closed by boundary or vertex relations: one
+    condition at the left (outflow) end of an edge, two at the right
+    (inflow) end, matching the characteristic count of the third-order
+    operator.
     """
-    rows, cols, vals = [], [], []
-    inv = 1.0 / (2.0 * h ** 3)
-    for i in range(2, n_u - 2):
-        for off, c in ((-2, -1.0), (-1, 2.0), (1, -2.0), (2, 1.0)):
-            rows.append(i)
-            cols.append(i + off)
-            vals.append(c * inv)
-    for off, c in ((0, -3.0), (1, 10.0), (2, -12.0), (3, 6.0), (4, -1.0)):
-        rows.append(1)
-        cols.append(off)
-        vals.append(c * inv)
-    return rows, cols, vals
+    pde = np.arange(1, n - 2)
+    inner = np.arange(2, n - 2)
+    rows = np.concatenate([pde, np.repeat(inner, 4), np.ones(5, dtype=int)])
+    cols = np.concatenate([pde, (inner[:, None] + [-2, -1, 1, 2]).ravel(),
+                           np.arange(5)])
+    d3 = np.concatenate([np.tile([-1.0, 2.0, -2.0, 1.0], inner.size),
+                         [-3.0, 10.0, -12.0, 6.0, -1.0]]) * (1.0 / (2.0 * h ** 3))
+    a = np.concatenate([1.0 + 0.5 * dt * sigma[pde], 0.5 * dt * d3])
+    b = np.concatenate([1.0 - 0.5 * dt * sigma[pde], -0.5 * dt * d3])
+    return rows, cols, a, b
 
 
-def _one_sided_first(n, h, at_end):
-    """Second-order one-sided d/dx coefficients at an edge endpoint."""
-    s = 1.0 / (2.0 * h)
-    if at_end:
-        return [(n - 1, 3.0 * s), (n - 2, -4.0 * s), (n - 3, 1.0 * s)]
-    return [(0, -3.0 * s), (1, 4.0 * s), (2, -1.0 * s)]
+def _flux_derivative(u: np.ndarray, h: float) -> np.ndarray:
+    """Conservative-form flux derivative d/dx(u^2/2) along the last axis.
+
+    Filled on the Crank-Nicolson rows 1..n-3 only.  Fourth-order centered
+    differences on interior nodes keep the nonlinear truncation error below
+    the dispersive stencil's.
+    """
+    q = 0.5 * u ** 2
+    d = np.zeros_like(q)
+    d[..., 2:-2] = (q[..., :-4] - 8.0 * q[..., 1:-3] + 8.0 * q[..., 3:-1]
+                    - q[..., 4:]) / (12.0 * h)
+    d[..., 1] = (q[..., 2] - q[..., 0]) / (2.0 * h)
+    return d
 
 
-def _one_sided_second(n, h, at_end):
-    s = 1.0 / h ** 2
-    if at_end:
-        return [(n - 1, 2.0 * s), (n - 2, -5.0 * s), (n - 3, 4.0 * s), (n - 4, -1.0 * s)]
-    return [(0, 2.0 * s), (1, -5.0 * s), (2, 4.0 * s), (3, -1.0 * s)]
+def _vertex_stencil(coef, scale: float, first: int, step: int):
+    """(column, coefficient) pairs of a one-sided stencil from node ``first``."""
+    return [(first + step * j, c * scale) for j, c in enumerate(coef)]
 
 
 class GraphSystem:
@@ -237,15 +230,6 @@ class GraphSystem:
         off_u, off_v, off_w = 0, n, 2 * n
         self.offsets = (off_u, off_v, off_w)
 
-        d3_rows, d3_cols, d3_vals = [], [], []
-        pde_mask = np.zeros(size, dtype=bool)
-        ru, cu, vu = _third_derivative_rows(n, h)
-        for off in (off_u, off_v, off_w):
-            d3_rows += [off + r for r in ru]
-            d3_cols += [off + c for c in cu]
-            d3_vals += vu
-            pde_mask[off + 1: off + n - 2] = True
-
         sigma = np.zeros(size)
         if config.sponge_strength > 0 and config.sponge_fraction > 0:
             width = config.sponge_fraction * config.L
@@ -257,38 +241,30 @@ class GraphSystem:
             for off in (off_v, off_w):
                 sigma[off: off + n] = config.sponge_strength * ramp_v ** 3
 
-        a_r, a_c, a_v = [], [], []
-        b_r, b_c, b_v = [], [], []
-        pde_idx = np.where(pde_mask)[0]
-        a_r += list(pde_idx)
-        a_c += list(pde_idx)
-        a_v += list(1.0 + 0.5 * dt * sigma[pde_idx])
-        b_r += list(pde_idx)
-        b_c += list(pde_idx)
-        b_v += list(1.0 - 0.5 * dt * sigma[pde_idx])
-        a_r += d3_rows
-        a_c += d3_cols
-        a_v += [0.5 * dt * v for v in d3_vals]
-        b_r += d3_rows
-        b_c += d3_cols
-        b_v += [-0.5 * dt * v for v in d3_vals]
+        edges = [_edge_operators(n, h, dt, sigma[off: off + n])
+                 for off in self.offsets]
+        rows = np.concatenate([off + e[0] for off, e in zip(self.offsets, edges)])
+        cols = np.concatenate([off + e[1] for off, e in zip(self.offsets, edges)])
+        self.b = sp.coo_matrix((np.concatenate([e[3] for e in edges]),
+                                (rows, cols)), shape=(size, size)).tocsr()
 
         # outer ends: one condition at the outflow (left) end of the
         # incoming edge, value and slope at the inflow (right) ends
-        for r in (off_u, off_v + n - 2, off_v + n - 1,
-                  off_w + n - 2, off_w + n - 1):
-            a_r.append(r)
-            a_c.append(r)
-            a_v.append(1.0)
+        ends = [off_u, off_v + n - 2, off_v + n - 1, off_w + n - 2, off_w + n - 1]
+        a_r, a_c = [rows, ends], [cols, ends]
+        a_v = [np.concatenate([e[2] for e in edges]), np.ones(len(ends))]
 
-        # vertex constraint rows
+        # vertex constraint rows; u's nodes run from the vertex towards -x
         iu = off_u + n - 1             # u at x = 0
-        neumann = [(off_u + j, c) for j, c in _one_sided_first(n, h, True)]
-        neumann += [(off_v + j, -cp.b2 * c) for j, c in _one_sided_first(n, h, False)]
-        neumann += [(off_w + j, -cp.b3 * c) for j, c in _one_sided_first(n, h, False)]
-        second_u = [(off_u + j, c) for j, c in _one_sided_second(n, h, True)]
-        second_v = [(off_v + j, c) for j, c in _one_sided_second(n, h, False)]
-        second_w = [(off_w + j, c) for j, c in _one_sided_second(n, h, False)]
+        s1, s2 = 1.0 / h, 1.0 / h ** 2
+        neumann = _vertex_stencil(ONE_SIDED_SLOPE, -s1, iu, -1)
+        neumann += [(j, -cp.b2 * c)
+                    for j, c in _vertex_stencil(ONE_SIDED_SLOPE, s1, off_v, 1)]
+        neumann += [(j, -cp.b3 * c)
+                    for j, c in _vertex_stencil(ONE_SIDED_SLOPE, s1, off_w, 1)]
+        second_u = _vertex_stencil(ONE_SIDED_CURVATURE, s2, iu, -1)
+        second_v = _vertex_stencil(ONE_SIDED_CURVATURE, s2, off_v, 1)
+        second_w = _vertex_stencil(ONE_SIDED_CURVATURE, s2, off_w, 1)
 
         if cp.kind is CouplingKind.TYPE1:
             constraints = [
@@ -305,48 +281,30 @@ class GraphSystem:
                 second_u + [(j, -cp.c2 * c) for j, c in second_v],
                 second_u + [(j, -cp.c3 * c) for j, c in second_w],
             ]
-        rows = (off_u + n - 2, off_u + n - 1, off_v, off_w)
-        for r, entries in zip(rows, constraints):
-            for j, c in entries:
-                a_r.append(r)
-                a_c.append(j)
-                a_v.append(c)
         self.constraint_rows = []
-        for entries in constraints:
-            cols = np.array([j for j, _ in entries])
+        for r, entries in zip((off_u + n - 2, off_u + n - 1, off_v, off_w),
+                              constraints):
+            js = np.array([j for j, _ in entries])
             coef = np.array([c for _, c in entries])
-            self.constraint_rows.append((cols, coef, float(np.linalg.norm(coef))))
+            self.constraint_rows.append((js, coef, float(np.linalg.norm(coef))))
+            a_r.append(np.full(js.size, r))
+            a_c.append(js)
+            a_v.append(coef)
 
-        self.pde_mask = pde_mask
-        self.sigma = sigma
-        a = sp.coo_matrix((a_v, (a_r, a_c)), shape=(size, size)).tocsc()
-        b = sp.coo_matrix((b_v, (b_r, b_c)), shape=(size, size))
+        a = sp.coo_matrix((np.concatenate(a_v), (np.concatenate(a_r),
+                                                 np.concatenate(a_c))),
+                          shape=(size, size)).tocsc()
         try:
             self.lu = splu(a)
         except RuntimeError as exc:
             raise YGraphError(f"vertex-coupled system is singular: {exc}") from exc
-        self.b = b.tocsr()
         # condition estimate from the factorization diagonal
         diag = np.abs(self.lu.U.diagonal())
         self.condition_estimate = float(diag.max() / max(diag.min(), 1e-300))
 
     def nonlinear_term(self, x: np.ndarray) -> np.ndarray:
-        """Conservative-form flux derivative d/dx(u^2/2), per edge.
-
-        Fourth-order centered differences on interior nodes keep the
-        nonlinear truncation error below the dispersive stencil's.
-        """
-        n = self.n
-        h = self.config.h
-        out = np.zeros_like(x)
-        for off in self.offsets:
-            q = 0.5 * x[off: off + n] ** 2
-            d = np.zeros(n)
-            d[2:-2] = (q[:-4] - 8.0 * q[1:-3] + 8.0 * q[3:-1] - q[4:]) / (12.0 * h)
-            d[1] = (q[2] - q[0]) / (2.0 * h)
-            d[-2] = (q[-1] - q[-3]) / (2.0 * h)
-            out[off: off + n] = d
-        return out * self.pde_mask
+        """Conservative-form flux derivative d/dx(u^2/2), per edge."""
+        return _flux_derivative(x.reshape(3, self.n), self.config.h).ravel()
 
 
 def _initial_state(config: ScenarioConfig):
@@ -358,24 +316,24 @@ def _initial_state(config: ScenarioConfig):
                            config.initial_w(xv)])
 
 
+def _end_traces(nodes, h: float, sign: int):
+    """Value, slope and curvature at an edge end.
+
+    ``nodes`` holds the samples counted inward from the end; ``sign`` is -1
+    where that count runs towards -x.
+    """
+    return (nodes[0], sign * one_sided(ONE_SIDED_SLOPE, nodes) / h,
+            one_sided(ONE_SIDED_CURVATURE, nodes) / h ** 2)
+
+
 def _traces(system: GraphSystem, x: np.ndarray):
     """Vertex traces with the same stencils the constraints impose."""
-    n = system.n
-    h = system.config.h
-    off_u, off_v, off_w = system.offsets
-    u = x[off_u: off_u + n]
-    v = x[off_v: off_v + n]
-    w = x[off_w: off_w + n]
-    tr = {
-        "u0": u[-1], "v0": v[0], "w0": w[0],
-        "ux": (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h),
-        "vx": (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h),
-        "wx": (-3 * w[0] + 4 * w[1] - w[2]) / (2 * h),
-        "uxx": (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h ** 2,
-        "vxx": (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h ** 2,
-        "wxx": (2 * w[0] - 5 * w[1] + 4 * w[2] - w[3]) / h ** 2,
-    }
-    return tr
+    n, h = system.n, system.config.h
+    u0, ux, uxx = _end_traces(x[n - 1: n - 5: -1].tolist(), h, -1)
+    v0, vx, vxx = _end_traces(x[n: n + 4].tolist(), h, 1)
+    w0, wx, wxx = _end_traces(x[2 * n: 2 * n + 4].tolist(), h, 1)
+    return {"u0": u0, "v0": v0, "w0": w0, "ux": ux, "vx": vx, "wx": wx,
+            "uxx": uxx, "vxx": vxx, "wxx": wxx}
 
 
 def _flux_integrand(tr) -> float:
@@ -515,42 +473,27 @@ def energy_report(traj: Trajectory) -> EnergyReport:
 # whole-line reference solver (shared scheme, no vertex)
 # ---------------------------------------------------------------------------
 
-def evolve_line(u0: GridFunction, dt: float, T: float, mode: str = "nonlinear",
-                store_every: int = 0) -> GridFunction:
+def evolve_line(u0: GridFunction, dt: float, T: float,
+                mode: str = "nonlinear") -> GridFunction:
     """Single-interval solver with the same interior scheme, clamped ends."""
     n = len(u0)
     h = u0.spacing
-    a_r, a_c, a_v = [], [], []
-    b_r, b_c, b_v = [], [], []
-    pde = np.zeros(n, dtype=bool)
-    pde[1: n - 2] = True
-    rows, cols, vals = _third_derivative_rows(n, h)
-    for i in np.where(pde)[0]:
-        a_r.append(i); a_c.append(i); a_v.append(1.0)
-        b_r.append(i); b_c.append(i); b_v.append(1.0)
-    for r, c, v in zip(rows, cols, vals):
-        a_r.append(r); a_c.append(c); a_v.append(0.5 * dt * v)
-        b_r.append(r); b_c.append(c); b_v.append(-0.5 * dt * v)
-    for r in (0, n - 2, n - 1):
-        a_r.append(r); a_c.append(r); a_v.append(1.0)
-    lu = splu(sp.coo_matrix((a_v, (a_r, a_c)), shape=(n, n)).tocsc())
-    bm = sp.coo_matrix((b_v, (b_r, b_c)), shape=(n, n)).tocsr()
+    rows, cols, a_v, b_v = _edge_operators(n, h, dt, np.zeros(n))
+    ends = [0, n - 2, n - 1]
+    lu = splu(sp.coo_matrix((np.concatenate([a_v, np.ones(3)]),
+                             (np.concatenate([rows, ends]),
+                              np.concatenate([cols, ends]))),
+                            shape=(n, n)).tocsc())
+    bm = sp.coo_matrix((b_v, (rows, cols)), shape=(n, n)).tocsr()
     x = u0.samples.astype(float).copy()
     x[[0, 1, -2, -1]] = 0.0
-
-    def nterm(vec):
-        q = 0.5 * vec ** 2
-        d = np.zeros(n)
-        d[2:-2] = (q[:-4] - 8 * q[1:-3] + 8 * q[3:-1] - q[4:]) / (12 * h)
-        d[1] = (q[2] - q[0]) / (2 * h)
-        return d * pde
 
     nl_prev = None
     steps = int(round(T / dt))
     for _ in range(steps):
         rhs = bm @ x
         if mode == "nonlinear":
-            d = nterm(x)
+            d = _flux_derivative(x, h)
             rhs -= dt * (d if nl_prev is None else 1.5 * d - 0.5 * nl_prev)
             nl_prev = d
         x = lu.solve(rhs)
@@ -581,8 +524,7 @@ def scaling_check(config: ScenarioConfig, lam: float) -> ScalingReport:
     Data x -> lam^2 u0(lam x) evolved to T/lam^3 on the grid stretched by
     1/lam (same per-feature resolution, exactly aligned nodes) must unscale
     onto the base run; the vertex relations are scale-invariant so the
-    coupling passes through unchanged.  The two runs are independent and
-    execute in parallel threads when YGRAPH_THREADS allows.
+    coupling passes through unchanged.
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError("lam must lie in (0, 1]")
@@ -596,16 +538,8 @@ def scaling_check(config: ScenarioConfig, lam: float) -> ScalingReport:
         initial_u=config.initial_u.scaled(lam),
         initial_v=config.initial_v.scaled(lam),
         initial_w=config.initial_w.scaled(lam))
-    if worker_count() > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_b = pool.submit(evolve, config, max(config.n_steps, 1))
-            fut_s = pool.submit(evolve, scaled_cfg, max(scaled_cfg.n_steps, 1))
-            base = fut_b.result()
-            scaled = fut_s.result()
-    else:
-        base = evolve(config, store_every=max(config.n_steps, 1))
-        scaled = evolve(scaled_cfg, store_every=max(scaled_cfg.n_steps, 1))
+    base = evolve(config, store_every=max(config.n_steps, 1))
+    scaled = evolve(scaled_cfg, store_every=max(scaled_cfg.n_steps, 1))
 
     fin_b = base.final()
     fin_s = scaled.final()
@@ -654,23 +588,14 @@ def whole_line_extension(edge: GridFunction, side: str, grid: GridFunction,
     if method != "taylor":
         raise DomainError(f"unknown extension method {method!r}")
 
-    h = edge.spacing
     s = edge.samples
     if side == "left":      # datum on [-L, 0]; one-sided values at its right end
-        f0 = s[-1]
-        f1 = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
-        f2 = (2 * s[-1] - 5 * s[-2] + 4 * s[-3] - s[-4]) / h ** 2
+        f0, f1, f2 = _end_traces(s[:-5:-1], edge.spacing, -1)
     else:
-        f0 = s[0]
-        f1 = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
-        f2 = (2 * s[0] - 5 * s[1] + 4 * s[2] - s[3]) / h ** 2
+        f0, f1, f2 = _end_traces(s[:4], edge.spacing, 1)
     poly = f0 + f1 * xm + 0.5 * f2 * xm ** 2
     vals[mask] = poly * np.exp(-((xm / width) ** 2) ** 2)
     return grid.with_samples(vals)
-
-
-def hestenes_extension(edge: GridFunction, side: str, grid: GridFunction) -> GridFunction:
-    return whole_line_extension(edge, side, grid, method="hestenes")
 
 
 @dataclass(frozen=True)

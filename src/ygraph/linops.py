@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .fracops import TimeTrace
+from .fracops import ONE_SIDED_EXTRAP, TimeTrace
 
 DECAY_TOL = 1e-8
 
@@ -109,11 +109,6 @@ class SpaceTimeField:
 
 def gaussian_profile(x, amplitude=1.0, center=0.0, width=1.0):
     return amplitude * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
-
-
-def grid_from_function(fn, origin, spacing, n):
-    x = origin + spacing * np.arange(n)
-    return GridFunction(origin, spacing, np.asarray(fn(x)))
 
 
 def _check_decay(phi: GridFunction, tol: float):
@@ -246,9 +241,6 @@ def _composite_simpson_weights(m: int, dt: float) -> np.ndarray:
     return w * dt
 
 
-_ONE_SIDED_EXTRAP = np.array([4.0, -6.0, 4.0, -1.0])
-
-
 def trace_at_zero(f, deriv: int = 0, side: str = "centered"):
     """Trace of d^j/dx^j at x = 0, j in {0, 1, 2}.
 
@@ -288,7 +280,7 @@ def _trace_level(v, i0, h, deriv, side):
     idx = i0 + sgn * np.arange(1, 5 + deriv)
     vals = v[idx]
     if deriv == 0:
-        return _ONE_SIDED_EXTRAP @ vals[:4]
+        return ONE_SIDED_EXTRAP @ vals[:4]
     if deriv == 1:
         d = np.array([(vals[j + 1] - vals[j]) * sgn / h for j in range(4)])
     else:

@@ -21,9 +21,9 @@ from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction, SpaceTimeField, group_multi, \
     group_trace_history, trace_at_zero
 from .forcing import forcing_class
-from .util import worker_count
 
 DET_THRESHOLD = 1e-8
+COMPATIBILITY_TOL = 1e-8
 
 
 class CouplingKind(Enum):
@@ -207,9 +207,8 @@ def admissible_scan(s: float, coupling: VertexCoupling, resolution: int = 101,
 
     lam2 is pinned to the anchor value of the branch matching s (3 eps/pi
     below regularity 1, its reflection about 1/2 above).  Each sample
-    records |det| and the scale-invariant invertibility verdict.  Samples
-    are evaluated in parallel chunks capped by YGRAPH_THREADS; the row
-    order is deterministic regardless.
+    records |det| and the scale-invariant invertibility verdict of
+    :func:`is_invertible`; all samples go through one batched determinant.
     """
     if not -0.5 < s < 1.5 or s == 0.5:
         raise DomainError("s must lie in (-1/2, 3/2) excluding 1/2")
@@ -220,21 +219,14 @@ def admissible_scan(s: float, coupling: VertexCoupling, resolution: int = 101,
     if lo >= hi:
         return ScanReport(s=s, window=(lo, hi), eps=eps, branch=branch, rows=rows)
     grid = np.linspace(lo, hi, resolution + 2)[1:-1]
-
-    def sample(lam):
-        m = build_matrix(coupling, LambdaVector(lam, lam2, lam, lam, s))
-        d = abs(det_m(m))
-        thr = DET_THRESHOLD * m.row_norm_product()
-        return ScanRow(lam=float(lam), lam2=float(lam2), absdet=float(d),
-                       threshold=float(thr), invertible=bool(d > thr))
-
-    workers = min(worker_count(), 8)
-    if workers > 1 and len(grid) >= 32:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(sample, grid))
-    else:
-        rows = [sample(lam) for lam in grid]
+    mats = np.array([build_matrix(coupling,
+                                  LambdaVector(lam, lam2, lam, lam, s)).entries
+                     for lam in grid])
+    absdet = np.abs(np.linalg.det(mats))
+    thr = DET_THRESHOLD * np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    rows = [ScanRow(lam=float(lam), lam2=float(lam2), absdet=float(d),
+                    threshold=float(t), invertible=bool(d > t))
+            for lam, d, t in zip(grid, absdet, thr)]
     return ScanReport(s=s, window=(lo, hi), eps=eps, branch=branch, rows=rows)
 
 
@@ -315,19 +307,28 @@ def _build_rhs(coupling, f0, d0, s0):
     return [-r for r in rows]
 
 
+def compatibility_deviation(coupling: VertexCoupling, u, v, w) -> float:
+    """Worst absolute mismatch of the vertex values u, v, w in the Dirichlet
+    relation (u = a2 v = a3 w for type 1, u = a2 v + a3 w for type 2).
+
+    A non-finite value gives nan or inf, which no tolerance accepts:
+    callers test ``not dev <= tol``.
+    """
+    if coupling.kind is CouplingKind.TYPE1:
+        devs = [u - coupling.a2 * v, u - coupling.a3 * w]
+    else:
+        devs = [u - coupling.a2 * v - coupling.a3 * w]
+    return float(np.max(np.abs(devs)))
+
+
 def check_compatibility(u0: GridFunction, v0: GridFunction, w0: GridFunction,
-                        coupling: VertexCoupling, tol: float = 1e-8) -> float:
+                        coupling: VertexCoupling,
+                        tol: float = COMPATIBILITY_TOL) -> float:
     """Deviation from the Dirichlet compatibility the high-regularity
     setting demands of initial data; returns the worst absolute mismatch."""
-    iu = u0.index_of_zero()
-    uv = u0.samples[iu]
-    vv = v0.samples[v0.index_of_zero()]
-    wv = w0.samples[w0.index_of_zero()]
-    if coupling.kind is CouplingKind.TYPE1:
-        dev = max(abs(uv - coupling.a2 * vv), abs(uv - coupling.a3 * wv))
-    else:
-        dev = abs(uv - coupling.a2 * vv - coupling.a3 * wv)
-    return float(dev)
+    return compatibility_deviation(coupling, u0.samples[u0.index_of_zero()],
+                                   v0.samples[v0.index_of_zero()],
+                                   w0.samples[w0.index_of_zero()])
 
 
 def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
@@ -348,7 +349,7 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
         raise ContractError("data extensions must share one grid")
     if enforce_compatibility:
         dev = check_compatibility(u0, v0, w0, coupling)
-        if dev > 1e-8:
+        if not dev <= COMPATIBILITY_TOL:
             raise ContractError(
                 f"initial data violate the Dirichlet compatibility by {dev:.2e}")
 

@@ -64,6 +64,16 @@ class TestParseConfig:
             parse_config(write(tmp_path, "bad.cfg", text))
         assert any("a2 v0(0)" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("edge", ["u", "w"])
+    def test_nan_amplitude_violates_compatibility(self, tmp_path, capsys, edge):
+        text = MINIMAL + f"[initial]\n{edge} = gaussian amplitude=nan center=0\n"
+        path = write(tmp_path, "nan.cfg", text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert any("a2 v0(0)" in p for p in err.value.problems)
+        assert main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "run")]) == 2
+
     def test_malformed_numeric_with_line(self, tmp_path):
         text = "[grid]\nL = fifty\nh = 0.05\n" + MINIMAL
         with pytest.raises(ConfigError) as err:
@@ -160,6 +170,17 @@ class TestVertexCommands:
         rows = open(out).read().splitlines()
         assert rows[0] == "lambda,lambda2,absdet,threshold,invertible"
         assert len(rows) == 12
+
+    def test_construct_uses_given_spacing(self, tmp_path):
+        # np.linspace would put x = 0 about 1e-15 off the grid node here
+        text = MINIMAL.replace("[coupling]", "[grid]\nL = 55\n[time]\nT = 0.01\n"
+                               "[coupling]")
+        cfgp = write(tmp_path, "construct.cfg", text)
+        out = str(tmp_path / "traj")
+        assert main(["vertex", "construct", "--config", cfgp, "--h", "0.0125",
+                     "--levels", "11", "--out", out]) == 0
+        u = read_field_csv(os.path.join(out, "edge_u_t0p01.csv"))
+        assert u.spacing == pytest.approx(0.0125, rel=1e-12)
 
 
 class TestSimulate:

@@ -139,6 +139,10 @@ def test_class_negative_one_is_companion(g, grid):
     spec = duhamel_forcing_deriv(g, grid, TIMES, method="spectral")
     fe = forcing_class(-1.0, "minus", g, grid, TIMES, method="spectral")
     assert np.abs(fe.field.levels - spec.levels).max() <= 1e-12
+    # both power-kernel multipliers reduce to i xi at lam = -1
+    fp = forcing_class(-1.0, "plus", g, grid, TIMES, method="spectral")
+    assert np.abs(fp.field.levels - fe.field.levels).max() <= \
+        1e-12 * np.abs(fe.field.levels).max()
     # against the independent kernel-quadrature route, on the decaying side
     simp = duhamel_forcing_deriv(g, grid, TIMES, method="simpson")
     side = grid.x > 0.5
@@ -146,11 +150,13 @@ def test_class_negative_one_is_companion(g, grid):
     assert dev <= 5e-3 * np.abs(spec.levels).max()
 
 
-@pytest.mark.parametrize("lam", [0.3, 0.6])
-def test_reduction_chain(g, grid, lam):
+@pytest.mark.parametrize("lam, sign", [(0.3, "minus"), (0.6, "minus"),
+                                       (0.3, "plus"), (0.6, "plus")],
+                         ids=["0.3", "0.6", "0.3-plus", "0.6-plus"])
+def test_reduction_chain(g, grid, lam, sign):
     # V^{lam-1} g = d/dx V^{lam} (I_{1/3} g); sup distance on |x| <= 5
-    lhs = forcing_class(lam - 1.0, "minus", g, grid, TIMES).field
-    base = forcing_class(lam, "minus", riemann_liouville(g, 1.0 / 3.0),
+    lhs = forcing_class(lam - 1.0, sign, g, grid, TIMES).field
+    base = forcing_class(lam, sign, riemann_liouville(g, 1.0 / 3.0),
                          grid, TIMES).field
     rhs = field_spatial_derivative(base, 1)
     m = np.abs(lhs.x) <= 5.0

@@ -131,13 +131,18 @@ class TestScan:
         with pytest.raises(DomainError):
             admissible_scan(1.7, C_UNIT)
 
-    def test_thread_cap_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("YGRAPH_THREADS", "1")
-        serial = admissible_scan(0.0, C_UNIT, resolution=64)
-        monkeypatch.setenv("YGRAPH_THREADS", "4")
-        threaded = admissible_scan(0.0, C_UNIT, resolution=64)
-        assert [r.absdet for r in serial.rows] == \
-            [r.absdet for r in threaded.rows]
+    def test_batched_scan_matches_single_matrices(self):
+        # one batched determinant per scan; LAPACK's batched and single
+        # calls may round differently in the last bit
+        for s, beta in ((0.0, 0.0), (0.0, -1.5), (1.2, 0.0)):
+            cp = VertexCoupling.special_type1(1.0, 1.0, beta, beta)
+            rep = admissible_scan(s, cp, resolution=101)
+            for r in rep.rows:
+                m = build_matrix(cp, LambdaVector(r.lam, r.lam2, r.lam, r.lam, s))
+                assert r.invertible == is_invertible(m)
+                assert r.threshold == pytest.approx(
+                    1e-8 * m.row_norm_product(), rel=1e-14)
+                assert r.absdet == pytest.approx(abs(det_m(m)), rel=1e-14)
 
 
 class TestSolveGamma:
@@ -254,6 +259,18 @@ class TestAssemble:
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
         with pytest.raises(ContractError, match="compatibility"):
             assemble_linear_solution(u0, z, z, C_UNIT, lam, T=0.2,
+                                     n_levels=11, trace_dt=1e-3,
+                                     enforce_compatibility=True)
+
+    def test_nan_vertex_value_violates_compatibility(self):
+        h = 0.05
+        gx = np.arange(-20.0, 20.0, h)
+        z = GridFunction(gx[0], h, np.zeros(gx.size))
+        w0 = GridFunction(gx[0], h, np.where(np.abs(gx) < h / 2, np.nan, 0.0))
+        assert math.isnan(check_compatibility(z, z, w0, C_UNIT))
+        lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
+        with pytest.raises(ContractError, match="compatibility"):
+            assemble_linear_solution(z, z, w0, C_UNIT, lam, T=0.2,
                                      n_levels=11, trace_dt=1e-3,
                                      enforce_compatibility=True)
 
