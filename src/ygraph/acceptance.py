@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -348,11 +348,7 @@ class _AddedVProfile:
 
 def _evolve_with_added_v(cfg, added_vals):
     xv = cfg.h * np.arange(cfg.n_edge + 1)
-    pert_profile = _AddedVProfile(cfg.initial_v, xv, added_vals)
-    pert_cfg = ScenarioConfig(
-        L=cfg.L, h=cfg.h, dt=cfg.dt, T=cfg.T, coupling=cfg.coupling,
-        mode=cfg.mode, initial_u=cfg.initial_u, initial_v=pert_profile,
-        initial_w=cfg.initial_w)
+    pert_cfg = replace(cfg, initial_v=_AddedVProfile(cfg.initial_v, xv, added_vals))
     return evolve(pert_cfg, store_every=pert_cfg.n_steps)
 
 

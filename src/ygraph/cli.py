@@ -28,7 +28,7 @@ from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan, anchor_lambda,
                      assemble_linear_solution, verify_vertex_conditions)
 from .graphsim import (InitialProfile, ScenarioConfig, evolve, energy_report,
-                       picard_iterate, scaling_check)
+                       picard_iterate, scaling_check, whole_line_data)
 
 
 @dataclass
@@ -390,15 +390,8 @@ def _cmd_vertex_construct(args):
     lam = LambdaVector(*args.lam) if args.lam else \
         LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
     h = args.h
-    n = int(round(2 * cfg.L / h)) + 1
-    grid = GridFunction(-cfg.L, h, np.zeros(n))
-    from .graphsim import whole_line_extension
-    nu = int(round(cfg.L / h)) + 1
-    xu = -cfg.L + h * np.arange(nu)
-    xv = h * np.arange(nu)
-    u0 = whole_line_extension(GridFunction(-cfg.L, h, cfg.initial_u(xu)), "left", grid)
-    v0 = whole_line_extension(GridFunction(0.0, h, cfg.initial_v(xv)), "right", grid)
-    w0 = whole_line_extension(GridFunction(0.0, h, cfg.initial_w(xv)), "right", grid)
+    grid = GridFunction(-cfg.L, h, np.zeros(int(round(2 * cfg.L / h)) + 1))
+    u0, v0, w0 = whole_line_data(cfg, h, grid)
     sol = assemble_linear_solution(u0, v0, w0, cfg.coupling, lam, T=cfg.T,
                                    n_levels=args.levels, trace_dt=cfg.dt)
     rep = verify_vertex_conditions(sol)

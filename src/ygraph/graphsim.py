@@ -22,14 +22,13 @@ from scipy.sparse.linalg import splu
 from scipy.interpolate import CubicSpline
 
 from .errors import ContractError, DomainError, YGraphError
-from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, TimeTrace,
-                      one_sided, riemann_liouville, sampled_derivative)
+from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
+                      sampled_derivative)
 from .linops import GridFunction, SpaceTimeField, group_multi, \
     group_trace_history, duhamel_inhomog
 from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
-                     LambdaVector, build_matrix, compatibility_deviation,
-                     solve_gamma, _build_rhs)
-from .forcing import forcing_class
+                     LambdaVector, compatibility_deviation, solve_vertex,
+                     time_ladder)
 
 BLOWUP_LIMIT = 1e6
 
@@ -96,24 +95,28 @@ class ScenarioConfig:
         problems = []
         if self.coupling is None:
             problems.append("coupling is required")
-        if not self.L > 0:
-            problems.append(f"L must be positive, got {self.L}")
-        if not self.h > 0:
-            problems.append(f"h must be positive, got {self.h}")
-        elif self.h > self.L / 100.0:
+        ok = {}
+        for name in ("L", "h", "dt", "T"):
+            ok[name] = 0.0 < getattr(self, name) < math.inf
+            if not ok[name]:
+                problems.append(f"{name} must be positive and finite, "
+                                f"got {getattr(self, name)}")
+        if ok["L"] and ok["h"] and self.h > self.L / 100.0:
             problems.append(f"h must be <= L/100 = {self.L / 100.0:g}, got {self.h}")
-        if not self.dt > 0:
-            problems.append(f"dt must be positive, got {self.dt}")
-        elif self.h > 0 and self.dt > self.h:
+        if ok["h"] and ok["dt"] and self.dt > self.h:
             problems.append(f"dt must be <= h = {self.h:g}, got {self.dt}")
-        if not self.T > 0:
-            problems.append(f"T must be positive, got {self.T}")
+        # the grid must end at L and the last step at T: no silent rounding
+        for num, den in (("L", "h"), ("T", "dt")):
+            if ok[num] and ok[den]:
+                r = getattr(self, num) / getattr(self, den)
+                if not (math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r):
+                    problems.append(f"{num}/{den} = {r:.12g} must be a whole number")
         if self.mode not in ("linear", "nonlinear"):
             problems.append(f"mode must be linear|nonlinear, got {self.mode!r}")
         if not 0.0 <= self.sponge_fraction <= 0.3:
             problems.append("sponge_fraction must lie in [0, 0.3]")
-        if self.sponge_strength < 0:
-            problems.append("sponge_strength must be >= 0")
+        if not 0.0 <= self.sponge_strength < math.inf:
+            problems.append("sponge_strength must be finite and >= 0")
         if self.coupling is not None and \
                 self.coupling.kind is CouplingKind.TYPE1:
             dev = compatibility_deviation(
@@ -225,7 +228,6 @@ class GraphSystem:
         n = config.n_edge + 1          # nodes per edge
         self.n = n
         h, dt = config.h, config.dt
-        cp = config.coupling
         size = 3 * n
         off_u, off_v, off_w = 0, n, 2 * n
         self.offsets = (off_u, off_v, off_w)
@@ -254,36 +256,18 @@ class GraphSystem:
         a_r, a_c = [rows, ends], [cols, ends]
         a_v = [np.concatenate([e[2] for e in edges]), np.ones(len(ends))]
 
-        # vertex constraint rows; u's nodes run from the vertex towards -x
-        iu = off_u + n - 1             # u at x = 0
-        s1, s2 = 1.0 / h, 1.0 / h ** 2
-        neumann = _vertex_stencil(ONE_SIDED_SLOPE, -s1, iu, -1)
-        neumann += [(j, -cp.b2 * c)
-                    for j, c in _vertex_stencil(ONE_SIDED_SLOPE, s1, off_v, 1)]
-        neumann += [(j, -cp.b3 * c)
-                    for j, c in _vertex_stencil(ONE_SIDED_SLOPE, s1, off_w, 1)]
-        second_u = _vertex_stencil(ONE_SIDED_CURVATURE, s2, iu, -1)
-        second_v = _vertex_stencil(ONE_SIDED_CURVATURE, s2, off_v, 1)
-        second_w = _vertex_stencil(ONE_SIDED_CURVATURE, s2, off_w, 1)
-
-        if cp.kind is CouplingKind.TYPE1:
-            constraints = [
-                [(iu, 1.0), (off_v, -cp.a2)],
-                [(iu, 1.0), (off_w, -cp.a3)],
-                neumann,
-                second_u + [(j, -cp.c2 * c) for j, c in second_v]
-                + [(j, -cp.c3 * c) for j, c in second_w],
-            ]
-        else:
-            constraints = [
-                [(iu, 1.0), (off_v, -cp.a2), (off_w, -cp.a3)],
-                neumann,
-                second_u + [(j, -cp.c2 * c) for j, c in second_v],
-                second_u + [(j, -cp.c3 * c) for j, c in second_w],
-            ]
+        # vertex constraint rows, one per coupling relation: the j-th
+        # derivative by the one-sided stencil from each field's vertex node
+        # (u's nodes run from the vertex towards -x)
+        ends = ((off_u + n - 1, -1), (off_v, 1), (off_w, 1))
+        stencils = ((1.0,), ONE_SIDED_SLOPE, ONE_SIDED_CURVATURE)
         self.constraint_rows = []
-        for r, entries in zip((off_u + n - 2, off_u + n - 1, off_v, off_w),
-                              constraints):
+        for r, (_, j, coefs) in zip((off_u + n - 2, off_u + n - 1, off_v, off_w),
+                                    config.coupling.relations()):
+            entries = [(col, c * v)
+                       for c, (first, step) in zip(coefs, ends) if c is not None
+                       for col, v in _vertex_stencil(stencils[j], step ** j / h ** j,
+                                                     first, step)]
             js = np.array([j for j, _ in entries])
             coef = np.array([c for _, c in entries])
             self.constraint_rows.append((js, coef, float(np.linalg.norm(coef))))
@@ -598,6 +582,21 @@ def whole_line_extension(edge: GridFunction, side: str, grid: GridFunction,
     return grid.with_samples(vals)
 
 
+def whole_line_data(config: ScenarioConfig, h: float,
+                    grid: GridFunction) -> list:
+    """Taylor whole-line extensions of the u, v, w initial data onto ``grid``,
+    each edge sampled at spacing h."""
+    n = int(round(config.L / h)) + 1
+    xu = -config.L + h * np.arange(n)
+    xv = h * np.arange(n)
+    return [whole_line_extension(GridFunction(-config.L, h, config.initial_u(xu)),
+                                 "left", grid),
+            whole_line_extension(GridFunction(0.0, h, config.initial_v(xv)),
+                                 "right", grid),
+            whole_line_extension(GridFunction(0.0, h, config.initial_w(xv)),
+                                 "right", grid)]
+
+
 @dataclass(frozen=True)
 class PicardResult:
     iterates: list               # list of (u, v, w) level stacks
@@ -626,51 +625,34 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     trace_dt = trace_dt or config.dt
     h = config.h
     L = config.L
-    x = np.arange(-L, L + h / 2, h)
-    grid = GridFunction(-L, h, np.zeros(x.size))
-    n_tr = int(round(config.T / trace_dt)) + 1
-    if n_levels is None:
-        # largest level count <= 26 whose steps tile the trace grid
-        n_levels = 2
-        for k in range(25, 1, -1):
-            if (n_tr - 1) % k == 0:
-                n_levels = k + 1
-                break
-    if (n_tr - 1) % (n_levels - 1):
-        raise ContractError("n_levels - 1 must divide the trace step count")
-    tt = trace_dt * np.arange(n_tr)
-    out_times = tt[:: (n_tr - 1) // (n_levels - 1)]
-    cp = config.coupling
+    grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
+    tt, out_times = time_ladder(config.T, trace_dt, n_levels)
 
-    xu = -L + h * np.arange(config.n_edge + 1)
-    xv = h * np.arange(config.n_edge + 1)
-    exts = [whole_line_extension(GridFunction(-L, h, config.initial_u(xu)), "left", grid),
-            whole_line_extension(GridFunction(0.0, h, config.initial_v(xv)), "right", grid),
-            whole_line_extension(GridFunction(0.0, h, config.initial_w(xv)), "right", grid)]
-
+    exts = whole_line_data(config, h, grid)
     free_fields = [group_multi(e, out_times, decay_tol=1e-5).levels for e in exts]
-    free_tr = {(i, j): group_trace_history(exts[i], tt, j)
-               for i in range(3) for j in range(3)}
+    free_tr = [[group_trace_history(e, tt, j) for e in exts] for j in range(3)]
 
-    taper = np.ones(x.size)
-    wlen = int(taper_fraction * x.size)
+    taper = np.ones(len(grid))
+    wlen = int(taper_fraction * len(grid))
     if wlen > 0:
         ramp = 0.5 * (1.0 - np.cos(math.pi * np.arange(wlen) / wlen))
         taper[:wlen] = ramp
         taper[-wlen:] = ramp[::-1]
 
+    # the physical edges, each including the vertex node
     i0 = grid.index_of_zero()
+    edges = (np.s_[:, :i0 + 1], np.s_[:, i0:], np.s_[:, i0:])
     nonlinear = config.mode == "nonlinear"
-    current = [fl.copy() for fl in free_fields]
+    current = free_fields
     iterates = []
     distances = []
 
     for it in range(n_iter):
-        k_fields = []
-        k_tr = {}
+        base, traces = free_fields, free_tr
         if nonlinear:
-            for comp in range(3):
-                lvls = current[comp]
+            k_fields = []
+            k_tr = [[], [], []]
+            for lvls in current:
                 flux = np.real(lvls) * sampled_derivative(np.real(lvls), h, 1)
                 flux *= taper
                 wfield = SpaceTimeField(-L, h, float(out_times[1]), flux)
@@ -679,47 +661,17 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
                     for tm in out_times])
                 k_fields.append(kf)
                 for j in range(3):
-                    if j == 0:
-                        vals = kf[:, i0]
-                    else:
-                        dk = sampled_derivative(kf, h, j)
-                        vals = dk[:, i0]
-                    spl_r = CubicSpline(out_times, np.real(vals))
-                    k_tr[(comp, j)] = spl_r(tt)
-        else:
-            k_fields = [np.zeros_like(free_fields[0]) for _ in range(3)]
-            for comp in range(3):
-                for j in range(3):
-                    k_tr[(comp, j)] = np.zeros(n_tr)
+                    vals = kf[:, i0] if j == 0 else sampled_derivative(kf, h, j)[:, i0]
+                    k_tr[j].append(CubicSpline(out_times, np.real(vals))(tt))
+            base = [f + k for f, k in zip(free_fields, k_fields)]
+            traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]
 
-        f0, d0, s0 = [], [], []
-        for comp in range(3):
-            f0.append(free_tr[(comp, 0)] + k_tr[(comp, 0)])
-            d0.append(riemann_liouville(TimeTrace(
-                trace_dt, free_tr[(comp, 1)] + k_tr[(comp, 1)], True),
-                1.0 / 3.0).samples)
-            s0.append(riemann_liouville(TimeTrace(
-                trace_dt, free_tr[(comp, 2)] + k_tr[(comp, 2)], True),
-                2.0 / 3.0).samples)
-        rhs = [TimeTrace(trace_dt, r, True)
-               for r in _build_rhs(cp, f0, d0, s0)]
-        m = build_matrix(cp, lam)
-        g1, g2, g3, g4 = solve_gamma(m, rhs)
-
-        new = [free_fields[0] + k_fields[0]
-               + forcing_class(lam.l1, "minus", g1, grid, out_times).field.levels
-               + forcing_class(lam.l2, "minus", g2, grid, out_times).field.levels,
-               free_fields[1] + k_fields[1]
-               + forcing_class(lam.l3, "plus", g3, grid, out_times).field.levels,
-               free_fields[2] + k_fields[2]
-               + forcing_class(lam.l4, "plus", g4, grid, out_times).field.levels]
+        _, _, new = solve_vertex(config.coupling, lam, traces, trace_dt, base,
+                                 grid, out_times)
 
         # contraction metric on the physical edges
-        mask_u = x <= 0
-        mask_vw = x >= 0
-        d = max(np.abs(np.real(new[0]) - np.real(current[0]))[:, mask_u].max(),
-                np.abs(np.real(new[1]) - np.real(current[1]))[:, mask_vw].max(),
-                np.abs(np.real(new[2]) - np.real(current[2]))[:, mask_vw].max())
+        d = max(np.abs(np.real(nw) - np.real(cur))[edge].max()
+                for nw, cur, edge in zip(new, current, edges))
         distances.append(d)
         iterates.append(new)
         current = new

@@ -10,7 +10,9 @@ the assembled field satisfy the coupling relations.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,9 +20,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville
-from .linops import GridFunction, SpaceTimeField, group_multi, \
+from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
     group_trace_history, trace_at_zero
-from .forcing import forcing_class
+from .forcing import forcing_class, one_sided_limits, smooth_window
 
 DET_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-8
@@ -68,6 +70,32 @@ class VertexCoupling:
         return cls(CouplingKind.TYPE2, 1.0 / alpha2, 1.0 / alpha3,
                    beta2, beta3, alpha2, alpha3)
 
+    def relations(self):
+        """The four vertex relations, each ``(label, j, (cu, cv, cw))``.
+
+        A relation reads cu d^j u(0-) + cv d^j v(0+) + cw d^j w(0+) = 0;
+        a coefficient of None marks a field that does not enter it.  This
+        is the one statement of the type-1 and type-2 conditions: the
+        vertex matrix, its right-hand side, the compatibility check, the
+        residual report and the direct solver's constraint rows read it.
+        """
+        neumann = ("neumann:u-b2v-b3w", 1, (1.0, -self.b2, -self.b3))
+        if self.kind is CouplingKind.TYPE1:
+            return (("dirichlet:u-a2v", 0, (1.0, -self.a2, None)),
+                    ("dirichlet:u-a3w", 0, (1.0, None, -self.a3)),
+                    neumann,
+                    ("second:u-c2v-c3w", 2, (1.0, -self.c2, -self.c3)))
+        return (("dirichlet:u-a2v-a3w", 0, (1.0, -self.a2, -self.a3)),
+                neumann,
+                ("second:u-c2v", 2, (1.0, -self.c2, None)),
+                ("second:u-c3w", 2, (1.0, None, -self.c3)))
+
+
+def _combine(coefs, values):
+    """Left side of one relation: the sum of c * value over the fields in it."""
+    return functools.reduce(operator.add, (c * val for c, val in zip(coefs, values)
+                                           if c is not None))
+
 
 @dataclass(frozen=True)
 class LambdaVector:
@@ -107,7 +135,7 @@ class BoundaryMatrix:
 
 
 def _sin_col(lam: float):
-    """Column of trace factors (value, value, slope, curvature rows)."""
+    """Minus-class trace factors for the value, slope and curvature."""
     a = math.pi * lam / 3.0
     return (2.0 * math.sin(a + math.pi / 6.0),
             2.0 * math.sin(a - math.pi / 6.0),
@@ -115,32 +143,22 @@ def _sin_col(lam: float):
 
 
 def build_matrix(coupling: VertexCoupling, lam: LambdaVector) -> BoundaryMatrix:
-    """Populate the 4x4 vertex matrix, columns (g1, g3, g4, g2)."""
+    """Populate the 4x4 vertex matrix, one row per coupling relation,
+    columns (g1, g3, g4, g2).
+
+    The minus classes g1, g2 act on u with trace factors
+    2 sin(pi (lam - j)/3 + pi/6); the plus classes g3, g4 act on v and w
+    with e^{i pi (lam - j)}.
+    """
     l1, l2, l3, l4 = lam.as_tuple()
-    s1p, s1m, s1c = _sin_col(l1)
-    s2p, s2m, s2c = _sin_col(l2)
-    e3 = cmath.exp(1j * math.pi * l3)
-    e4 = cmath.exp(1j * math.pi * l4)
-    e3b = cmath.exp(1j * math.pi * (l3 - 1.0))
-    e4b = cmath.exp(1j * math.pi * (l4 - 1.0))
-    e3c = cmath.exp(1j * math.pi * (l3 - 2.0))
-    e4c = cmath.exp(1j * math.pi * (l4 - 2.0))
-    cp = coupling
-    if cp.kind is CouplingKind.TYPE1:
-        m = np.array([
-            [s1p, -cp.a2 * e3, 0.0, s2p],
-            [s1p, 0.0, -cp.a3 * e4, s2p],
-            [s1m, -cp.b2 * e3b, -cp.b3 * e4b, s2m],
-            [s1c, -cp.c2 * e3c, -cp.c3 * e4c, s2c],
-        ], dtype=complex)
-    else:
-        m = np.array([
-            [s1p, -cp.a2 * e3, -cp.a3 * e4, s2p],
-            [s1m, -cp.b2 * e3b, -cp.b3 * e4b, s2m],
-            [s1c, -cp.c2 * e3c, 0.0, s2c],
-            [s1c, 0.0, -cp.c3 * e4c, s2c],
-        ], dtype=complex)
-    return BoundaryMatrix(entries=m, lam=lam, coupling=cp)
+    s1, s2 = _sin_col(l1), _sin_col(l2)
+
+    def plus(c, lam_k, j):
+        return 0.0 if c is None else c * cmath.exp(1j * math.pi * (lam_k - j))
+
+    m = np.array([[cu * s1[j], plus(cv, l3, j), plus(cw, l4, j), cu * s2[j]]
+                  for _, j, (cu, cv, cw) in coupling.relations()], dtype=complex)
+    return BoundaryMatrix(entries=m, lam=lam, coupling=coupling)
 
 
 def det_m(m: BoundaryMatrix) -> complex:
@@ -289,46 +307,83 @@ class LinearSolution:
 
 
 def _build_rhs(coupling, f0, d0, s0):
-    """Right-hand side rows per the coupling kind (sign included)."""
-    cp = coupling
-    f1, f2, f3 = f0
-    d1, d2, d3 = d0
-    q1, q2, q3 = s0
-    if cp.kind is CouplingKind.TYPE1:
-        rows = [f1 - cp.a2 * f2,
-                f1 - cp.a3 * f3,
-                d1 - cp.b2 * d2 - cp.b3 * d3,
-                q1 - cp.c2 * q2 - cp.c3 * q3]
-    else:
-        rows = [f1 - cp.a2 * f2 - cp.a3 * f3,
-                d1 - cp.b2 * d2 - cp.b3 * d3,
-                q1 - cp.c2 * q2,
-                q1 - cp.c3 * q3]
-    return [-r for r in rows]
+    """Right-hand side rows, one per coupling relation (sign included).
+
+    f0, d0 and s0 hold the u, v, w trace rows of the value, slope and
+    curvature relations.
+    """
+    rows = (f0, d0, s0)
+    return [-_combine(coefs, rows[j]) for _, j, coefs in coupling.relations()]
 
 
 def compatibility_deviation(coupling: VertexCoupling, u, v, w) -> float:
     """Worst absolute mismatch of the vertex values u, v, w in the Dirichlet
-    relation (u = a2 v = a3 w for type 1, u = a2 v + a3 w for type 2).
+    relations (u = a2 v = a3 w for type 1, u = a2 v + a3 w for type 2).
 
     A non-finite value gives nan or inf, which no tolerance accepts:
     callers test ``not dev <= tol``.
     """
-    if coupling.kind is CouplingKind.TYPE1:
-        devs = [u - coupling.a2 * v, u - coupling.a3 * w]
-    else:
-        devs = [u - coupling.a2 * v - coupling.a3 * w]
+    devs = [_combine(coefs, (u, v, w))
+            for _, j, coefs in coupling.relations() if j == 0]
     return float(np.max(np.abs(devs)))
 
 
 def check_compatibility(u0: GridFunction, v0: GridFunction, w0: GridFunction,
-                        coupling: VertexCoupling,
-                        tol: float = COMPATIBILITY_TOL) -> float:
+                        coupling: VertexCoupling) -> float:
     """Deviation from the Dirichlet compatibility the high-regularity
     setting demands of initial data; returns the worst absolute mismatch."""
     return compatibility_deviation(coupling, u0.samples[u0.index_of_zero()],
                                    v0.samples[v0.index_of_zero()],
                                    w0.samples[w0.index_of_zero()])
+
+
+def time_ladder(T: float, trace_dt: float, n_levels: int = None):
+    """Trace times on [0, T] at spacing trace_dt and the output levels.
+
+    The n_levels output times are every k-th trace time, so n_levels - 1
+    must divide the trace step count; None picks the largest level count
+    up to 26 that tiles it.
+    """
+    n_tr = int(round(T / trace_dt)) + 1
+    if n_levels is None:
+        n_levels = next((k + 1 for k in range(25, 1, -1) if (n_tr - 1) % k == 0), 2)
+    if n_tr < 2 or n_levels < 2 or (n_tr - 1) % (n_levels - 1):
+        raise ContractError(
+            f"n_levels - 1 must be a positive divisor of the trace step count "
+            f"and T must span at least one trace step; got n_levels={n_levels} "
+            f"and {n_tr - 1} trace steps")
+    tt = trace_dt * np.arange(n_tr)
+    return tt, tt[:: (n_tr - 1) // (n_levels - 1)]
+
+
+def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
+                 trace_dt: float, base, grid: GridFunction, times,
+                 method: str = "spectral"):
+    """Solve for the boundary traces and add their forcing classes to ``base``.
+
+    ``traces[j]`` holds the u, v, w vertex traces of the j-th spatial
+    derivative of the fields the forcing corrects, sampled every trace_dt;
+    the slope and curvature rows enter through Riemann-Liouville integrals
+    of order 1/3 and 2/3.  ``base`` holds the u, v, w levels at ``times``.
+    Returns the matrix, the traces (gamma_1, ..., gamma_4) and the three
+    superposed level stacks.
+    """
+    f0, d_raw, s_raw = traces
+    d0 = [riemann_liouville(TimeTrace(trace_dt, d, True), 1.0 / 3.0).samples
+          for d in d_raw]
+    s0 = [riemann_liouville(TimeTrace(trace_dt, q, True), 2.0 / 3.0).samples
+          for q in s_raw]
+    rhs = [TimeTrace(trace_dt, r, True) for r in _build_rhs(coupling, f0, d0, s0)]
+    m = build_matrix(coupling, lam)
+    gammas = g1, g2, g3, g4 = solve_gamma(m, rhs)
+
+    def fc(lam_k, sign, g):
+        return forcing_class(lam_k, sign, g, grid, times, method=method).field.levels
+
+    fields = [base[0] + fc(lam.l1, "minus", g1) + fc(lam.l2, "minus", g2),
+              base[1] + fc(lam.l3, "plus", g3),
+              base[2] + fc(lam.l4, "plus", g4)]
+    return m, gammas, fields
 
 
 def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
@@ -353,44 +408,18 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
             raise ContractError(
                 f"initial data violate the Dirichlet compatibility by {dev:.2e}")
 
-    n_tr = int(round(T / trace_dt)) + 1
-    if (n_tr - 1) % (n_levels - 1):
-        raise ContractError("n_levels - 1 must divide the trace step count")
-    tt = trace_dt * np.arange(n_tr)
-    out_times = tt[:: (n_tr - 1) // (n_levels - 1)]
-
-    f_tr, d_tr, s_tr = [], [], []
-    for data in (u0, v0, w0):
-        f_tr.append(group_trace_history(data, tt, 0))
-        d_tr.append(riemann_liouville(
-            TimeTrace(trace_dt, group_trace_history(data, tt, 1), True),
-            1.0 / 3.0).samples)
-        s_tr.append(riemann_liouville(
-            TimeTrace(trace_dt, group_trace_history(data, tt, 2), True),
-            2.0 / 3.0).samples)
-
-    rhs_rows = _build_rhs(coupling, f_tr, d_tr, s_tr)
-    rhs = [TimeTrace(trace_dt, r, True) for r in rhs_rows]
-    m = build_matrix(coupling, lam)
-    g1, g2, g3, g4 = solve_gamma(m, rhs)
-
-    grid = u0
-    fld_u = group_multi(u0, out_times).levels.astype(complex)
-    fld_v = group_multi(v0, out_times).levels.astype(complex)
-    fld_w = group_multi(w0, out_times).levels.astype(complex)
-    fld_u += forcing_class(lam.l1, "minus", g1, grid, out_times,
-                           method=method).field.levels
-    fld_u += forcing_class(lam.l2, "minus", g2, grid, out_times,
-                           method=method).field.levels
-    fld_v += forcing_class(lam.l3, "plus", g3, grid, out_times,
-                           method=method).field.levels
-    fld_w += forcing_class(lam.l4, "plus", g4, grid, out_times,
-                           method=method).field.levels
+    tt, out_times = time_ladder(T, trace_dt, n_levels)
+    data = (u0, v0, w0)
+    traces = [[group_trace_history(d, tt, j) for d in data] for j in (0, 1, 2)]
+    free = [group_multi(d, out_times).levels for d in data]
+    m, gammas, fields = solve_vertex(coupling, lam, traces, trace_dt, free,
+                                     u0, out_times, method)
 
     dt_out = float(out_times[1] - out_times[0])
-    mk = lambda lv: SpaceTimeField(grid.origin, grid.spacing, dt_out, lv)
-    return LinearSolution(u=mk(fld_u), v=mk(fld_v), w=mk(fld_w),
-                          gammas=(g1, g2, g3, g4), matrix=m, coupling=coupling)
+    fld_u, fld_v, fld_w = (SpaceTimeField(u0.origin, u0.spacing, dt_out, lv)
+                           for lv in fields)
+    return LinearSolution(u=fld_u, v=fld_v, w=fld_w, gammas=gammas, matrix=m,
+                          coupling=coupling)
 
 
 @dataclass(frozen=True)
@@ -419,14 +448,11 @@ def _one_sided_deriv_traces(fld: SpaceTimeField, j: int, side: str,
     and their limits come from one-sided polynomial fits outside the window
     transition zone.
     """
-    from .forcing import smooth_window, one_sided_limits
-
     if j == 0:
         return np.array([trace_at_zero(fld.level(m), 0, side=side)
                          for m in range(fld.n_levels)])
     n = fld.levels.shape[1]
-    from .linops import frequencies as _freqs
-    xi = _freqs(n, fld.spacing)
+    xi = frequencies(n, fld.spacing)
     mult = (1j * xi) ** j * smooth_window(n, fld.spacing)
     dlev = np.fft.ifft(np.fft.fft(fld.levels, axis=1) * mult, axis=1)
     if not np.iscomplexobj(fld.levels):
@@ -446,31 +472,10 @@ def verify_vertex_conditions(sol: LinearSolution,
     the outgoing side (x -> 0+).
     """
     cp = coupling or sol.coupling
-    times = sol.times
-    tr = {}
-    for name, fld, side in (("u", sol.u, "left"), ("v", sol.v, "right"),
-                            ("w", sol.w, "right")):
-        for j in (0, 1, 2):
-            tr[(name, j)] = _one_sided_deriv_traces(fld, j, side,
-                                                    fit_window=fit_window)
-
-    scales = {}
-    for j in (0, 1, 2):
-        scales[j] = max(np.abs(tr[(n, j)]).max() for n in ("u", "v", "w"))
-
-    res = {}
-    if cp.kind is CouplingKind.TYPE1:
-        res["dirichlet:u-a2v"] = np.abs(tr[("u", 0)] - cp.a2 * tr[("v", 0)])
-        res["dirichlet:u-a3w"] = np.abs(tr[("u", 0)] - cp.a3 * tr[("w", 0)])
-        res["neumann:u-b2v-b3w"] = np.abs(
-            tr[("u", 1)] - cp.b2 * tr[("v", 1)] - cp.b3 * tr[("w", 1)])
-        res["second:u-c2v-c3w"] = np.abs(
-            tr[("u", 2)] - cp.c2 * tr[("v", 2)] - cp.c3 * tr[("w", 2)])
-    else:
-        res["dirichlet:u-a2v-a3w"] = np.abs(
-            tr[("u", 0)] - cp.a2 * tr[("v", 0)] - cp.a3 * tr[("w", 0)])
-        res["neumann:u-b2v-b3w"] = np.abs(
-            tr[("u", 1)] - cp.b2 * tr[("v", 1)] - cp.b3 * tr[("w", 1)])
-        res["second:u-c2v"] = np.abs(tr[("u", 2)] - cp.c2 * tr[("v", 2)])
-        res["second:u-c3w"] = np.abs(tr[("u", 2)] - cp.c3 * tr[("w", 2)])
-    return VertexResidualReport(times=times, residuals=res, scales=scales)
+    sides = ((sol.u, "left"), (sol.v, "right"), (sol.w, "right"))
+    tr = [[_one_sided_deriv_traces(fld, j, side, fit_window=fit_window)
+           for fld, side in sides] for j in (0, 1, 2)]
+    scales = {j: max(np.abs(t).max() for t in tr[j]) for j in (0, 1, 2)}
+    res = {label: np.abs(_combine(coefs, tr[j]))
+           for label, j, coefs in cp.relations()}
+    return VertexResidualReport(times=sol.times, residuals=res, scales=scales)

@@ -211,6 +211,20 @@ class TestSimulate:
         assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
         assert "configuration errors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,frag", [
+        ("[grid]\nL = inf\n", "L must be positive and finite"),
+        ("[grid]\nh = nan\n", "h must be positive and finite"),
+        ("[grid]\nL = 50.01\n", "L/h"),
+        ("[time]\nT = 0.1\ndt = 0.03\n", "T/dt"),
+        ("[sponge]\nstrength = inf\n", "sponge_strength"),
+    ], ids=["L-inf", "h-nan", "L-fractional", "T-fractional", "sponge-inf"])
+    def test_non_finite_or_fractional_sizes(self, tmp_path, capsys, text, frag):
+        bad = write(tmp_path, "bad.cfg", text + MINIMAL)
+        assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration errors" in err and frag in err
+        assert not os.path.exists(tmp_path / "x")
+
 
 class TestOtherCommands:
     def test_scaling_check(self, tmp_path, capsys):

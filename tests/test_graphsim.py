@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from ygraph.errors import ContractError, DomainError, YGraphError
-from ygraph.linops import GridFunction
-from ygraph.vertex import CouplingKind, LambdaVector, VertexCoupling
+from ygraph.linops import GridFunction, group_multi
+from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
+                           assemble_linear_solution)
 from ygraph.graphsim import (InitialProfile, ScenarioConfig, edge_mass,
                              energy_report, evolve, evolve_line,
                              picard_iterate, scaling_check, soliton_exact,
-                             whole_line_extension)
+                             whole_line_data, whole_line_extension)
 
 CB0 = VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0)
 
@@ -35,6 +36,14 @@ class TestConfig:
         (dict(mode="implicit"), "mode"),
         (dict(sponge_fraction=0.5), "sponge_fraction"),
         (dict(sponge_strength=-1.0), "sponge_strength"),
+        (dict(L=math.inf), "L must be positive and finite"),
+        (dict(h=math.nan), "h must be positive and finite"),
+        (dict(dt=math.inf), "dt must be positive and finite"),
+        (dict(T=math.nan), "T must be positive and finite"),
+        (dict(sponge_strength=math.inf), "sponge_strength"),
+        (dict(sponge_strength=math.nan), "sponge_strength"),
+        (dict(L=20.01), "L/h"),
+        (dict(T=0.1, dt=0.03), "T/dt"),
     ])
     def test_invariant_violations(self, kw, frag):
         with pytest.raises(ContractError, match=frag):
@@ -250,7 +259,43 @@ class TestExtension:
         assert np.abs(ext.samples[m] - (1.0 + x[m] + x[m] ** 2)).max() <= 1e-10
 
 
+CB2 = VertexCoupling.special_type2(1.0, 1.0, 0.5, 0.5)
+PICARD_LAM = LambdaVector(0.05, 0.3, 0.05, 0.05)
+
+
+def _linear_picard_config(coupling, L, h):
+    return ScenarioConfig(
+        L=L, h=h, dt=2e-3, T=0.1, coupling=coupling, mode="linear",
+        initial_v=InitialProfile("gaussian", amplitude=0.05, center=6.0, width=1.0),
+        initial_w=InitialProfile("gaussian", amplitude=0.04, center=7.0, width=1.0))
+
+
 class TestPicard:
+    @pytest.mark.parametrize("coupling", [CB0, CB2], ids=["type1", "type2"])
+    def test_linear_first_iterate_is_the_construction(self, coupling):
+        cfg = _linear_picard_config(coupling, 20.0, 0.1)
+        res = picard_iterate(cfg, PICARD_LAM, n_iter=1, n_levels=26)
+        grid = GridFunction(-cfg.L, cfg.h, np.zeros(2 * cfg.n_edge + 1))
+        u0, v0, w0 = whole_line_data(cfg, cfg.h, grid)
+        sol = assemble_linear_solution(u0, v0, w0, coupling, PICARD_LAM, T=cfg.T,
+                                       n_levels=26, trace_dt=cfg.dt)
+        for got, want in zip(res.iterates[0], (sol.u, sol.v, sol.w)):
+            assert np.array_equal(got, want.levels)
+
+    def test_distance_counts_the_vertex_node(self):
+        # with L = 50, h = 0.05 the node at x = 0 sits at -2.8e-12 in
+        # np.arange(-L, L + h/2, h); every edge must still include it
+        cfg = _linear_picard_config(CB0, 50.0, 0.05)
+        res = picard_iterate(cfg, PICARD_LAM, n_iter=1)
+        grid = GridFunction(-cfg.L, cfg.h, np.zeros(2 * cfg.n_edge + 1))
+        i0 = grid.index_of_zero()
+        free = [group_multi(e, res.times, decay_tol=1e-5).levels
+                for e in whole_line_data(cfg, cfg.h, grid)]
+        edges = (np.s_[:, :i0 + 1], np.s_[:, i0:], np.s_[:, i0:])
+        want = max(np.abs(np.real(it) - np.real(f))[e].max()
+                   for it, f, e in zip(res.iterates[0], free, edges))
+        assert res.distances[0] == want
+
     def test_zero_data_fixed_at_first_iterate(self):
         cfg = ScenarioConfig(L=20.0, h=0.1, dt=2e-3, T=0.25, coupling=CB0,
                              mode="nonlinear")

@@ -274,6 +274,16 @@ class TestAssemble:
                                      n_levels=11, trace_dt=1e-3,
                                      enforce_compatibility=True)
 
+    @pytest.mark.parametrize("T,n_levels", [(0.2, 1), (1e-4, 11), (0.2, 12)])
+    def test_time_ladder_contract(self, T, n_levels):
+        h = 0.05
+        gx = np.arange(-20.0, 20.0, h)
+        z = GridFunction(gx[0], h, np.zeros(gx.size))
+        lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
+        with pytest.raises(ContractError, match="trace step"):
+            assemble_linear_solution(z, z, z, C_UNIT, lam, T=T,
+                                     n_levels=n_levels, trace_dt=1e-3)
+
     def test_grid_mismatch(self):
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
