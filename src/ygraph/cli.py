@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,8 +28,9 @@ from .forcing import forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan, anchor_lambda,
                      assemble_linear_solution, verify_vertex_conditions)
-from .graphsim import (InitialProfile, ScenarioConfig, evolve, energy_report,
-                       picard_iterate, scaling_check, whole_line_data)
+from .graphsim import (MAX_PICARD_ITERS, InitialProfile, ScenarioConfig, evolve,
+                       energy_report, picard_iterate, scaling_check,
+                       whole_line_data, whole_steps)
 
 
 @dataclass
@@ -386,10 +388,13 @@ def _cmd_vertex_scan(args):
 
 def _cmd_vertex_construct(args):
     cfg = parse_config(args.config)
+    h = args.h
+    if not (0.0 < h < math.inf and whole_steps(cfg.L, h)):
+        raise ConfigError([f"--h must be positive, finite and divide L = {cfg.L:g} "
+                           f"into whole steps, got {h:g}"])
     os.makedirs(args.out, exist_ok=True)
     lam = LambdaVector(*args.lam) if args.lam else \
         LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
-    h = args.h
     grid = GridFunction(-cfg.L, h, np.zeros(int(round(2 * cfg.L / h)) + 1))
     u0, v0, w0 = whole_line_data(cfg, h, grid)
     sol = assemble_linear_solution(u0, v0, w0, cfg.coupling, lam, T=cfg.T,
@@ -433,7 +438,7 @@ def _write_diagnostics(path, diag):
 def _cmd_simulate(args):
     cfg = parse_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    wall = time.time()
+    wall = time.perf_counter()
     store = max(1, cfg.n_steps // max(args.snapshots, 1))
     traj = evolve(cfg, store_every=store)
     outputs = []
@@ -455,7 +460,7 @@ def _cmd_simulate(args):
                           "max_coupling_residual": float(
                               traj.diagnostics["coupling_residual"].max()),
                           "condition_estimate": traj.diagnostics["condition_estimate"],
-                          "wall_time": time.time() - wall,
+                          "wall_time": time.perf_counter() - wall,
                           "nonlinear_warning": rep.nonlinear_warning,
                       })
     man.outputs.extend(outputs)
@@ -466,6 +471,9 @@ def _cmd_simulate(args):
 
 def _cmd_picard(args):
     cfg = parse_config(args.config)
+    if not 1 <= args.iters <= MAX_PICARD_ITERS:
+        raise ConfigError([f"--iters must lie in 1..{MAX_PICARD_ITERS}, "
+                           f"got {args.iters}"])
     os.makedirs(args.out, exist_ok=True)
     lam = LambdaVector(*args.lam) if args.lam else \
         LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)

@@ -38,7 +38,7 @@ from .fracops import (ONE_SIDED_EXTRAP, TimeTrace, riemann_liouville,
                       product_weights, _first_sample_correction,
                       sampled_derivative)
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history
+    group_trace_history, trace_phases
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
@@ -435,8 +435,9 @@ def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
     if g.dt != h.dt or len(g) != len(h):
         raise ContractError("g and h must share one time grid")
     free = group_multi(phi, times)
-    tr0 = group_trace_history(phi, g.times, deriv=0)
-    tr1 = group_trace_history(phi, g.times, deriv=1)
+    phases = trace_phases(len(phi), phi.spacing, g.times)
+    tr0 = group_trace_history(phi, g.times, 0, phases)
+    tr1 = group_trace_history(phi, g.times, 1, phases)
     alpha = g.samples - tr0
     beta = riemann_liouville(TimeTrace(g.dt, h.samples - tr1, True), 1.0 / 3.0).samples
     h1 = TimeTrace(g.dt, HALFLINE_LEFT_MATRIX[0, 0] * alpha

@@ -24,13 +24,20 @@ from scipy.interpolate import CubicSpline
 from .errors import ContractError, DomainError, YGraphError
 from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
                       sampled_derivative)
-from .linops import GridFunction, SpaceTimeField, group_multi, \
-    group_trace_history, duhamel_inhomog
+from .linops import GridFunction, SpaceTimeField, group_multi, duhamel_inhomog
 from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
-                     LambdaVector, compatibility_deviation, solve_vertex,
-                     time_ladder)
+                     LambdaVector, compatibility_deviation, free_vertex_traces,
+                     solve_vertex, time_ladder)
 
 BLOWUP_LIMIT = 1e6
+MAX_PICARD_ITERS = 10
+
+
+def whole_steps(length: float, step: float) -> bool:
+    """Whether length / step is a whole number to 1e-9 relative, so a grid
+    of that step ends exactly at length; step must be positive."""
+    r = length / step
+    return math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +114,10 @@ class ScenarioConfig:
             problems.append(f"dt must be <= h = {self.h:g}, got {self.dt}")
         # the grid must end at L and the last step at T: no silent rounding
         for num, den in (("L", "h"), ("T", "dt")):
-            if ok[num] and ok[den]:
+            if ok[num] and ok[den] and \
+                    not whole_steps(getattr(self, num), getattr(self, den)):
                 r = getattr(self, num) / getattr(self, den)
-                if not (math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r):
-                    problems.append(f"{num}/{den} = {r:.12g} must be a whole number")
+                problems.append(f"{num}/{den} = {r:.12g} must be a whole number")
         if self.mode not in ("linear", "nonlinear"):
             problems.append(f"mode must be linear|nonlinear, got {self.mode!r}")
         if not 0.0 <= self.sponge_fraction <= 0.3:
@@ -368,7 +375,7 @@ def evolve(config: ScenarioConfig, store_every: int = 1) -> Trajectory:
 
     nl_prev = None
     flux_acc = 0.0
-    wall0 = time.time()
+    wall0 = time.perf_counter()
     for step in range(1, n_steps + 1):
         rhs = system.b @ x
         if config.mode == "nonlinear":
@@ -395,7 +402,7 @@ def evolve(config: ScenarioConfig, store_every: int = 1) -> Trajectory:
             states.append(st)
 
     diag = {k: np.asarray(vals) for k, vals in diag.items()}
-    diag["wall_time"] = time.time() - wall0
+    diag["wall_time"] = time.perf_counter() - wall0
     diag["condition_estimate"] = system.condition_estimate
     return Trajectory(config=config, states=states, diagnostics=diag)
 
@@ -618,8 +625,8 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     to the group is tapered over the outer ``taper_fraction`` of the domain
     so the construction's slow polynomial tails cannot seed wrap-around.
     """
-    if n_iter > 10:
-        raise DomainError("n_iter must be <= 10")
+    if not 1 <= n_iter <= MAX_PICARD_ITERS:
+        raise DomainError(f"n_iter must lie in 1..{MAX_PICARD_ITERS}, got {n_iter}")
     if config.T > 0.5 + 1e-12:
         raise DomainError("the iteration map is built for T <= 0.5")
     trace_dt = trace_dt or config.dt
@@ -630,7 +637,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
 
     exts = whole_line_data(config, h, grid)
     free_fields = [group_multi(e, out_times, decay_tol=1e-5).levels for e in exts]
-    free_tr = [[group_trace_history(e, tt, j) for e in exts] for j in range(3)]
+    free_tr = free_vertex_traces(exts, tt)
 
     taper = np.ones(len(grid))
     wlen = int(taper_fraction * len(grid))

@@ -170,17 +170,42 @@ def _uniform_dt(times: np.ndarray) -> float:
     return float(dt)
 
 
-def group_trace_history(phi: GridFunction, times, deriv: int = 0) -> np.ndarray:
+def trace_phases(n: int, spacing: float, times) -> np.ndarray:
+    """Phase matrix exp(i t_m xi_k^3) over a time ladder and the DFT
+    frequencies of an n-point grid of the given spacing.
+
+    cos and sin are written into the real and imaginary parts of one array:
+    the same bits as np.exp(1j * np.outer(times, xi**3)) (a test checks
+    this) without its two full-size complex temporaries.
+    """
+    arg = np.outer(np.asarray(times, dtype=float), frequencies(n, spacing) ** 3)
+    phases = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phases.real)
+    np.sin(arg, out=phases.imag)
+    return phases
+
+
+def group_trace_history(phi: GridFunction, times, deriv: int = 0,
+                        phases: np.ndarray = None) -> np.ndarray:
     """Trace of d^j/dx^j exp(-t d^3/dx^3) phi at x = 0 for each time.
 
     Evaluated directly in frequency space; exact up to the periodization
-    already inherent in the grid representation.
+    already inherent in the grid representation.  The phase matrix
+    ``trace_phases(len(phi), phi.spacing, times)`` depends only on the grid
+    and the time ladder, not on the data or ``deriv``: callers tracing
+    several functions on one grid and ladder build it once and pass it as
+    ``phases``; without it the call builds its own.
     """
     times = np.asarray(times, dtype=float)
+    if phases is None:
+        phases = trace_phases(len(phi), phi.spacing, times)
+    elif phases.shape != (times.size, len(phi)):
+        raise ContractError(
+            f"phase matrix shape {phases.shape} does not match "
+            f"{times.size} times x {len(phi)} grid points")
     xi = frequencies(len(phi), phi.spacing)
     spec = np.fft.fft(phi.samples) / len(phi)
     spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
-    phases = np.exp(1j * np.outer(times, xi ** 3))
     out = phases @ spec
     if not phi.is_complex:
         out = out.real

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, trace_at_zero
+    group_trace_history, trace_at_zero, trace_phases
 from .forcing import forcing_class, one_sided_limits, smooth_window
 
 DET_THRESHOLD = 1e-8
@@ -356,6 +356,19 @@ def time_ladder(T: float, trace_dt: float, n_levels: int = None):
     return tt, tt[:: (n_tr - 1) // (n_levels - 1)]
 
 
+def free_vertex_traces(data, times):
+    """Vertex traces of the free flow of each datum and of its first two
+    x-derivatives: ``[[trace of d^j/dx^j exp(-t dx^3) d for d in data]
+    for j in (0, 1, 2)]``, the ``traces`` layout of :func:`solve_vertex`.
+
+    The data share one grid, so one phase matrix serves all the histories;
+    it is released when this returns.
+    """
+    phases = trace_phases(len(data[0]), data[0].spacing, times)
+    return [[group_trace_history(d, times, j, phases) for d in data]
+            for j in (0, 1, 2)]
+
+
 def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
                  trace_dt: float, base, grid: GridFunction, times,
                  method: str = "spectral"):
@@ -410,7 +423,7 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
 
     tt, out_times = time_ladder(T, trace_dt, n_levels)
     data = (u0, v0, w0)
-    traces = [[group_trace_history(d, tt, j) for d in data] for j in (0, 1, 2)]
+    traces = free_vertex_traces(data, tt)
     free = [group_multi(d, out_times).levels for d in data]
     m, gammas, fields = solve_vertex(coupling, lam, traces, trace_dt, free,
                                      u0, out_times, method)

@@ -182,6 +182,16 @@ class TestVertexCommands:
         u = read_field_csv(os.path.join(out, "edge_u_t0p01.csv"))
         assert u.spacing == pytest.approx(0.0125, rel=1e-12)
 
+    @pytest.mark.parametrize("h", ["0", "nan", "-0.1", "0.03"],
+                             ids=["zero", "nan", "negative", "not-dividing-L"])
+    def test_construct_rejects_bad_spacing(self, tmp_path, capsys, h):
+        cfgp = write(tmp_path, "construct.cfg", MINIMAL)
+        out = tmp_path / "traj"
+        assert main(["vertex", "construct", "--config", cfgp, "--h", h,
+                     "--out", str(out)]) == 2
+        assert "--h" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_outputs_and_manifest(self, tmp_path):
@@ -240,6 +250,15 @@ class TestOtherCommands:
         rc = main(["picard", "--config", cfgp, "--iters", "2", "--out", out])
         assert rc == 0
         assert os.path.exists(os.path.join(out, "picard_history.csv"))
+
+    @pytest.mark.parametrize("iters", ["0", "-1", "11"])
+    def test_picard_iteration_count_range(self, tmp_path, capsys, iters):
+        cfgp = write(tmp_path, "scenario.cfg", SCENARIO)
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfgp, "--iters", iters,
+                     "--out", str(out)]) == 2
+        assert "--iters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_errors(self, capsys):
         assert main([]) == 2

@@ -313,6 +313,12 @@ class TestPicard:
         res = picard_iterate(cfg, lam, n_iter=3, n_levels=26)
         assert res.distances[1] <= 1e-6
 
+    @pytest.mark.parametrize("n_iter", [0, -1, 11])
+    def test_iteration_count_range(self, n_iter):
+        cfg = _linear_picard_config(CB0, 20.0, 0.1)
+        with pytest.raises(DomainError, match="n_iter"):
+            picard_iterate(cfg, PICARD_LAM, n_iter=n_iter)
+
     def test_time_horizon_guard(self):
         cfg = ScenarioConfig(L=20.0, h=0.1, dt=2e-3, T=0.8, coupling=CB0,
                              mode="nonlinear")

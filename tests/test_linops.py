@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ygraph import linops, vertex
 from ygraph.errors import ContractError, DomainError
 from ygraph.linops import (GridFunction, SpaceTimeField, airy_group,
-                           duhamel_inhomog, gaussian_profile, group_multi,
-                           group_trace_history, sobolev_norm, trace_at_zero)
+                           duhamel_inhomog, frequencies, gaussian_profile,
+                           group_multi, group_trace_history, sobolev_norm,
+                           trace_at_zero, trace_phases)
 from ygraph.specfun import airy_scaled, airy_scaled_deriv
 
 
@@ -206,3 +208,57 @@ def test_group_trace_history_matches_field():
     i0 = fld.index_of_zero()
     tr = group_trace_history(phi, times)
     assert np.abs(tr - fld.levels[:, i0]).max() <= 1e-10
+
+
+class TestTracePhases:
+    def test_equals_exp_form(self):
+        # spacing 0.01 puts t xi^3 up to ~1.6e7: the large-argument range
+        # of cos and sin as well as the small one near t = 0
+        n, h = 2048, 0.01
+        times = 5e-3 * np.arange(101)
+        want = np.exp(1j * np.outer(times, frequencies(n, h) ** 3))
+        assert np.array_equal(trace_phases(n, h, times), want)
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_prebuilt_matrix_gives_the_same_history(self, kind, deriv):
+        h = 0.05
+        x = np.arange(-60.0, 60.0, h)
+        prof = gaussian_profile(x, 1.0, 3.0, 1.2)
+        if kind == "complex":
+            prof = prof * np.exp(0.7j * x)
+        phi = GridFunction(x[0], h, prof)
+        times = 1e-3 * np.arange(201)
+        phases = trace_phases(len(phi), h, times)
+        got = group_trace_history(phi, times, deriv, phases)
+        assert np.array_equal(got, group_trace_history(phi, times, deriv))
+        assert np.iscomplexobj(got) == (kind == "complex")
+
+    def test_mismatched_matrix_rejected(self):
+        h = 0.05
+        x = np.arange(-60.0, 60.0, h)
+        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        times = 1e-3 * np.arange(11)
+        with pytest.raises(ContractError):
+            group_trace_history(phi, times, 0, trace_phases(len(phi), h, times[:-1]))
+
+    def test_assembly_builds_one_matrix(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return trace_phases(*args)
+
+        monkeypatch.setattr(linops, "trace_phases", counting)
+        monkeypatch.setattr(vertex, "trace_phases", counting)
+        h = 0.05
+        gx = np.arange(-20.0, 20.0, h)
+        u0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.5, -8.0, 1.2))
+        v0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.4, 7.0, 1.1))
+        w0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.3, 9.0, 1.3))
+        vertex.assemble_linear_solution(
+            u0, v0, w0, vertex.VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0),
+            vertex.LambdaVector(0.05, 0.3, 0.05, 0.05), T=0.05, n_levels=11,
+            trace_dt=1e-3)
+        assert len(built) == 1
+        assert built[0][:2] == (len(u0), h)
