@@ -20,14 +20,15 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, YGraphError
+from .errors import ConfigError, ContractError, YGraphError
 from .specfun import airy_scaled_with_deriv
 from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction, airy_group
 from .forcing import forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan, anchor_lambda,
-                     assemble_linear_solution, verify_vertex_conditions)
+                     assemble_linear_solution, time_ladder,
+                     verify_vertex_conditions)
 from .graphsim import (MAX_PICARD_ITERS, InitialProfile, ScenarioConfig, evolve,
                        energy_report, picard_iterate, scaling_check,
                        whole_line_data, whole_steps)
@@ -103,6 +104,9 @@ def _parse_profile(text, where, problems):
         if kind == "soliton":
             return InitialProfile("soliton", c=params.pop("c", 1.0),
                                   center=params.pop("x0", 0.0))
+    except ContractError as exc:
+        problems.append(f"{where}: {exc}")
+        return None
     finally:
         if params:
             problems.append(f"{where}: unknown profile parameters {sorted(params)}")
@@ -363,6 +367,8 @@ def _cmd_vertex_det(args):
 
 
 def _cmd_vertex_scan(args):
+    if args.resolution < 1:
+        raise ConfigError([f"--resolution must be >= 1, got {args.resolution}"])
     coupling = _parse_coupling(args)
     rep = admissible_scan(args.s, coupling, resolution=args.resolution,
                           eps=args.eps)
@@ -392,6 +398,11 @@ def _cmd_vertex_construct(args):
     if not (0.0 < h < math.inf and whole_steps(cfg.L, h)):
         raise ConfigError([f"--h must be positive, finite and divide L = {cfg.L:g} "
                            f"into whole steps, got {h:g}"])
+    try:
+        time_ladder(cfg.T, cfg.dt, args.levels)
+    except ContractError:
+        raise ConfigError([f"--levels must be >= 2 with --levels - 1 dividing "
+                           f"the {cfg.n_steps} time steps, got {args.levels}"])
     os.makedirs(args.out, exist_ok=True)
     lam = LambdaVector(*args.lam) if args.lam else \
         LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
@@ -437,9 +448,11 @@ def _write_diagnostics(path, diag):
 
 def _cmd_simulate(args):
     cfg = parse_config(args.config)
+    if args.snapshots < 1:
+        raise ConfigError([f"--snapshots must be >= 1, got {args.snapshots}"])
     os.makedirs(args.out, exist_ok=True)
     wall = time.perf_counter()
-    store = max(1, cfg.n_steps // max(args.snapshots, 1))
+    store = max(1, cfg.n_steps // args.snapshots)
     traj = evolve(cfg, store_every=store)
     outputs = []
     for st in traj.states:

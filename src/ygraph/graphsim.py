@@ -54,6 +54,15 @@ class InitialProfile:
     width: float = 1.0
     c: float = 1.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.center, self.width,
+                                       self.c))):
+            raise ContractError(f"profile parameters must be finite: {self}")
+        if not self.width > 0:
+            raise ContractError(f"profile width must be positive, got {self.width}")
+        if self.kind == "soliton" and not self.c > 0:
+            raise ContractError(f"soliton speed c must be positive, got {self.c}")
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
@@ -222,11 +231,6 @@ def _flux_derivative(u: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _vertex_stencil(coef, scale: float, first: int, step: int):
-    """(column, coefficient) pairs of a one-sided stencil from node ``first``."""
-    return [(first + step * j, c * scale) for j, c in enumerate(coef)]
-
-
 class GraphSystem:
     """Factorized Crank-Nicolson system for one scenario."""
 
@@ -257,34 +261,46 @@ class GraphSystem:
         self.b = sp.coo_matrix((np.concatenate([e[3] for e in edges]),
                                 (rows, cols)), shape=(size, size)).tocsr()
 
-        # outer ends: one condition at the outflow (left) end of the
-        # incoming edge, value and slope at the inflow (right) ends
-        ends = [off_u, off_v + n - 2, off_v + n - 1, off_w + n - 2, off_w + n - 1]
-        a_r, a_c = [rows, ends], [cols, ends]
-        a_v = [np.concatenate([e[2] for e in edges]), np.ones(len(ends))]
-
-        # vertex constraint rows, one per coupling relation: the j-th
-        # derivative by the one-sided stencil from each field's vertex node
-        # (u's nodes run from the vertex towards -x)
-        ends = ((off_u + n - 1, -1), (off_v, 1), (off_w, 1))
+        # the vertex probe: row 3j + f holds the one-sided stencil of the
+        # j-th derivative of field f (u, v, w) from its vertex node, counted
+        # inward (towards -x on u); the trace is that sum times trace_sign,
+        # over trace_h, the rounding order of fracops.one_sided traces.
+        # Rows 9..12 combine the scaled stencils into the coupling relations.
+        firsts = ((off_u + n - 1, -1), (off_v, 1), (off_w, 1))
         stencils = ((1.0,), ONE_SIDED_SLOPE, ONE_SIDED_CURVATURE)
-        self.constraint_rows = []
-        for r, (_, j, coefs) in zip((off_u + n - 2, off_u + n - 1, off_v, off_w),
-                                    config.coupling.relations()):
-            entries = [(col, c * v)
-                       for c, (first, step) in zip(coefs, ends) if c is not None
-                       for col, v in _vertex_stencil(stencils[j], step ** j / h ** j,
-                                                     first, step)]
-            js = np.array([j for j, _ in entries])
-            coef = np.array([c for _, c in entries])
-            self.constraint_rows.append((js, coef, float(np.linalg.norm(coef))))
-            a_r.append(np.full(js.size, r))
-            a_c.append(js)
-            a_v.append(coef)
+        probe = [(first + step * np.arange(len(coef)), np.array(coef))
+                 for coef in stencils for first, step in firsts]
+        self.trace_sign = np.array([step ** j for j in range(3)
+                                    for _, step in firsts])
+        self.trace_h = np.array([h ** j for j in range(3) for _ in firsts])
+        for _, j, coefs in config.coupling.relations():
+            terms = [(pc, c * (pv * (step ** j / h ** j)))
+                     for c, (pc, pv), (_, step) in zip(coefs, probe[3 * j:], firsts)
+                     if c is not None]
+            probe.append(tuple(np.concatenate(t) for t in zip(*terms)))
+        sizes = [pc.size for pc, _ in probe]
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        p_cols = np.concatenate([pc for pc, _ in probe])
+        p_vals = np.concatenate([pv for _, pv in probe])
+        # built from index pointers, so each row sums in stencil order
+        self.probe = sp.csr_matrix((p_vals, p_cols, indptr),
+                                   shape=(len(probe), size))
+        self.constraint_norms = np.array([np.linalg.norm(pv)
+                                          for _, pv in probe[9:]])
 
-        a = sp.coo_matrix((np.concatenate(a_v), (np.concatenate(a_r),
-                                                 np.concatenate(a_c))),
-                          shape=(size, size)).tocsc()
+        # outer ends: one condition at the outflow (left) end of the
+        # incoming edge, value and slope at the inflow (right) ends; the
+        # coupling relations close the four vertex rows
+        ends = [off_u, off_v + n - 2, off_v + n - 1, off_w + n - 2, off_w + n - 1]
+        vertex_rows = np.repeat([off_u + n - 2, off_u + n - 1, off_v, off_w],
+                                sizes[9:])
+        coupled = np.s_[indptr[9]:]
+        a = sp.coo_matrix(
+            (np.concatenate([e[2] for e in edges]
+                            + [np.ones(len(ends)), p_vals[coupled]]),
+             (np.concatenate([rows, ends, vertex_rows]),
+              np.concatenate([cols, ends, p_cols[coupled]]))),
+            shape=(size, size)).tocsc()
         try:
             self.lu = splu(a)
         except RuntimeError as exc:
@@ -298,125 +314,81 @@ class GraphSystem:
         return _flux_derivative(x.reshape(3, self.n), self.config.h).ravel()
 
 
-def _initial_state(config: ScenarioConfig):
-    n = config.n_edge + 1
-    h = config.h
-    xu = -config.L + h * np.arange(n)
-    xv = h * np.arange(n)
-    return np.concatenate([config.initial_u(xu), config.initial_v(xv),
-                           config.initial_w(xv)])
+def _initial_samples(config: ScenarioConfig, h: float):
+    """The u, v, w initial data at spacing h: u on [-L, 0], v and w on [0, L]."""
+    xv = h * np.arange(int(round(config.L / h)) + 1)
+    return (config.initial_u(-config.L + xv), config.initial_v(xv),
+            config.initial_w(xv))
 
 
-def _end_traces(nodes, h: float, sign: int):
-    """Value, slope and curvature at an edge end.
-
-    ``nodes`` holds the samples counted inward from the end; ``sign`` is -1
-    where that count runs towards -x.
-    """
-    return (nodes[0], sign * one_sided(ONE_SIDED_SLOPE, nodes) / h,
-            one_sided(ONE_SIDED_CURVATURE, nodes) / h ** 2)
+TRACE_KEYS = ("u0", "v0", "w0", "ux", "vx", "wx", "uxx", "vxx", "wxx")
 
 
-def _traces(system: GraphSystem, x: np.ndarray):
-    """Vertex traces with the same stencils the constraints impose."""
-    n, h = system.n, system.config.h
-    u0, ux, uxx = _end_traces(x[n - 1: n - 5: -1].tolist(), h, -1)
-    v0, vx, vxx = _end_traces(x[n: n + 4].tolist(), h, 1)
-    w0, wx, wxx = _end_traces(x[2 * n: 2 * n + 4].tolist(), h, 1)
-    return {"u0": u0, "v0": v0, "w0": w0, "ux": ux, "vx": vx, "wx": wx,
-            "uxx": uxx, "vxx": vxx, "wxx": wxx}
-
-
-def _flux_integrand(tr) -> float:
-    """Right side density of the mass balance identity."""
-    return (tr["ux"] ** 2 - tr["vx"] ** 2 - tr["wx"] ** 2
-            - 2.0 * tr["u0"] * tr["uxx"] + 2.0 * tr["v0"] * tr["vxx"]
-            + 2.0 * tr["w0"] * tr["wxx"])
-
-
-def _coupling_residual(system: GraphSystem, x: np.ndarray) -> float:
-    """Backward error of the vertex constraint rows at a solved state.
-
-    |row . x| / (||row|| ||x||): this checks the bordered linear algebra
-    itself, independent of the trace magnitudes, and stays meaningful when
-    nothing has reached the vertex yet.
-    """
-    xnorm = max(float(np.linalg.norm(x)), 1e-300)
-    worst = 0.0
-    for cols, coef, rnorm in system.constraint_rows:
-        worst = max(worst, abs(float(coef @ x[cols])) / (rnorm * xnorm))
-    return worst
+def _flux_integrand(tr):
+    """Right side density of the mass balance identity, one value per row
+    of vertex traces in probe order."""
+    u0, v0, w0, ux, vx, wx, uxx, vxx, wxx = tr.T
+    return (ux ** 2 - vx ** 2 - wx ** 2 - 2.0 * u0 * uxx + 2.0 * v0 * vxx
+            + 2.0 * w0 * wxx)
 
 
 def evolve(config: ScenarioConfig, store_every: int = 1) -> Trajectory:
-    """Advance the coupled edge fields to T; diagnostics every step."""
+    """Advance the coupled edge fields to T; diagnostics every step, a
+    state every ``store_every`` steps and at T."""
+    if not store_every >= 1:
+        raise DomainError(f"store_every must be >= 1, got {store_every}")
     system = GraphSystem(config)
-    n = system.n
-    h, dt = config.h, config.dt
-    off_u, off_v, off_w = system.offsets
-    x = _initial_state(config)
+    n, h, dt = system.n, config.h, config.dt
+    x = np.concatenate(_initial_samples(config, h))
     n_steps = config.n_steps
+    probes = np.empty((n_steps + 1, system.probe.shape[0]))
+    masses = np.empty((n_steps + 1, 3))
+    norms = np.empty(n_steps + 1)
+    states = []
 
-    def make_state(t, vec):
-        return GraphState(
-            t=t,
-            u=GridFunction(-config.L, h, vec[off_u: off_u + n].copy()),
-            v=GridFunction(0.0, h, vec[off_v: off_v + n].copy()),
-            w=GridFunction(0.0, h, vec[off_w: off_w + n].copy()))
+    def record(step, x):
+        fields = x.reshape(3, n)
+        probes[step] = system.probe @ x
+        masses[step] = np.trapezoid(fields ** 2, dx=h, axis=1)
+        norms[step] = np.linalg.norm(x)
+        if step % store_every == 0 or step == n_steps:
+            u, v, w = fields.copy()
+            states.append(GraphState(t=step * dt, u=GridFunction(-config.L, h, u),
+                                     v=GridFunction(0.0, h, v),
+                                     w=GridFunction(0.0, h, w)))
 
-    states = [make_state(0.0, x)]
-    diag = {k: [] for k in ("t", "mass_u", "mass_v", "mass_w", "u0", "v0",
-                            "w0", "ux", "vx", "wx", "uxx", "vxx", "wxx",
-                            "flux", "flux_integrand", "coupling_residual")}
-    tr0 = _traces(system, x)
-    st0 = states[0]
-    _record(diag, 0.0, st0, tr0, 0.0, _flux_integrand(tr0),
-            _coupling_residual(system, x))
-
-    nl_prev = None
-    flux_acc = 0.0
     wall0 = time.perf_counter()
+    record(0, x)
+    nl_prev = None
     for step in range(1, n_steps + 1):
         rhs = system.b @ x
         if config.mode == "nonlinear":
             nl = system.nonlinear_term(x)
             rhs -= dt * (nl if nl_prev is None else 1.5 * nl - 0.5 * nl_prev)
             nl_prev = nl
-        x_new = system.lu.solve(rhs)
-        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > BLOWUP_LIMIT:
+        x = system.lu.solve(rhs)
+        if not np.abs(x).max() <= BLOWUP_LIMIT:      # also catches NaN
             raise YGraphError(
                 f"field blow-up at step {step} (t={step * dt:g}); "
                 f"condition estimate {system.condition_estimate:.2e}")
+        record(step, x)
 
-        mid = 0.5 * (x + x_new)
-        trm = _traces(system, mid)
-        flux_acc += dt * _flux_integrand(trm)
-        x = x_new
-        t = step * dt
-
-        st = make_state(t, x)
-        tr = _traces(system, x)
-        _record(diag, t, st, tr, flux_acc, _flux_integrand(tr),
-                _coupling_residual(system, x))
-        if step % store_every == 0 or step == n_steps:
-            states.append(st)
-
-    diag = {k: np.asarray(vals) for k, vals in diag.items()}
+    # the traces are linear in the state, so the mid-step traces of the
+    # flux quadrature are the means of the end-of-step ones; the coupling
+    # residual is the backward error |row . x| / (||row|| ||x||) of each
+    # constraint row, independent of the trace magnitudes
+    tr = probes[:, :9] * system.trace_sign / system.trace_h
+    diag = {"t": dt * np.arange(n_steps + 1), "mass_u": masses[:, 0],
+            "mass_v": masses[:, 1], "mass_w": masses[:, 2]}
+    diag.update(zip(TRACE_KEYS, tr.T))
+    diag["flux"] = np.concatenate(
+        [[0.0], np.cumsum(dt * _flux_integrand(0.5 * (tr[:-1] + tr[1:])))])
+    diag["flux_integrand"] = _flux_integrand(tr)
+    diag["coupling_residual"] = (np.abs(probes[:, 9:]) / (
+        system.constraint_norms * np.maximum(norms, 1e-300)[:, None])).max(axis=1)
     diag["wall_time"] = time.perf_counter() - wall0
     diag["condition_estimate"] = system.condition_estimate
     return Trajectory(config=config, states=states, diagnostics=diag)
-
-
-def _record(diag, t, st, tr, flux_acc, flux_int, cres):
-    diag["t"].append(t)
-    diag["mass_u"].append(edge_mass(st.u))
-    diag["mass_v"].append(edge_mass(st.v))
-    diag["mass_w"].append(edge_mass(st.w))
-    for k in ("u0", "v0", "w0", "ux", "vx", "wx", "uxx", "vxx", "wxx"):
-        diag[k].append(tr[k])
-    diag["flux"].append(flux_acc)
-    diag["flux_integrand"].append(flux_int)
-    diag["coupling_residual"].append(cres)
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +551,13 @@ def whole_line_extension(edge: GridFunction, side: str, grid: GridFunction,
     if method != "taylor":
         raise DomainError(f"unknown extension method {method!r}")
 
-    s = edge.samples
-    if side == "left":      # datum on [-L, 0]; one-sided values at its right end
-        f0, f1, f2 = _end_traces(s[:-5:-1], edge.spacing, -1)
-    else:
-        f0, f1, f2 = _end_traces(s[:4], edge.spacing, 1)
-    poly = f0 + f1 * xm + 0.5 * f2 * xm ** 2
+    # one-sided value, slope and curvature at the vertex end, from the nodes
+    # counted inward (towards -x for a datum on [-L, 0])
+    nodes, sign = (edge.samples[:-5:-1], -1) if side == "left" else \
+        (edge.samples[:4], 1)
+    f1 = sign * one_sided(ONE_SIDED_SLOPE, nodes) / edge.spacing
+    f2 = one_sided(ONE_SIDED_CURVATURE, nodes) / edge.spacing ** 2
+    poly = nodes[0] + f1 * xm + 0.5 * f2 * xm ** 2
     vals[mask] = poly * np.exp(-((xm / width) ** 2) ** 2)
     return grid.with_samples(vals)
 
@@ -593,15 +566,10 @@ def whole_line_data(config: ScenarioConfig, h: float,
                     grid: GridFunction) -> list:
     """Taylor whole-line extensions of the u, v, w initial data onto ``grid``,
     each edge sampled at spacing h."""
-    n = int(round(config.L / h)) + 1
-    xu = -config.L + h * np.arange(n)
-    xv = h * np.arange(n)
-    return [whole_line_extension(GridFunction(-config.L, h, config.initial_u(xu)),
-                                 "left", grid),
-            whole_line_extension(GridFunction(0.0, h, config.initial_v(xv)),
-                                 "right", grid),
-            whole_line_extension(GridFunction(0.0, h, config.initial_w(xv)),
-                                 "right", grid)]
+    u, v, w = _initial_samples(config, h)
+    return [whole_line_extension(GridFunction(-config.L, h, u), "left", grid),
+            whole_line_extension(GridFunction(0.0, h, v), "right", grid),
+            whole_line_extension(GridFunction(0.0, h, w), "right", grid)]
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,8 @@ def admissible_scan(s: float, coupling: VertexCoupling, resolution: int = 101,
     """
     if not -0.5 < s < 1.5 or s == 0.5:
         raise DomainError("s must lie in (-1/2, 3/2) excluding 1/2")
+    if resolution < 1:
+        raise DomainError(f"resolution must be >= 1, got {resolution}")
     lo, hi = admissible_window(s)
     branch = "low" if s < 1.0 else "high"
     lam2 = anchor_lambda(branch, eps, s).l2

@@ -65,12 +65,13 @@ class TestParseConfig:
         assert any("a2 v0(0)" in p for p in err.value.problems)
 
     @pytest.mark.parametrize("edge", ["u", "w"])
-    def test_nan_amplitude_violates_compatibility(self, tmp_path, capsys, edge):
+    def test_nan_amplitude_rejected(self, tmp_path, capsys, edge):
         text = MINIMAL + f"[initial]\n{edge} = gaussian amplitude=nan center=0\n"
         path = write(tmp_path, "nan.cfg", text)
         with pytest.raises(ConfigError) as err:
             parse_config(path)
-        assert any("a2 v0(0)" in p for p in err.value.problems)
+        assert any("line 11" in p and "must be finite" in p
+                   for p in err.value.problems)
         assert main(["simulate", "--config", path,
                      "--out", str(tmp_path / "run")]) == 2
 
@@ -171,6 +172,15 @@ class TestVertexCommands:
         assert rows[0] == "lambda,lambda2,absdet,threshold,invertible"
         assert len(rows) == 12
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_scan_rejects_bad_resolution(self, tmp_path, capsys, resolution):
+        out = tmp_path / "region.csv"
+        assert main(["vertex", "scan", "--s", "0", "--type", "1",
+                     "--coeffs", "1,1,0,0,1,1", "--resolution", resolution,
+                     "--out", str(out)]) == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_construct_uses_given_spacing(self, tmp_path):
         # np.linspace would put x = 0 about 1e-15 off the grid node here
         text = MINIMAL.replace("[coupling]", "[grid]\nL = 55\n[time]\nT = 0.01\n"
@@ -190,6 +200,18 @@ class TestVertexCommands:
         assert main(["vertex", "construct", "--config", cfgp, "--h", h,
                      "--out", str(out)]) == 2
         assert "--h" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["0", "1", "4"])
+    def test_construct_rejects_bad_level_count(self, tmp_path, capsys, levels):
+        # T/dt = 25 steps: 0 and 1 levels are too few, 4 - 1 does not divide 25
+        text = MINIMAL.replace("[coupling]", "[grid]\nL = 20\nh = 0.1\n[time]\n"
+                               "dt = 0.002\nT = 0.05\n[coupling]")
+        cfgp = write(tmp_path, "construct.cfg", text)
+        out = tmp_path / "traj"
+        assert main(["vertex", "construct", "--config", cfgp, "--h", "0.1",
+                     "--levels", levels, "--out", str(out)]) == 2
+        assert "--levels" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -234,6 +256,32 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "configuration errors" in err and frag in err
         assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("ctype,text,frag", [
+        ("1", "u = soliton c=-1", "soliton speed c must be positive"),
+        ("2", "u = soliton c=-1", "soliton speed c must be positive"),
+        ("2", "v = gaussian amplitude=inf", "must be finite"),
+        ("2", "w = gaussian center=nan", "must be finite"),
+        ("2", "v = gaussian width=0", "width must be positive"),
+        ("2", "u = soliton c=inf", "must be finite"),
+    ], ids=["type1-soliton-c", "type2-soliton-c", "amplitude-inf", "center-nan",
+            "width-zero", "soliton-c-inf"])
+    def test_bad_profile_parameters(self, tmp_path, capsys, ctype, text, frag):
+        text = MINIMAL.replace("type = 1", f"type = {ctype}") + f"[initial]\n{text}\n"
+        bad = write(tmp_path, "bad.cfg", text)
+        assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration errors" in err and frag in err
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("snapshots", ["0", "-3"])
+    def test_snapshot_count_range(self, tmp_path, capsys, snapshots):
+        cfgp = write(tmp_path, "scenario.cfg", SCENARIO)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfgp, "--out", str(out),
+                     "--snapshots", snapshots]) == 2
+        assert "--snapshots" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOtherCommands:

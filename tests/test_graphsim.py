@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ygraph.errors import ContractError, DomainError, YGraphError
+from ygraph.fracops import ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided
 from ygraph.linops import GridFunction, group_multi
 from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
                            assemble_linear_solution)
@@ -15,6 +16,7 @@ from ygraph.graphsim import (InitialProfile, ScenarioConfig, edge_mass,
                              whole_line_data, whole_line_extension)
 
 CB0 = VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0)
+CB2 = VertexCoupling.special_type2(1.0, 1.0, 0.5, 0.5)
 
 
 def small_config(**kw):
@@ -62,10 +64,77 @@ class TestConfig:
         with pytest.raises(DomainError):
             InitialProfile("spike")(x)
 
+    @pytest.mark.parametrize("kw,frag", [
+        (dict(kind="gaussian", amplitude=math.inf), "finite"),
+        (dict(kind="gaussian", center=math.nan), "finite"),
+        (dict(kind="gaussian", width=-math.inf), "finite"),
+        (dict(kind="soliton", c=math.inf), "finite"),
+        (dict(kind="gaussian", width=0.0), "width must be positive"),
+        (dict(kind="gaussian", width=-1.0), "width must be positive"),
+        (dict(kind="soliton", c=0.0), "c must be positive"),
+        (dict(kind="soliton", c=-1.0), "c must be positive"),
+    ])
+    def test_profile_parameter_limits(self, kw, frag):
+        with pytest.raises(ContractError, match=frag):
+            InitialProfile(**kw)
+
 
 def test_zero_data_zero_trajectory():
     traj = evolve(small_config(), store_every=5)
     assert all(st.total_mass() == 0.0 for st in traj.states)
+
+
+@pytest.mark.parametrize("store_every", [0, -1])
+def test_store_every_must_be_positive(store_every):
+    with pytest.raises(DomainError, match="store_every"):
+        evolve(small_config(), store_every=store_every)
+
+
+def _vertex_traces(u, v, w, h):
+    """u0, v0, w0, ux, vx, wx, uxx, vxx, wxx of edge samples by the one-sided
+    stencils from each edge's vertex node (u's nodes counted towards -x)."""
+    ends = [(u[::-1][:4], -1), (v[:4], 1), (w[:4], 1)]
+    return ([nodes[0] for nodes, _ in ends]
+            + [sign * one_sided(ONE_SIDED_SLOPE, nodes) / h for nodes, sign in ends]
+            + [one_sided(ONE_SIDED_CURVATURE, nodes) / h ** 2 for nodes, _ in ends])
+
+
+def _flux_density(tr):
+    u0, v0, w0, ux, vx, wx, uxx, vxx, wxx = np.asarray(tr).T
+    return ux ** 2 - vx ** 2 - wx ** 2 - 2 * u0 * uxx + 2 * v0 * vxx + 2 * w0 * wxx
+
+
+@pytest.mark.parametrize("store_every", [1, 7])
+def test_step_diagnostics_match_stored_states(store_every):
+    cfg = ScenarioConfig(
+        L=20.0, h=0.1, dt=0.01, T=0.5, coupling=CB2, mode="nonlinear",
+        sponge_fraction=0.2, sponge_strength=3.0,
+        initial_u=InitialProfile("gaussian", amplitude=0.5, center=-3.0, width=1.0),
+        initial_v=InitialProfile("gaussian", amplitude=0.4, center=4.0, width=1.0),
+        initial_w=InitialProfile("gaussian", amplitude=0.3, center=5.0, width=1.0))
+    traj = evolve(cfg, store_every=store_every)
+    d = traj.diagnostics
+    # stored at every store_every-th step and at T: 50 % 7 != 0 adds step 50
+    steps = sorted(set(range(0, cfg.n_steps + 1, store_every)) | {cfg.n_steps})
+    assert [st.t for st in traj.states] == [k * cfg.dt for k in steps]
+    assert traj.states[-1].t == pytest.approx(cfg.T, rel=1e-15)
+    assert d["t"].shape == (cfg.n_steps + 1,)
+
+    samples = np.array([[st.u.samples, st.v.samples, st.w.samples]
+                        for st in traj.states])
+    want = np.array([_vertex_traces(*s, cfg.h) for s in samples])
+    keys = ("u0", "v0", "w0", "ux", "vx", "wx", "uxx", "vxx", "wxx")
+    got = np.stack([d[k][steps] for k in keys], axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
+    if store_every == 1:
+        # the flux is the step sum of dt * F at the mid-step state
+        mid = [_vertex_traces(*(0.5 * (a + b)), cfg.h)
+               for a, b in zip(samples[:-1], samples[1:])]
+        flux = np.concatenate([[0.0], np.cumsum(cfg.dt * _flux_density(mid))])
+        assert np.abs(d["flux"] - flux).max() <= 1e-12 * np.abs(flux).max()
+        assert np.abs(d["flux_integrand"] - _flux_density(want)).max() <= \
+            1e-12 * np.abs(_flux_density(want)).max()
+    assert d["coupling_residual"][1:].max() <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +328,6 @@ class TestExtension:
         assert np.abs(ext.samples[m] - (1.0 + x[m] + x[m] ** 2)).max() <= 1e-10
 
 
-CB2 = VertexCoupling.special_type2(1.0, 1.0, 0.5, 0.5)
 PICARD_LAM = LambdaVector(0.05, 0.3, 0.05, 0.05)
 
 

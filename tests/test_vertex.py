@@ -130,6 +130,9 @@ class TestScan:
             admissible_scan(0.5, C_UNIT)
         with pytest.raises(DomainError):
             admissible_scan(1.7, C_UNIT)
+        for resolution in (0, -3):
+            with pytest.raises(DomainError, match="resolution"):
+                admissible_scan(0.0, C_UNIT, resolution=resolution)
 
     def test_batched_scan_matches_single_matrices(self):
         # one batched determinant per scan; LAPACK's batched and single
