@@ -39,7 +39,7 @@ class CriterionResult:
 
 def _result(name, passed, detail, t0, **metrics):
     return CriterionResult(name=name, passed=bool(passed), detail=detail,
-                           seconds=time.time() - t0, metrics=metrics)
+                           seconds=time.perf_counter() - t0, metrics=metrics)
 
 
 def _test_trace(dt=1e-3, T=1.0):
@@ -50,7 +50,7 @@ def _test_trace(dt=1e-3, T=1.0):
 # -- 1 ----------------------------------------------------------------------
 
 def criterion_airy_anchors():
-    t0 = time.time()
+    t0 = time.perf_counter()
     a0 = 1.0 / (3.0 * gamma_fn(2.0 / 3.0))
     ap0 = -1.0 / (3.0 * gamma_fn(1.0 / 3.0))
     ea = abs(airy_scaled(0.0) - a0)
@@ -64,7 +64,7 @@ def criterion_airy_anchors():
 # -- 2 ----------------------------------------------------------------------
 
 def criterion_fractional_semigroup():
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = _test_trace()
     lhs = riemann_liouville(riemann_liouville(f, 2.0 / 3.0), 1.0 / 3.0)
     rhs = riemann_liouville(f, 1.0)
@@ -79,7 +79,7 @@ def criterion_fractional_semigroup():
 # -- 3 ----------------------------------------------------------------------
 
 def criterion_forcing_trace_laws():
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _test_trace()
     t = g.times
     h = 0.05
@@ -113,7 +113,7 @@ def criterion_forcing_trace_laws():
 # -- 4 ----------------------------------------------------------------------
 
 def criterion_jump_sizes():
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _test_trace()
     t = g.times
     i13 = riemann_liouville(g, -1.0 / 3.0)
@@ -137,7 +137,7 @@ def criterion_jump_sizes():
 # -- 5 ----------------------------------------------------------------------
 
 def criterion_determinant_anchors():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(50):
@@ -163,7 +163,7 @@ def criterion_determinant_anchors():
 # -- 6 ----------------------------------------------------------------------
 
 def criterion_linear_construction():
-    t0 = time.time()
+    t0 = time.perf_counter()
     c1 = VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0)
     lam = LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
     h = 0.00625
@@ -186,7 +186,7 @@ def criterion_linear_construction():
 # -- 7 ----------------------------------------------------------------------
 
 def criterion_energy_identity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     beta = VertexCoupling.special_type1(1.0, 1.0, 0.5, 0.5)
     cfg = ScenarioConfig(L=50.0, h=0.05, dt=1e-3, T=1.0, coupling=beta,
                          mode="linear",
@@ -231,7 +231,7 @@ def _soliton_error(h, dt):
 
 
 def criterion_soliton_benchmark():
-    t0 = time.time()
+    t0 = time.perf_counter()
     e_default = _soliton_error(0.05, 1e-3)
     e_half = _soliton_error(0.025, 5e-4)
     ratio = e_default / e_half
@@ -245,7 +245,7 @@ def criterion_soliton_benchmark():
 # -- 9 ----------------------------------------------------------------------
 
 def criterion_scaling_symmetry():
-    t0 = time.time()
+    t0 = time.perf_counter()
     cb = VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0)
     lin = ScenarioConfig(L=25.0, h=0.05, dt=1e-3, T=0.4, coupling=cb,
                          mode="linear",
@@ -276,7 +276,7 @@ def _picard_config():
 
 
 def criterion_picard_contraction():
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _picard_config()
     lam = LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
     res = picard_iterate(cfg, lam, n_iter=5)
@@ -304,7 +304,7 @@ def criterion_picard_contraction():
 # -- 11 ---------------------------------------------------------------------
 
 def criterion_lipschitz_probe():
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _picard_config()
     bump = InitialProfile("gaussian", amplitude=1.0, center=5.0, width=0.8)
     xv = cfg.h * np.arange(cfg.n_edge + 1)

@@ -658,6 +658,9 @@ def main(argv=None) -> int:
     except YGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:    # last resort: one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

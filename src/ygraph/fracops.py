@@ -39,6 +39,8 @@ class TimeTrace:
             arr = arr.astype(float)
         if arr.ndim != 1 or arr.size == 0:
             raise ContractError("TimeTrace samples must be a non-empty 1-d array")
+        if not np.isfinite(arr).all():
+            raise ContractError("TimeTrace samples must be finite")
         if not (self.dt > 0):
             raise ContractError(f"TimeTrace dt must be positive, got {self.dt}")
         object.__setattr__(self, "samples", arr)

@@ -460,7 +460,7 @@ def evolve_line(u0: GridFunction, dt: float, T: float,
             rhs -= dt * (d if nl_prev is None else 1.5 * d - 0.5 * nl_prev)
             nl_prev = d
         x = lu.solve(rhs)
-        if np.abs(x).max() > BLOWUP_LIMIT:
+        if not np.abs(x).max() <= BLOWUP_LIMIT:      # also catches NaN
             raise YGraphError("line solver blow-up")
     return u0.with_samples(x)
 
@@ -631,9 +631,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
                 flux = np.real(lvls) * sampled_derivative(np.real(lvls), h, 1)
                 flux *= taper
                 wfield = SpaceTimeField(-L, h, float(out_times[1]), flux)
-                kf = np.stack([
-                    -duhamel_inhomog(wfield, tm, decay_tol=1e-3).samples
-                    for tm in out_times])
+                kf = -duhamel_inhomog(wfield, decay_tol=1e-3).levels
                 k_fields.append(kf)
                 for j in range(3):
                     vals = kf[:, i0] if j == 0 else sampled_derivative(kf, h, j)[:, i0]

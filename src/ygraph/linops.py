@@ -2,7 +2,10 @@
 Duhamel operator, vertex trace extraction and discrete Sobolev norms.
 
 The group is a Fourier multiplier exp(i t xi^3) applied on the periodized
-grid; inputs must decay at both ends so periodization is harmless.
+grid; inputs must decay at both ends so periodization is harmless.  The
+group over a time ladder and the Duhamel integral at every level of a
+field are each one batched pass over all levels (one FFT, one phase
+matrix, one inverse FFT), not a loop over times.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ class GridFunction:
             arr = arr.astype(float)
         if arr.ndim != 1 or arr.size == 0:
             raise ContractError("GridFunction samples must be a non-empty 1-d array")
+        if not np.isfinite(arr).all():
+            raise ContractError("GridFunction samples must be finite")
         if not (self.spacing > 0):
             raise ContractError(f"GridFunction spacing must be positive, got {self.spacing}")
         object.__setattr__(self, "samples", arr)
@@ -152,12 +157,9 @@ def group_multi(phi: GridFunction, times, deriv: int = 0,
     _check_decay(phi, decay_tol)
     xi = frequencies(len(phi), phi.spacing)
     spec = np.fft.fft(phi.samples) * (1j * xi) ** deriv
-    levels = np.empty((times.size, len(phi)),
-                      dtype=complex if phi.is_complex else float)
-    for m, t in enumerate(times):
-        out = np.fft.ifft(np.exp(1j * t * xi ** 3) * spec)
-        levels[m] = out if phi.is_complex else out.real
-    return SpaceTimeField(phi.origin, phi.spacing, dt, levels)
+    levels = np.fft.ifft(trace_phases(len(phi), phi.spacing, times) * spec, axis=1)
+    return SpaceTimeField(phi.origin, phi.spacing, dt,
+                          levels if phi.is_complex else levels.real.copy())
 
 
 def _uniform_dt(times: np.ndarray) -> float:
@@ -212,58 +214,47 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
     return out
 
 
-def duhamel_inhomog(w: SpaceTimeField, t: float, decay_tol: float = DECAY_TOL) -> GridFunction:
-    """Inhomogeneous Duhamel integral of a forcing field at one level time.
+def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL) -> SpaceTimeField:
+    """Inhomogeneous Duhamel integral of a forcing field at every stored level.
 
-    Applies the group per stored level and integrates in t' with composite
-    Simpson (3/8 closure for an odd interval count).
+    Level m is sum_j W_mj exp(i (t_m - t_j) xi^3) F_j: composite Simpson
+    in t' over levels 0..m (3/8 closure for an odd interval count), with
+    the phase split as exp(i t_m xi^3) exp(-i t_j xi^3).  One batched FFT,
+    one phase matrix, one lower-triangular (M x M) @ (M x n) product and
+    one batched inverse FFT serve all levels.
     """
-    m = int(round(t / w.dt))
-    if m < 0 or m >= w.n_levels or abs(t - m * w.dt) > 1e-9 * max(w.dt, 1.0):
-        raise DomainError(f"t={t} outside the field's stored time range")
-    base = GridFunction(w.origin, w.spacing, w.levels[0])
-    if m == 0:
-        dtype = complex if w.levels.dtype.kind == "c" else float
-        return base.with_samples(np.zeros(w.levels.shape[1], dtype=dtype))
+    levels = w.levels
+    n_t, n = levels.shape
+    if n_t > 1:
+        ends = np.maximum(np.abs(levels[:, 0]), np.abs(levels[:, -1]))
+        bad = np.flatnonzero(ends > decay_tol)
+        if bad.size:
+            _check_decay(w.level(int(bad[0])), decay_tol)
+    phases = trace_phases(n, w.spacing, w.times)
+    spec = _ladder_weights(n_t, w.dt) @ (phases.conj() * np.fft.fft(levels, axis=1))
+    acc = np.fft.ifft(phases * spec, axis=1)
+    return SpaceTimeField(w.origin, w.spacing, w.dt,
+                          acc if levels.dtype.kind == "c" else acc.real)
 
-    weights = _composite_simpson_weights(m, w.dt)
-    acc = np.zeros(w.levels.shape[1], dtype=complex)
-    xi = frequencies(w.levels.shape[1], w.spacing)
-    for j in range(m + 1):
-        if weights[j] == 0.0:
+
+def _ladder_weights(n_t: int, dt: float) -> np.ndarray:
+    """Row m: quadrature weights over nodes 0..m for int_0^{m dt}; row 0
+    is zero."""
+    wts = np.zeros((n_t, n_t))
+    for m in range(1, n_t):
+        row = wts[m]
+        if m == 1:
+            row[:2] = 0.5
             continue
-        lvl = GridFunction(w.origin, w.spacing, w.levels[j])
-        _check_decay(lvl, decay_tol)
-        tau = t - j * w.dt
-        acc += weights[j] * np.fft.ifft(np.exp(1j * tau * xi ** 3) * np.fft.fft(w.levels[j]))
-    if w.levels.dtype.kind != "c":
-        acc = acc.real
-    return base.with_samples(acc)
-
-
-def _composite_simpson_weights(m: int, dt: float) -> np.ndarray:
-    """Quadrature weights over nodes 0..m for int_0^{m dt}."""
-    w = np.zeros(m + 1)
-    if m == 1:
-        w[:2] = 0.5
-    elif m % 2 == 0:
-        w[0] = w[m] = 1.0 / 3.0
-        w[1:m:2] = 4.0 / 3.0
-        w[2:m:2] = 2.0 / 3.0
-    else:
-        # Simpson on [0, m-3], 3/8 rule on the last three intervals.
-        if m >= 5:
-            k = m - 3
-            w[0] = w[k] = 1.0 / 3.0
-            w[1:k:2] = 4.0 / 3.0
-            w[2:k:2] = 2.0 / 3.0
-        else:  # m == 3
-            k = 0
-        w[k] += 3.0 / 8.0
-        w[k + 1] += 9.0 / 8.0
-        w[k + 2] += 9.0 / 8.0
-        w[k + 3] += 3.0 / 8.0
-    return w * dt
+        # Simpson on [0, k], 3/8 rule on the last three intervals if m is odd
+        k = m if m % 2 == 0 else m - 3
+        if k > 0:
+            row[0] = row[k] = 1.0 / 3.0
+            row[1:k:2] = 4.0 / 3.0
+            row[2:k:2] = 2.0 / 3.0
+        if k < m:
+            row[k:m + 1] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    return wts * dt
 
 
 def trace_at_zero(f, deriv: int = 0, side: str = "centered"):
@@ -276,9 +267,9 @@ def trace_at_zero(f, deriv: int = 0, side: str = "centered"):
     TimeTrace of the per-level trace.
     """
     if isinstance(f, SpaceTimeField):
-        vals = np.array([_trace_level(f.levels[m], f.index_of_zero(),
-                                      f.spacing, deriv, side)
-                         for m in range(f.n_levels)])
+        i0 = f.index_of_zero()
+        vals = np.array([_trace_level(lvl, i0, f.spacing, deriv, side)
+                         for lvl in f.levels])
         return TimeTrace(f.dt, vals, True)
     if not isinstance(f, GridFunction):
         raise DomainError("trace_at_zero expects a GridFunction or SpaceTimeField")

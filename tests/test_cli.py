@@ -149,6 +149,18 @@ class TestRoundTrips:
         made = [p for p in os.listdir(tmp_path) if p.startswith("field_t")]
         assert len(made) == 3
 
+    def test_forcing_rejects_nan_row(self, tmp_path, capsys):
+        path = write(tmp_path, "g.csv",
+                     "t,value\n0,0\n0.001,1e-6\n0.002,nan\n0.003,9e-6\n")
+        out = tmp_path / "field.csv"
+        assert main(["forcing", "--lambda", "0.25", "--sign", "minus",
+                     "--g", path, "--grid", "10,0.05", "--times", "0,0.003",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["g.csv"]
+
 
 class TestVertexCommands:
     def test_det(self, capsys):
@@ -312,6 +324,18 @@ class TestOtherCommands:
         assert main([]) == 2
         with pytest.raises(SystemExit):
             main(["unknown-subcommand"])
+
+    def test_unexpected_error_one_line(self, monkeypatch, capsys):
+        from ygraph import cli
+
+        def broken(args):
+            raise RuntimeError("unforeseen state")
+
+        monkeypatch.setattr(cli, "_cmd_vertex_det", broken)
+        assert main(["vertex", "det", "--type", "1", "--coeffs", "1,1,0,0,1,1",
+                     "--lambda", "0.1,0.1,0.1,0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: RuntimeError: unforeseen state\n"
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "nonuniform.csv", "t,value\n0,1\n0.1,1\n0.3,1\n")

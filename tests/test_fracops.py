@@ -131,3 +131,13 @@ def test_contract_errors():
         TimeTrace(0.0, np.ones(4))
     with pytest.raises(ContractError):
         TimeTrace(1e-3, np.array([]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_trace_rejected(bad):
+    vals = np.ones(10)
+    vals[4] = bad
+    with pytest.raises(ContractError, match="finite"):
+        TimeTrace(1e-3, vals)
+    with pytest.raises(ContractError, match="finite"):
+        TimeTrace(1e-3, vals * (1.0 + 1.0j))

@@ -243,6 +243,15 @@ def test_blowup_guard():
         evolve(cfg)
 
 
+def test_line_solver_rejects_nan_datum():
+    h = 0.1
+    x = -10.0 + h * np.arange(201)
+    u0 = GridFunction(x[0], h, np.exp(-x ** 2))
+    u0.samples[100] = np.nan       # past construction, as a caller's buffer
+    with pytest.raises(YGraphError, match="blow-up"):
+        evolve_line(u0, 1e-3, 0.01)
+
+
 def test_whole_line_passthrough():
     # pass-through coupling with w decoupled: u-v reproduce whole-line KdV
     cpass = VertexCoupling(CouplingKind.TYPE1, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0)

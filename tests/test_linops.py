@@ -58,6 +58,16 @@ def test_group_decay_contract():
         airy_group(bad, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_grid_function_rejected(bad):
+    h = 0.1
+    x = np.arange(-5.0, 5.0, h)
+    vals = np.exp(-x ** 2)
+    vals[30] = bad
+    with pytest.raises(ContractError, match="finite"):
+        GridFunction(x[0], h, vals)
+
+
 def test_fundamental_solution_profile():
     # narrow Gaussian (width parameter 1e-2 in exp(-x^2/w)) approximating a
     # point mass: its evolution at t = 1 lands on the kernel profile A(x)
@@ -75,9 +85,10 @@ def test_duhamel_zero_forcing():
     h = 0.1
     x = np.arange(-30.0, 30.0, h)
     w = SpaceTimeField(x[0], h, 0.05, np.zeros((11, x.size)))
-    out = duhamel_inhomog(w, 0.5)
-    assert np.abs(out.samples).max() == 0.0
-    assert np.abs(duhamel_inhomog(w, 0.0).samples).max() == 0.0
+    out = duhamel_inhomog(w)
+    assert out.levels.shape == w.levels.shape
+    assert np.abs(out.level_at(0.5).samples).max() == 0.0
+    assert np.abs(out.level_at(0.0).samples).max() == 0.0
 
 
 def test_duhamel_time_domain_error():
@@ -85,7 +96,7 @@ def test_duhamel_time_domain_error():
     x = np.arange(-30.0, 30.0, h)
     w = SpaceTimeField(x[0], h, 0.05, np.zeros((11, x.size)))
     with pytest.raises(DomainError):
-        duhamel_inhomog(w, 0.9)
+        duhamel_inhomog(w).level_at(0.9)
 
 
 def test_duhamel_linearity():
@@ -99,8 +110,8 @@ def test_duhamel_linearity():
     f1 = SpaceTimeField(x[0], h, dt, w1)
     f2 = SpaceTimeField(x[0], h, dt, w2)
     combo = SpaceTimeField(x[0], h, dt, 0.3 * w1 - 1.7 * w2)
-    lhs = duhamel_inhomog(combo, 0.2).samples
-    rhs = 0.3 * duhamel_inhomog(f1, 0.2).samples - 1.7 * duhamel_inhomog(f2, 0.2).samples
+    lhs = duhamel_inhomog(combo).levels
+    rhs = 0.3 * duhamel_inhomog(f1).levels - 1.7 * duhamel_inhomog(f2).levels
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
@@ -113,7 +124,7 @@ def test_duhamel_pde_residual():
     wlv = np.array([np.exp(-x ** 2 / (2 * 1.5 ** 2)) * np.sin(2 * s + 0.3)
                     for s in t])
     wf = SpaceTimeField(x[0], h, dt, wlv)
-    k = np.array([duhamel_inhomog(wf, s).samples for s in t])
+    k = duhamel_inhomog(wf).levels
     dk_dt = np.gradient(k, dt, axis=0, edge_order=2)
     d3 = np.zeros_like(k)
     d3[:, 2:-2] = (-k[:, :-4] + 2 * k[:, 1:-3] - 2 * k[:, 3:-1] + k[:, 4:]) \
@@ -122,6 +133,62 @@ def test_duhamel_pde_residual():
     interior = np.abs(x) < 100.0
     rel = np.abs(res[1:-1][:, interior]).max() / np.abs(wlv).max()
     assert rel <= 5e-3
+
+
+def _duhamel_one_level(w, m):
+    """Level m of the Duhamel integral, one FFT pair per earlier level:
+    composite Simpson over 0..m, 3/8 rule on the last three intervals for
+    odd m, trapezoid for m = 1."""
+    wts = np.zeros(m + 1)
+    if m == 1:
+        wts[:] = 0.5
+    elif m > 1:
+        k = m if m % 2 == 0 else m - 3
+        for j in range(1, k, 2):
+            wts[j - 1:j + 2] += (1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0)
+        if k < m:
+            wts[k:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    xi = frequencies(w.levels.shape[1], w.spacing)
+    acc = np.zeros(w.levels.shape[1], dtype=complex)
+    for j in range(m + 1):
+        tau = (m - j) * w.dt
+        acc += wts[j] * w.dt * np.fft.ifft(np.exp(1j * tau * xi ** 3)
+                                           * np.fft.fft(w.levels[j]))
+    return acc
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 4, 6, 26])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_duhamel_ladder_matches_per_level_loop(kind, n_levels):
+    h = 0.05
+    x = np.arange(-40.0, 40.0, h)
+    dt = 0.02
+    rng = np.random.default_rng(n_levels)
+    lv = np.array([gaussian_profile(x, 1.0, rng.uniform(-2.0, 2.0), 1.3)
+                   * np.cos(3.0 * m * dt + rng.uniform(0.0, 1.0))
+                   for m in range(n_levels)])
+    if kind == "complex":
+        lv = lv * np.exp(0.6j * x)
+    w = SpaceTimeField(x[0], h, dt, lv)
+    got = duhamel_inhomog(w).levels
+    want = np.array([_duhamel_one_level(w, m) for m in range(n_levels)])
+    assert np.iscomplexobj(got) == (kind == "complex")
+    if kind == "real":
+        want = want.real
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_duhamel_decay_contract_first_failing_level():
+    h = 0.1
+    x = np.arange(-30.0, 30.0, h)
+    lv = np.array([gaussian_profile(x, 1.0, 0.0, 1.0) for _ in range(11)])
+    lv[5] += gaussian_profile(x, 1.0, 29.5, 1.0)    # level 5 reaches the right end
+    with pytest.raises(ContractError, match="right endpoint"):
+        duhamel_inhomog(SpaceTimeField(x[0], h, 0.05, lv))
+    # a larger failure at a later level does not mask the first one
+    lv[8] += gaussian_profile(x, 5.0, -29.5, 1.0)
+    with pytest.raises(ContractError, match="right endpoint"):
+        duhamel_inhomog(SpaceTimeField(x[0], h, 0.05, lv))
 
 
 class TestTraceAtZero:
@@ -260,5 +327,10 @@ class TestTracePhases:
             u0, v0, w0, vertex.VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0),
             vertex.LambdaVector(0.05, 0.3, 0.05, 0.05), T=0.05, n_levels=11,
             trace_dt=1e-3)
-        assert len(built) == 1
-        assert built[0][:2] == (len(u0), h)
+        # group_multi builds its own matrix on the 11 output levels; the
+        # trace ladder's matrix is built once for all nine histories
+        tt, _ = vertex.time_ladder(0.05, 1e-3, 11)
+        on_trace_ladder = [b for b in built if len(b[2]) == tt.size]
+        assert len(on_trace_ladder) == 1
+        assert on_trace_ladder[0][:2] == (len(u0), h)
+        assert np.array_equal(on_trace_ladder[0][2], tt)

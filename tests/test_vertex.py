@@ -269,7 +269,12 @@ class TestAssemble:
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
         z = GridFunction(gx[0], h, np.zeros(gx.size))
-        w0 = GridFunction(gx[0], h, np.where(np.abs(gx) < h / 2, np.nan, 0.0))
+        nan_at_vertex = np.where(np.abs(gx) < h / 2, np.nan, 0.0)
+        with pytest.raises(ContractError, match="finite"):
+            GridFunction(gx[0], h, nan_at_vertex)
+        # a NaN written into the buffer after construction still fails
+        w0 = GridFunction(gx[0], h, np.zeros(gx.size))
+        w0.samples[:] = nan_at_vertex
         assert math.isnan(check_compatibility(z, z, w0, C_UNIT))
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
         with pytest.raises(ContractError, match="compatibility"):
