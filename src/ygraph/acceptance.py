@@ -16,9 +16,9 @@ import numpy as np
 from .specfun import airy_scaled, airy_scaled_deriv, gamma_fn
 from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction
-from .forcing import (duhamel_forcing, forcing_class, minus_trace_factor,
-                      plus_trace_factor, spectral_forcing_field,
-                      one_sided_limits)
+from .forcing import (SMOOTH_FIT_WINDOW, duhamel_forcing, forcing_class,
+                      minus_trace_factor, plus_trace_factor,
+                      spectral_forcing_field, one_sided_limits)
 from .vertex import (VertexCoupling, LambdaVector, build_matrix,
                      det_m, closed_form_det, anchor_lambda,
                      assemble_linear_solution, verify_vertex_conditions)
@@ -125,7 +125,7 @@ def criterion_jump_sizes():
     worst_l = worst_r = 0.0
     for tev in (0.3, 0.5, 0.8):
         ref = np.interp(tev, t, i13.samples)
-        left, right = one_sided_limits(fld, tev, fit_window=(12, 28))
+        left, right = one_sided_limits(fld, tev, fit_window=SMOOTH_FIT_WINDOW)
         worst_l = max(worst_l, abs(left + 2.0 * ref) / abs(2.0 * ref))
         worst_r = max(worst_r, abs(right - ref) / abs(ref))
     ok = worst_l <= 2e-2 and worst_r <= 2e-2

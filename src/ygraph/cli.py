@@ -223,17 +223,20 @@ def _read_csv(path, axis):
     data = np.genfromtxt(path, delimiter=",", names=True)
     names = data.dtype.names
     a = np.atleast_1d(data[axis])
-    if len(a) < 2:
-        raise YGraphError(f"{path}: need at least two samples")
-    step = a[1] - a[0]
-    if not np.allclose(np.diff(a), step, rtol=1e-9, atol=1e-12):
-        raise YGraphError(f"{path}: {axis} column must be uniform")
     if "value" in names:
         vals = np.atleast_1d(data["value"])
     elif "re" in names and "im" in names:
         vals = np.atleast_1d(data["re"]) + 1j * np.atleast_1d(data["im"])
     else:
         raise YGraphError(f"{path}: expected columns {axis},value or {axis},re,im")
+    bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(vals)))
+    if bad.size:
+        raise YGraphError(f"{path}: data row {bad[0] + 1} is not finite")
+    if len(a) < 2:
+        raise YGraphError(f"{path}: need at least two samples")
+    step = a[1] - a[0]
+    if not np.allclose(np.diff(a), step, rtol=1e-9, atol=1e-12):
+        raise YGraphError(f"{path}: {axis} column must be uniform")
     return a, float(step), vals
 
 
@@ -464,14 +467,15 @@ def _cmd_simulate(args):
     _write_diagnostics(diagpath, traj.diagnostics)
     outputs.append(diagpath)
     rep = energy_report(traj)
+    residual = traj.diagnostics["coupling_residual"]   # row 0 is the data
     man = RunManifest(command="simulate", config_echo=_config_echo(cfg),
                       metrics={
                           "final_total_mass": float(traj.diagnostics["mass_u"][-1]
                                                     + traj.diagnostics["mass_v"][-1]
                                                     + traj.diagnostics["mass_w"][-1]),
                           "energy_mismatch": rep.worst_mismatch(),
-                          "max_coupling_residual": float(
-                              traj.diagnostics["coupling_residual"].max()),
+                          "max_coupling_residual": float(residual[1:].max()),
+                          "data_coupling_residual": float(residual[0]),
                           "condition_estimate": traj.diagnostics["condition_estimate"],
                           "wall_time": time.perf_counter() - wall,
                           "nonlinear_warning": rep.nonlinear_warning,

@@ -34,9 +34,9 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import ContractError, DomainError
-from .fracops import (ONE_SIDED_EXTRAP, TimeTrace, riemann_liouville,
-                      product_weights, _first_sample_correction,
-                      sampled_derivative)
+from .fracops import (TimeTrace, riemann_liouville, product_weights,
+                      _first_sample_correction, sampled_derivative,
+                      vertex_limit)
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
     group_trace_history, trace_phases
 from .specfun import airy_scaled
@@ -148,6 +148,11 @@ def smooth_window(n: int, spacing: float, passband: float = 0.35,
     hi = xi > cut
     out[hi] = np.exp(-(((xi[hi] - cut) / width) ** 2))
     return out
+
+
+# nodes from the vertex, on either side, that clear the smooth_window
+# transition: limits of windowed derivative fields are read from a fit here
+SMOOTH_FIT_WINDOW = (12, 28)
 
 
 def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
@@ -353,53 +358,21 @@ def plus_trace_factor(lam: float) -> complex:
     return cmath.exp(1j * math.pi * lam)
 
 
-def one_sided_limits(fld: SpaceTimeField, t: float, offset: int = 1,
-                     fit_window: tuple[int, int] | None = None, deg: int = 2):
+def one_sided_limits(fld: SpaceTimeField, t: float,
+                     fit_window: tuple[int, int] | None = None):
     """(left, right) limits at x = 0 of one level.
 
-    Default: cubic extrapolation through the four nodes starting ``offset``
-    nodes from the vertex -- the Richardson limit of repeated linear
-    extrapolation, exact for sampled piecewise-cubics (and the unit step).
-    ``fit_window=(j0, j1)`` switches to a one-sided least-squares polynomial
-    fit over nodes j0..j1, the right tool for smooth-windowed spectral
-    derivative fields whose transition occupies the first dozen nodes.
+    Default: the cubic through the first four nodes on each side, exact for
+    sampled piecewise cubics (and the unit step).  ``fit_window=(j0, j1)``
+    reads the least-squares quadratic over nodes j0..j1 instead, the right
+    tool for smooth-windowed spectral derivative fields whose transition
+    occupies the first dozen nodes (:data:`SMOOTH_FIT_WINDOW`).
     """
     lev = fld.level_at(t)
     i0 = lev.index_of_zero()
-    v = lev.samples
-    if fit_window is not None:
-        j0, j1 = fit_window
-        if j1 - j0 < deg + 2:
-            raise DomainError("fit window too narrow for the polynomial degree")
-        if i0 < j1 or i0 > len(lev) - 1 - j1:
-            raise DomainError("fit window exceeds the grid around x = 0")
-        xs = lev.spacing * np.arange(j0, j1 + 1)
-        right = _fit_at_zero(xs, v[i0 + j0: i0 + j1 + 1], deg)
-        left = _fit_at_zero(-xs, v[i0 - j0: i0 - j1 - 1: -1], deg)
-        return left, right
-    if i0 < offset + 3 or i0 > len(lev) - 1 - (offset + 3):
-        raise DomainError("need at least four usable nodes on each side of x = 0")
-    right = ONE_SIDED_EXTRAP @ v[i0 + offset: i0 + offset + 4]
-    left = ONE_SIDED_EXTRAP @ v[i0 - offset: i0 - offset - 4: -1]
-    return left, right
-
-
-def _fit_at_zero(xs, ys, deg):
-    a = np.vander(xs, deg + 1, increasing=True)
-    if np.iscomplexobj(ys):
-        cr, *_ = np.linalg.lstsq(a, ys.real, rcond=None)
-        ci, *_ = np.linalg.lstsq(a, ys.imag, rcond=None)
-        return cr[0] + 1j * ci[0]
-    coefs, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    return coefs[0]
-
-
-def jump_size(fld: SpaceTimeField, t: float, offset: int = 1,
-              fit_window: tuple[int, int] | None = None, deg: int = 2):
-    """Right minus left limit at x = 0 of one level; see one_sided_limits."""
-    left, right = one_sided_limits(fld, t, offset=offset,
-                                   fit_window=fit_window, deg=deg)
-    return right - left
+    window = None if fit_window is None else tuple(fit_window)
+    return tuple(vertex_limit(lev.samples, i0, lev.spacing, side, 0, window)
+                 for side in ("left", "right"))
 
 
 def halfline_construct_right(phi: GridFunction, g: TimeTrace, times,

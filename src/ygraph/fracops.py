@@ -10,6 +10,7 @@ smallest integer k making alpha + k positive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,19 @@ from scipy.signal import fftconvolve
 from .errors import ContractError, DomainError
 
 MAX_ORDER = 3.0
+
+
+def checked_samples(samples, ndim: int, what: str) -> np.ndarray:
+    """``samples`` as a float (or complex) array of rank ``ndim``, non-empty
+    and finite; ``what`` names them in the ContractError otherwise."""
+    arr = np.asarray(samples)
+    if arr.dtype.kind not in "fc":
+        arr = arr.astype(float)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ContractError(f"{what} must be a non-empty {ndim}-d array")
+    if not np.isfinite(arr).all():
+        raise ContractError(f"{what} must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -34,13 +48,7 @@ class TimeTrace:
     causal: bool = True
 
     def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.dtype.kind not in "fc":
-            arr = arr.astype(float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ContractError("TimeTrace samples must be a non-empty 1-d array")
-        if not np.isfinite(arr).all():
-            raise ContractError("TimeTrace samples must be finite")
+        arr = checked_samples(self.samples, 1, "TimeTrace samples")
         if not (self.dt > 0):
             raise ContractError(f"TimeTrace dt must be positive, got {self.dt}")
         object.__setattr__(self, "samples", arr)
@@ -111,13 +119,62 @@ def boundary_layer_width(alpha: float) -> int:
 
 
 # One-sided stencils at the end of a sample row, coefficients for nodes
-# 0, 1, 2, ... counted inward from the end: the value one node beyond the
-# end (cubic extrapolation), and second-order h * slope and h^2 * curvature
-# at the end node.  The solver's vertex constraints and traces, the Taylor
-# extension and the one-sided vertex limits take their coefficients here.
-ONE_SIDED_EXTRAP = (4.0, -6.0, 4.0, -1.0)
+# 0, 1, 2, ... counted inward from the end: second-order h * slope and
+# h^2 * curvature at the end node.  The solver's vertex constraints and
+# traces and the Taylor extension take their coefficients here.
 ONE_SIDED_SLOPE = (-1.5, 2.0, -0.5)              # (-3, 4, -1) / 2
 ONE_SIDED_CURVATURE = (2.0, -5.0, 4.0, -1.0)
+
+
+# Limits at x = 0 of a row with the vertex at node i0.  Each is one fixed
+# functional h**-deriv * sum_k weights[k] * v[i0 + offsets[k]], applied to all
+# levels at once.  Centred: nodes -1, 0, 1.  One-sided: nodes 1..4+deriv, the
+# cubic through the first four values or (derivatives) through the first four
+# differences at their own stations, composed into one vector.  Fit window
+# (j0, j1): the least-squares quadratic over nodes j0..j1, whatever h is.  A
+# left limit mirrors the offsets and carries (-1)**deriv.
+_CENTRED = ((0.0, 1.0, 0.0), (-0.5, 0.0, 0.5), (1.0, -2.0, 1.0))
+_ONE_SIDED = ((4.0, -6.0, 4.0, -1.0),
+              (-6.5625, 18.375, -20.25, 10.625, -2.1875),  # (-105, 294, -324, 170, -35) / 16
+              (10.0, -40.0, 65.0, -54.0, 23.0, -4.0))      # (10, -20, 15, -4) * (1, -2, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def limit_weights(side: str, deriv: int = 0,
+                  fit_window: tuple[int, int] | None = None):
+    """(offsets, weights): the table entry for d^deriv/dx^deriv at x = 0
+    from ``side`` ("left", "right" or "centered"), deriv in {0, 1, 2}."""
+    if deriv not in (0, 1, 2) or side not in ("left", "right", "centered"):
+        raise DomainError(f"no vertex limit of order {deriv!r} from side {side!r}")
+    if side == "centered":
+        offsets, weights = np.arange(-1, 2), np.array(_CENTRED[deriv])
+    elif fit_window is None:
+        weights = np.array(_ONE_SIDED[deriv])
+        offsets = np.arange(1, weights.size + 1)
+    else:
+        j0, j1 = fit_window
+        if j0 < 0 or j1 - j0 < 4:
+            raise DomainError(f"fit window {fit_window} needs 0 <= j0 and five nodes")
+        offsets = np.arange(j0, j1 + 1)
+        weights = math.factorial(deriv) * np.linalg.pinv(
+            np.vander(offsets, 3, increasing=True).astype(float))[deriv]
+    if side == "left":
+        offsets, weights = -offsets, (-1.0) ** deriv * weights
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
+
+
+def vertex_limit(rows: np.ndarray, i0: int, h: float, side: str,
+                 deriv: int = 0, fit_window: tuple[int, int] | None = None):
+    """The :func:`limit_weights` entry applied along the last axis of
+    ``rows`` with the vertex at node i0, for every leading row at once."""
+    offsets, weights = limit_weights(side, deriv, fit_window)
+    cols = i0 + offsets
+    if cols.min() < 0 or cols.max() >= rows.shape[-1]:
+        raise DomainError(f"not enough nodes around x = 0: the limit reads "
+                          f"{offsets.min():+d}..{offsets.max():+d}")
+    out = rows[..., cols] @ weights
+    return out / h ** deriv if deriv else out
 
 
 def one_sided(coef, nodes):

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ContractError, DomainError, YGraphError
 from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
-                      sampled_derivative)
+                      sampled_derivative, vertex_limit)
 from .linops import GridFunction, SpaceTimeField, group_multi, duhamel_inhomog
 from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
                      LambdaVector, compatibility_deviation, free_vertex_traces,
@@ -634,7 +634,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
                 kf = -duhamel_inhomog(wfield, decay_tol=1e-3).levels
                 k_fields.append(kf)
                 for j in range(3):
-                    vals = kf[:, i0] if j == 0 else sampled_derivative(kf, h, j)[:, i0]
+                    vals = vertex_limit(kf, i0, h, "centered", j)
                     k_tr[j].append(CubicSpline(out_times, np.real(vals))(tt))
             base = [f + k for f, k in zip(free_fields, k_fields)]
             traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .fracops import ONE_SIDED_EXTRAP, TimeTrace
+from .fracops import TimeTrace, checked_samples, vertex_limit
 
 DECAY_TOL = 1e-8
 
@@ -30,13 +30,7 @@ class GridFunction:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.dtype.kind not in "fc":
-            arr = arr.astype(float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ContractError("GridFunction samples must be a non-empty 1-d array")
-        if not np.isfinite(arr).all():
-            raise ContractError("GridFunction samples must be finite")
+        arr = checked_samples(self.samples, 1, "GridFunction samples")
         if not (self.spacing > 0):
             raise ContractError(f"GridFunction spacing must be positive, got {self.spacing}")
         object.__setattr__(self, "samples", arr)
@@ -78,11 +72,7 @@ class SpaceTimeField:
     levels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.levels)
-        if arr.dtype.kind not in "fc":
-            arr = arr.astype(float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ContractError("SpaceTimeField levels must be a 2-d (time, space) array")
+        arr = checked_samples(self.levels, 2, "SpaceTimeField levels (time, space)")
         if not (self.dt > 0 and self.spacing > 0):
             raise ContractError("SpaceTimeField needs positive dt and spacing")
         object.__setattr__(self, "levels", arr)
@@ -261,60 +251,17 @@ def trace_at_zero(f, deriv: int = 0, side: str = "centered"):
     """Trace of d^j/dx^j at x = 0, j in {0, 1, 2}.
 
     side selects the limit for fields with a vertex discontinuity: "left"
-    and "right" use only nodes strictly on that side (cubic extrapolation
-    of the value / one-sided differences for derivatives), "centered" uses
-    symmetric stencils through the node.  SpaceTimeField input returns a
-    TimeTrace of the per-level trace.
+    and "right" use only nodes strictly on that side, "centered" uses
+    symmetric stencils through the node (:func:`fracops.vertex_limit`).
+    SpaceTimeField input returns a TimeTrace of the per-level trace, read
+    from all levels at once.
     """
     if isinstance(f, SpaceTimeField):
-        i0 = f.index_of_zero()
-        vals = np.array([_trace_level(lvl, i0, f.spacing, deriv, side)
-                         for lvl in f.levels])
-        return TimeTrace(f.dt, vals, True)
+        return TimeTrace(f.dt, vertex_limit(f.levels, f.index_of_zero(),
+                                            f.spacing, side, deriv), True)
     if not isinstance(f, GridFunction):
         raise DomainError("trace_at_zero expects a GridFunction or SpaceTimeField")
-    return _trace_level(f.samples, f.index_of_zero(), f.spacing, deriv, side)
-
-
-def _trace_level(v, i0, h, deriv, side):
-    if deriv not in (0, 1, 2):
-        raise DomainError("derivative order must be 0, 1 or 2")
-    if side not in ("left", "right", "centered"):
-        raise DomainError(f"unknown side {side!r}")
-    need = 4 + deriv
-    if side != "centered" and (i0 < need or i0 > len(v) - 1 - need):
-        raise DomainError("not enough nodes on one side of x = 0")
-
-    if side == "centered":
-        if deriv == 0:
-            return v[i0]
-        if deriv == 1:
-            return (v[i0 + 1] - v[i0 - 1]) / (2.0 * h)
-        return (v[i0 + 1] - 2.0 * v[i0] + v[i0 - 1]) / h ** 2
-
-    sgn = 1 if side == "right" else -1
-    idx = i0 + sgn * np.arange(1, 5 + deriv)
-    vals = v[idx]
-    if deriv == 0:
-        return ONE_SIDED_EXTRAP @ vals[:4]
-    if deriv == 1:
-        d = np.array([(vals[j + 1] - vals[j]) * sgn / h for j in range(4)])
-    else:
-        d = np.array([(vals[j + 2] - 2.0 * vals[j + 1] + vals[j]) / h ** 2
-                      for j in range(4)])
-    # derivative estimates live at offsets (j+1+0.5) h or (j+2) h; cubic
-    # extrapolation back to 0 from their own stations
-    if deriv == 1:
-        stations = (np.arange(4) + 1.5) * h
-    else:
-        stations = (np.arange(4) + 2.0) * h
-    return _poly_extrapolate(stations, d)
-
-
-def _poly_extrapolate(xs, ys):
-    """Value at 0 of the cubic through (xs, ys)."""
-    coef = np.polynomial.polynomial.polyfit(xs, ys, 3)
-    return coef[0]
+    return vertex_limit(f.samples, f.index_of_zero(), f.spacing, side, deriv)
 
 
 def sobolev_norm(f: GridFunction, s: float, decay_tol: float = DECAY_TOL) -> float:

@@ -14,7 +14,6 @@ used, so independent implementations can serve as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,20 +187,6 @@ def airy_scaled_with_deriv(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(a), float(ap)
     return a, ap
-
-
-@dataclass(frozen=True)
-class AiryValue:
-    """Kernel value pair at one argument."""
-
-    x: float
-    a: float
-    a_prime: float
-
-
-def airy_value(x: float) -> AiryValue:
-    a, ap = airy_scaled_with_deriv(float(x))
-    return AiryValue(x=float(x), a=a, a_prime=ap)
 
 
 def gamma_fn(z: float) -> float:

@@ -19,10 +19,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularMatrixError
-from .fracops import TimeTrace, riemann_liouville
+from .fracops import TimeTrace, riemann_liouville, vertex_limit
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, trace_at_zero, trace_phases
-from .forcing import forcing_class, one_sided_limits, smooth_window
+    group_trace_history, trace_phases
+from .forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
 
 DET_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-8
@@ -453,43 +453,29 @@ class VertexResidualReport:
         return worst
 
 
-def _one_sided_deriv_traces(fld: SpaceTimeField, j: int, side: str,
-                            fit_window=(12, 28)) -> np.ndarray:
-    """Vertex limits of the j-th spatial derivative, one per level.
-
-    Values read directly via one-sided cubic extrapolation.  Derivatives are
-    synthesized spectrally with a smooth frequency window (the fields carry
-    integrable vertex singularities whose raw band-limited derivatives ring)
-    and their limits come from one-sided polynomial fits outside the window
-    transition zone.
-    """
-    if j == 0:
-        return np.array([trace_at_zero(fld.level(m), 0, side=side)
-                         for m in range(fld.n_levels)])
-    n = fld.levels.shape[1]
-    xi = frequencies(n, fld.spacing)
-    mult = (1j * xi) ** j * smooth_window(n, fld.spacing)
-    dlev = np.fft.ifft(np.fft.fft(fld.levels, axis=1) * mult, axis=1)
-    if not np.iscomplexobj(fld.levels):
-        dlev = dlev.real
-    dfld = SpaceTimeField(fld.origin, fld.spacing, fld.dt, dlev)
-    pick = 0 if side == "left" else 1
-    return np.array([one_sided_limits(dfld, tm, fit_window=fit_window)[pick]
-                     for tm in dfld.times])
-
-
 def verify_vertex_conditions(sol: LinearSolution,
-                             coupling: VertexCoupling = None,
-                             fit_window=(12, 28)) -> VertexResidualReport:
+                             coupling: VertexCoupling = None) -> VertexResidualReport:
     """Per-time residuals of the vertex relations from one-sided traces.
 
     u contributes its limit from the incoming side (x -> 0-), v and w from
-    the outgoing side (x -> 0+).
+    the outgoing side (x -> 0+).  Values are the one-sided cubic
+    extrapolation.  Derivatives are synthesized spectrally, from one forward
+    FFT per field, with a smooth frequency window (the fields carry
+    integrable vertex singularities whose raw band-limited derivatives ring)
+    and read by the least-squares fit outside the window transition.  Each
+    limit covers all levels at once.
     """
     cp = coupling or sol.coupling
-    sides = ((sol.u, "left"), (sol.v, "right"), (sol.w, "right"))
-    tr = [[_one_sided_deriv_traces(fld, j, side, fit_window=fit_window)
-           for fld, side in sides] for j in (0, 1, 2)]
+    i0, h, n = sol.u.index_of_zero(), sol.u.spacing, sol.u.levels.shape[1]
+    mults = [(1j * frequencies(n, h)) ** j * smooth_window(n, h) for j in (1, 2)]
+    tr = [[], [], []]
+    for fld, side in ((sol.u, "left"), (sol.v, "right"), (sol.w, "right")):
+        tr[0].append(vertex_limit(fld.levels, i0, h, side))
+        spec = np.fft.fft(fld.levels, axis=1)
+        for j, mult in enumerate(mults, 1):
+            lim = vertex_limit(np.fft.ifft(spec * mult, axis=1), i0, h, side, 0,
+                               SMOOTH_FIT_WINDOW)
+            tr[j].append(lim if np.iscomplexobj(fld.levels) else lim.real)
     scales = {j: max(np.abs(t).max() for t in tr[j]) for j in (0, 1, 2)}
     res = {label: np.abs(_combine(coefs, tr[j]))
            for label, j, coefs in cp.relations()}

@@ -158,6 +158,7 @@ class TestRoundTrips:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
+        assert "g.csv" in err and "data row 3" in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["g.csv"]
 
@@ -239,6 +240,26 @@ class TestSimulate:
         assert on_disk <= listed
         assert "diagnostics.csv" in on_disk
         assert summary["metrics"]["max_coupling_residual"] <= 1e-10
+
+    def test_data_residual_reported_apart(self, tmp_path):
+        # type-2 data off the type-2 Dirichlet relation u = a2 v + a3 w: the
+        # t = 0 row carries the data's backward error |u0(0)| / (|row| |x|)
+        # with |row| = |(1, -2, -2)| = 3; every solved step meets the relations
+        text = SCENARIO.replace("type = 1", "type = 2").replace(
+            "a2 = 1.0\na3 = 1.0", "a2 = 2.0\na3 = 2.0").replace(
+            "dt = 0.02", "dt = 0.01").replace(
+            "v = gaussian amplitude=0.5 center=6 width=0.9",
+            "u = gaussian amplitude=0.8 center=-3")
+        cfgp = write(tmp_path, "scenario.cfg", text)
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", cfgp, "--out", out,
+                     "--snapshots", "1"]) == 0
+        metrics = json.load(open(os.path.join(out, "summary.json")))["metrics"]
+        assert metrics["max_coupling_residual"] <= 1e-10
+        u0 = 0.8 * np.exp(-((np.linspace(-20.0, 0.0, 201) + 3.0) ** 2) / 2.0)
+        want = u0[-1] / (3.0 * np.linalg.norm(u0))
+        assert metrics["data_coupling_residual"] == pytest.approx(want, rel=1e-9)
+        assert metrics["data_coupling_residual"] == pytest.approx(8.8e-4, rel=1e-2)
 
     def test_determinism(self, tmp_path):
         cfgp = write(tmp_path, "scenario.cfg", SCENARIO)

@@ -16,9 +16,10 @@ from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import TimeTrace, riemann_liouville
 from ygraph.linops import GridFunction, SpaceTimeField, frequencies, \
     trace_at_zero
-from ygraph.forcing import (HALFLINE_LEFT_MATRIX, duhamel_forcing,
+from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
+                            duhamel_forcing,
                             duhamel_forcing_deriv, field_spatial_derivative,
-                            forcing_class, jump_size, minus_trace_factor,
+                            forcing_class, minus_trace_factor,
                             one_sided_limits, plus_trace_factor,
                             smooth_window, spectral_forcing_field,
                             halfline_construct_left, halfline_construct_right)
@@ -224,7 +225,23 @@ class TestJumps:
         x = np.arange(-2.0, 2.0, h)
         lv = np.tile((x > 0).astype(float), (2, 1))
         fld = SpaceTimeField(x[0], h, 0.1, lv)
-        assert jump_size(fld, 0.1) == pytest.approx(1.0, abs=1e-12)
+        left, right = one_sided_limits(fld, 0.1)
+        assert right - left == pytest.approx(1.0, abs=1e-12)
+
+    def test_piecewise_cubic_limits_exact(self):
+        # a sampled cubic on each side, jumping at 0: the default limits
+        # are the two cubics' values at 0, whatever the vertex node holds
+        h = 0.01
+        x = np.arange(-1.0, 1.0 + h / 2, h)
+        left_c = (0.7, -1.3, 2.1, 0.9)
+        right_c = (-0.4, 0.8, -3.2, 1.7)
+        poly = np.polynomial.polynomial.polyval
+        lv = np.where(x < 0, poly(x, left_c), poly(x, right_c))
+        lv[np.argmin(np.abs(x))] = 123.0
+        fld = SpaceTimeField(x[0], h, 0.1, np.tile(lv, (2, 1)))
+        left, right = one_sided_limits(fld, 0.1)
+        assert abs(left - left_c[0]) <= 1e-12
+        assert abs(right - right_c[0]) <= 1e-12
 
     def test_second_derivative_jump(self, g, fine_grid):
         # dxx V g jumps by 3 I_{-2/3} g(t) at the vertex
@@ -232,8 +249,8 @@ class TestJumps:
         fld = spectral_forcing_field(i23, fine_grid, TIMES, deriv=2,
                                      window="smooth")
         ref = 3.0 * np.interp(0.5, g.times, i23.samples)
-        got = jump_size(fld, 0.5, fit_window=(12, 28))
-        assert abs(got - ref) / abs(ref) <= 2e-2
+        left, right = one_sided_limits(fld, 0.5, fit_window=SMOOTH_FIT_WINDOW)
+        assert abs((right - left) - ref) / abs(ref) <= 2e-2
 
     def test_companion_derivative_limits(self, g, fine_grid):
         # dx V^{-1} g: left limit -2 I_{-1/3} g, right limit + I_{-1/3} g
@@ -241,7 +258,7 @@ class TestJumps:
         fld = spectral_forcing_field(i13, fine_grid, TIMES, deriv=2,
                                      window="smooth")
         ref = np.interp(0.5, g.times, i13.samples)
-        left, right = one_sided_limits(fld, 0.5, fit_window=(12, 28))
+        left, right = one_sided_limits(fld, 0.5, fit_window=SMOOTH_FIT_WINDOW)
         assert abs(left + 2.0 * ref) / abs(2.0 * ref) <= 2e-2
         assert abs(right - ref) / abs(ref) <= 2e-2
         assert abs((right - left) - 3.0 * ref) / abs(3.0 * ref) <= 2e-2
@@ -251,7 +268,13 @@ class TestJumps:
         x = np.arange(-0.1, 2.0, h)
         fld = SpaceTimeField(x[0], h, 0.1, np.zeros((2, x.size)))
         with pytest.raises(DomainError):
-            jump_size(fld, 0.1)
+            one_sided_limits(fld, 0.1)
+        x = np.arange(-2.0, 2.0, h)
+        fld = SpaceTimeField(x[0], h, 0.1, np.zeros((2, x.size)))
+        with pytest.raises(DomainError):       # window reaches past the grid
+            one_sided_limits(fld, 0.1, fit_window=(12, 50))
+        with pytest.raises(DomainError):       # fewer than five nodes
+            one_sided_limits(fld, 0.1, fit_window=(12, 15))
 
 
 class TestHalflineRight:

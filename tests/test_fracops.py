@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import (TimeTrace, boundary_layer_width,
                             fractional_integral_samples, product_weights,
-                            riemann_liouville, trace_from_function)
+                            riemann_liouville, trace_from_function,
+                            limit_weights, vertex_limit)
 
 
 @pytest.fixture
@@ -141,3 +143,84 @@ def test_non_finite_trace_rejected(bad):
         TimeTrace(1e-3, vals)
     with pytest.raises(ContractError, match="finite"):
         TimeTrace(1e-3, vals * (1.0 + 1.0j))
+
+
+# -- the vertex-limit table --------------------------------------------------
+
+COEF = st.floats(-1.0, 1.0)
+SPACING = st.floats(1e-3, 1e-1)
+# the slope entries are second order: on a cubic c3 (x/h)^3 they read
+# c3/h times these factors on top of the exact slope
+SLOPE_ERROR = {"left": 0.25, "right": 0.25, "centered": 1.0}
+
+
+def _sampled_polynomial(coefs, reach):
+    """p(x) = sum c_k (x/h)^k at the nodes -reach..reach (any h); the
+    vertex is the middle node."""
+    return np.polynomial.polynomial.polyval(np.arange(-reach, reach + 1.0), coefs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(coefs=st.lists(COEF, min_size=4, max_size=4), h=SPACING,
+       side=st.sampled_from(["left", "right", "centered"]),
+       deriv=st.sampled_from([0, 1, 2]))
+def test_vertex_limits_reproduce_cubics(coefs, h, side, deriv):
+    # value, slope and curvature at 0 of a sampled cubic, from either side,
+    # in units of h**-deriv
+    got = vertex_limit(_sampled_polynomial(coefs, 8), 8, h, side, deriv)
+    want = math.factorial(deriv) * coefs[deriv]
+    if deriv == 1:
+        want += SLOPE_ERROR[side] * coefs[3]
+    assert abs(got * h ** deriv - want) <= 1e-9 * max(1.0, *map(abs, coefs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coefs=st.lists(COEF, min_size=3, max_size=3), h=SPACING,
+       side=st.sampled_from(["left", "right"]), deriv=st.sampled_from([0, 1, 2]),
+       j0=st.integers(0, 16), width=st.integers(4, 20))
+def test_fit_window_limits_reproduce_quadratics(coefs, h, side, deriv, j0, width):
+    got = vertex_limit(_sampled_polynomial(coefs, 40), 40, h, side, deriv,
+                       (j0, j0 + width))
+    want = math.factorial(deriv) * coefs[deriv]
+    assert abs(got * h ** deriv - want) <= 1e-9 * max(1.0, *map(abs, coefs))
+
+
+def _lstsq_at_zero(xs, ys):
+    """Value at 0 of the least-squares quadratic through (xs, ys)."""
+    a = np.vander(xs, 3, increasing=True)
+    re = np.linalg.lstsq(a, ys.real, rcond=None)[0][0]
+    im = np.linalg.lstsq(a, ys.imag, rcond=None)[0][0]
+    return re + 1j * im
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), h=SPACING,
+       j0=st.integers(0, 16), width=st.integers(4, 20))
+def test_fit_window_weights_match_lstsq(seed, h, j0, width):
+    # The reference fits against the node offset: the value at 0 of the fit
+    # does not depend on h, and lstsq on the abscissae h * j loses up to
+    # ~1e-13 to the column scaling of its Vandermonde matrix.  The bound is
+    # relative to sum |w_k v_k|, the rounding scale of the functional, which
+    # grows for short windows far from the vertex.
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal(81) + 1j * rng.standard_normal(81)
+    j = np.arange(j0, j0 + width + 1)
+    for side, sgn in (("left", -1), ("right", 1)):
+        got = vertex_limit(row, 40, h, side, 0, (j0, j0 + width))
+        vals = row[40 + sgn * j]
+        want = _lstsq_at_zero(sgn * j.astype(float), vals)
+        scale = np.abs(limit_weights(side, 0, (j0, j0 + width))[1] * vals).sum()
+        assert abs(got - want) <= 1e-14 * scale
+
+
+def test_vertex_limit_domain():
+    row = np.zeros(9)
+    with pytest.raises(DomainError):
+        limit_weights("right", 3)
+    with pytest.raises(DomainError):
+        limit_weights("middle", 0)
+    with pytest.raises(DomainError):
+        limit_weights("right", 0, (3, 6))        # fewer than five nodes
+    with pytest.raises(DomainError):              # needs nodes +1..+6
+        vertex_limit(row, 4, 0.1, "right", 2)
+    assert vertex_limit(row, 4, 0.1, "left") == 0.0

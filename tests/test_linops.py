@@ -68,6 +68,20 @@ def test_non_finite_grid_function_rejected(bad):
         GridFunction(x[0], h, vals)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_field_level_rejected(bad):
+    # one bad sample at level 2 of 5 would turn every level of the batched
+    # Duhamel product into NaN, the levels before it included
+    h = 0.05
+    x = -5.0 + h * np.arange(200)
+    lv = np.tile(gaussian_profile(x, 1.0, 0.0, 0.5), (5, 1))
+    lv[2, 100] = bad
+    with pytest.raises(ContractError, match="finite"):
+        SpaceTimeField(x[0], h, 0.05, lv)
+    with pytest.raises(ContractError, match="finite"):
+        SpaceTimeField(x[0], h, 0.05, lv * (1.0 + 1.0j))
+
+
 def test_fundamental_solution_profile():
     # narrow Gaussian (width parameter 1e-2 in exp(-x^2/w)) approximating a
     # point mass: its evolution at t = 1 lands on the kernel profile A(x)

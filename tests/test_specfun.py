@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from ygraph.errors import DomainError
 from ygraph.specfun import (airy_scaled, airy_scaled_deriv,
-                            airy_scaled_with_deriv, airy_value, gamma_fn)
+                            airy_scaled_with_deriv, gamma_fn)
 
 CBRT3 = 3.0 ** (1.0 / 3.0)
 
@@ -104,9 +104,10 @@ def test_vectorized_and_joint():
     a, ap = airy_scaled_with_deriv(x)
     assert np.allclose(a, airy_scaled(x))
     assert np.allclose(ap, airy_scaled_deriv(x))
-    av = airy_value(1.25)
-    assert av.a == pytest.approx(airy_scaled(1.25))
-    assert av.a_prime == pytest.approx(airy_scaled_deriv(1.25))
+    a1, ap1 = airy_scaled_with_deriv(1.25)
+    assert isinstance(a1, float) and isinstance(ap1, float)
+    assert a1 == pytest.approx(airy_scaled(1.25))
+    assert ap1 == pytest.approx(airy_scaled_deriv(1.25))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
