@@ -100,9 +100,9 @@ def criterion_forcing_trace_laws():
         ref_m = minus_trace_factor(lam) * gt[mask]
         ref_p = plus_trace_factor(lam) * gt[mask]
         worst_minus = max(worst_minus, float(
-            np.abs(fm.field.levels[mask, i0] - ref_m).max() / np.abs(ref_m).max()))
+            np.abs(fm.levels[mask, i0] - ref_m).max() / np.abs(ref_m).max()))
         worst_plus = max(worst_plus, float(
-            np.abs(fp.field.levels[mask, i0] - ref_p).max() / np.abs(gt[mask]).max()))
+            np.abs(fp.levels[mask, i0] - ref_p).max() / np.abs(gt[mask]).max()))
     ok = err_v <= 1e-3 and worst_minus <= 5e-3 and worst_plus <= 5e-3
     return _result("3 forcing trace laws", ok,
                    f"Vg {err_v:.2e} (tol 1e-3); minus {worst_minus:.2e}, "

@@ -10,6 +10,7 @@ manifest; exit codes are 0 (success), 1 (numerical failure), 2 (usage).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from .errors import ConfigError, ContractError, YGraphError
 from .specfun import airy_scaled_with_deriv
 from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction, airy_group
-from .forcing import forcing_class
+from .forcing import _check_times, forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan, anchor_lambda,
                      assemble_linear_solution, time_ladder,
@@ -125,7 +126,8 @@ def parse_config(path) -> ScenarioConfig:
     raw = {}
     section = None
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"])
     for ln, line in enumerate(lines, 1):
@@ -281,15 +283,16 @@ def _stamp(t: float) -> str:
 def _cmd_airy(args):
     if args.table:
         a, b, n = args.table
-        n = int(n)
-        xs = np.linspace(a, b, n)
+        if not (1 <= n < math.inf and n == int(n)):
+            raise ConfigError([f"--table N must be a whole number >= 1, got {n:g}"])
+        xs = np.linspace(a, b, int(n))
         va, vp = airy_scaled_with_deriv(xs)
-        out = sys.stdout if args.out is None else open(args.out, "w")
-        out.write("x,A,Aprime\n")
-        for x, y, yp in zip(xs, va, vp):
-            out.write(f"{x:.12g},{y:.17g},{yp:.17g}\n")
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w")) as out:
+            out.write("x,A,Aprime\n")
+            for x, y, yp in zip(xs, va, vp):
+                out.write(f"{x:.12g},{y:.17g},{yp:.17g}\n")
         if args.out is not None:
-            out.close()
             print(f"wrote {args.out}")
     elif args.x is not None:
         a, ap = airy_scaled_with_deriv(args.x)
@@ -328,18 +331,26 @@ def _cmd_group(args):
 
 def _cmd_forcing(args):
     g = read_trace_csv(args.g)
+    if not (len(args.grid) == 2 and all(0.0 < v < math.inf for v in args.grid)
+            and whole_steps(*args.grid)):
+        raise ConfigError(["--grid must be L,h with L and h positive and finite "
+                           "and L/h a whole number, got "
+                           + ",".join(f"{v:g}" for v in args.grid)])
     L, h = args.grid
-    n = int(round(2 * L / h)) + 1
-    grid = GridFunction(-L, h, np.zeros(n))
+    grid = GridFunction(-L, h, np.zeros(int(round(2 * L / h)) + 1))
     times = np.asarray(args.times, dtype=float)
-    fe = forcing_class(args.lam, args.sign, g, grid, times, method=args.method)
+    try:
+        _check_times(times, g.dt, len(g))
+    except YGraphError as exc:
+        raise ConfigError([f"--times: {exc}"])
+    fld = forcing_class(args.lam, args.sign, g, grid, times, method=args.method)
     stem, dot, suffix = args.out.rpartition(".")
     if not dot:
         stem, suffix = args.out, "csv"
     outputs = []
     for m, t in enumerate(times):
         path = f"{stem}_t{_stamp(t)}.{suffix}" if len(times) > 1 else args.out
-        write_field_csv(path, fe.field.level(m))
+        write_field_csv(path, fld.level(m))
         outputs.append(path)
     man = RunManifest(command="forcing",
                       config_echo={"lambda": args.lam, "sign": args.sign,

@@ -21,14 +21,15 @@ Two evaluation routes are provided and cross-checked by the test suite:
 The generalized classes convolve V output with one-sided power kernels
 x_+^{lambda-1}/Gamma(lambda) (minus class) or their reflected complex
 counterparts (plus class) by product integration, reusing the fractional
-integration weights.
+integration weights.  :func:`forcing_class` is the one entry point: V is
+the lambda = 0 minus class and its companion V^{-1} the lambda = -1 minus
+class.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -44,16 +45,6 @@ from .specfun import airy_scaled
 DEFAULT_PANELS = 200
 
 
-@dataclass(frozen=True)
-class ForcingEvaluation:
-    """A forcing-class field with its defining data."""
-
-    lam: float
-    sign: str                    # "minus" or "plus"
-    g: TimeTrace
-    field: SpaceTimeField = field(repr=False)
-
-
 def _require_causal(g: TimeTrace, who: str):
     if not g.causal:
         raise ContractError(f"{who} requires a causal trace")
@@ -64,6 +55,8 @@ def _check_times(times, dt_trace, n_trace):
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ContractError("need at least two output times")
+    if not np.isfinite(times).all():
+        raise ContractError("output times must be finite")
     idx = np.round(times / dt_trace).astype(int)
     if times[0] != 0.0 or not np.allclose(idx * dt_trace, times,
                                           rtol=1e-9, atol=1e-12):
@@ -80,9 +73,8 @@ def _check_times(times, dt_trace, n_trace):
 # sigma-substitution Simpson route
 # ---------------------------------------------------------------------------
 
-def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times, panels,
-                 kernel=airy_scaled, power: int = 1):
-    """9 * int_0^{t^{1/3}} kernel(x/s) s^power f(t - s^3) ds per output time."""
+def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times, panels):
+    """9 * int_0^{t^{1/3}} A(x/s) s f(t - s^3) ds per output time."""
     idx = _check_times(times, smoothed.dt, len(smoothed))
     times = np.asarray(times, dtype=float)
     x = grid.x
@@ -105,8 +97,8 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times, panels,
         fvals = np.interp(t - sig[1:] ** 3, tf, fs.real)
         if is_c:
             fvals = fvals + 1j * np.interp(t - sig[1:] ** 3, tf, fs.imag)
-        kmat = kernel(x[:, None] / sig[None, 1:])
-        levels[m] = 9.0 * (kmat * (sig[1:] ** power * w[1:] * fvals)).sum(axis=1)
+        kmat = airy_scaled(x[:, None] / sig[None, 1:])
+        levels[m] = 9.0 * (kmat * (sig[1:] * w[1:] * fvals)).sum(axis=1)
     dt_out = times[1] - times[0]
     return SpaceTimeField(grid.origin, grid.spacing, dt_out, levels)
 
@@ -132,18 +124,20 @@ def _filon_base(omega, dt):
     return p, e0, e1
 
 
-def smooth_window(n: int, spacing: float, passband: float = 0.35,
-                  roll: float = 0.2) -> np.ndarray:
+SMOOTH_PASSBAND, SMOOTH_ROLL = 0.35, 0.2   # of the band edge: smooth_window
+
+
+def smooth_window(n: int, spacing: float) -> np.ndarray:
     """Flat passband with a Gaussian roll-off above it.
 
     The Gaussian transition has no side lobes, so a windowed step settles to
     its one-sided values within a dozen nodes instead of ringing like the
-    raw band-limited (Gibbs) step.  Content below ``passband`` of the band
-    edge is untouched.
+    raw band-limited (Gibbs) step.  Content below ``SMOOTH_PASSBAND`` of the
+    band edge is untouched.
     """
     xi = np.abs(frequencies(n, spacing))
-    cut = passband * xi.max()
-    width = roll * xi.max()
+    cut = SMOOTH_PASSBAND * xi.max()
+    width = SMOOTH_ROLL * xi.max()
     out = np.ones(n)
     hi = xi > cut
     out[hi] = np.exp(-(((xi[hi] - cut) / width) ** 2))
@@ -211,36 +205,19 @@ def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
 # ---------------------------------------------------------------------------
 
 def duhamel_forcing(g: TimeTrace, grid: GridFunction, times,
-                    panels: int = DEFAULT_PANELS,
                     method: str = "simpson") -> SpaceTimeField:
-    """Evaluate V g on a grid at the given times; V g(0, t) = g(t)."""
-    _require_causal(g, "duhamel_forcing")
-    grid.index_of_zero()
-    smoothed = riemann_liouville(g, -2.0 / 3.0)
-    if method == "simpson":
-        return _sigma_field(smoothed, grid, times, panels)
-    if method == "spectral":
-        return spectral_forcing_field(smoothed, grid, times)
-    raise DomainError(f"unknown method {method!r}")
+    """V g, the order-0 minus class; V g(0, t) = g(t)."""
+    return forcing_class(0.0, "minus", g, grid, times, method=method)
 
 
 def duhamel_forcing_deriv(g: TimeTrace, grid: GridFunction, times,
-                          panels: int = DEFAULT_PANELS,
                           method: str = "spectral") -> SpaceTimeField:
-    """Evaluate the companion operator; by definition d/dx V I_{1/3} g.
+    """The companion V^{-1} g = d/dx V I_{1/3} g, the order -1 minus class.
 
     Its vertex value is -g(t).  The spectral default keeps the x-derivative
     noise-free; "simpson" differentiates the sigma-route field of I_{1/3} g.
     """
-    _require_causal(g, "duhamel_forcing_deriv")
-    grid.index_of_zero()
-    smoothed = riemann_liouville(g, -1.0 / 3.0)
-    if method == "spectral":
-        return spectral_forcing_field(smoothed, grid, times, deriv=1)
-    if method == "simpson":
-        base = _sigma_field(smoothed, grid, times, panels)
-        return field_spatial_derivative(base, 1)
-    raise DomainError(f"unknown method {method!r}")
+    return forcing_class(-1.0, "minus", g, grid, times, method=method)
 
 
 def field_spatial_derivative(fld: SpaceTimeField, order: int) -> SpaceTimeField:
@@ -271,18 +248,22 @@ def _one_sided_convolve(levels: np.ndarray, spacing: float, lam: float,
 
 def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
                   times, panels: int = DEFAULT_PANELS,
-                  method: str = "spectral") -> ForcingEvaluation:
-    """Evaluate the generalized forcing operator of order lam.
+                  method: str = "spectral") -> SpaceTimeField:
+    """The field of the generalized forcing operator of order lam.
 
-    lam in (-2, 1).  Order 0 reduces to V; negative orders follow the
-    reduction d^k/dx^k of the order lam+k class applied to I_{k/3} g.
-    The plus class carries the complex phase e^{i pi lam}.
+    lam in (-2, 1).  Order 0 is V; negative orders follow the reduction
+    d^k/dx^k of the order lam+k class applied to I_{k/3} g, so order -1 of
+    the minus class is the companion V^{-1}.  The plus class carries the
+    complex phase e^{i pi lam}.  The grid must have an interior node at 0.
     """
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
     if not -2.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (-2, 1), got {lam}")
+    if method not in ("spectral", "simpson"):
+        raise DomainError(f"unknown method {method!r}")
     _require_causal(g, "forcing_class")
+    grid.index_of_zero()
 
     # single fractional call; the semigroup law collapses the class
     # smoothing chain into I_{-(2+lam)/3} g
@@ -295,21 +276,15 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
             # the class field decays on both sides, so the multiplier route
             # is exact where the x-space convolution would have to
             # differentiate through the vertex
-            fld = _spectral_class_negative(smoothed, grid, times, lam, sign)
-        else:
-            fld = _convolved_class(spectral_forcing_field(smoothed, grid, times),
-                                   grid, lam, sign)
-    elif method == "simpson":
-        base = _sigma_field(smoothed, grid, times, panels)
-        if lam < 0.0:
-            k = int(math.ceil(-lam))
-            fld = field_spatial_derivative(
-                _convolved_class(base, grid, lam + k, sign), k)
-        else:
-            fld = _convolved_class(base, grid, lam, sign)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return ForcingEvaluation(lam=lam, sign=sign, g=g, field=fld)
+            return _spectral_class_negative(smoothed, grid, times, lam, sign)
+        return _convolved_class(spectral_forcing_field(smoothed, grid, times),
+                                grid, lam, sign)
+    base = _sigma_field(smoothed, grid, times, panels)
+    if lam < 0.0:
+        k = int(math.ceil(-lam))
+        return field_spatial_derivative(
+            _convolved_class(base, grid, lam + k, sign), k)
+    return _convolved_class(base, grid, lam, sign)
 
 
 def _convolved_class(base: SpaceTimeField, grid: GridFunction, lam: float,
@@ -375,9 +350,8 @@ def one_sided_limits(fld: SpaceTimeField, t: float,
                  for side in ("left", "right"))
 
 
-def halfline_construct_right(phi: GridFunction, g: TimeTrace, times,
-                             panels: int = DEFAULT_PANELS,
-                             method: str = "simpson") -> SpaceTimeField:
+def halfline_construct_right(phi: GridFunction, g: TimeTrace,
+                             times) -> SpaceTimeField:
     """Solution of the right half-line linear problem with Dirichlet datum g.
 
     v = exp(-t dx^3) phi + V(g - trace of the free flow at 0).
@@ -386,7 +360,7 @@ def halfline_construct_right(phi: GridFunction, g: TimeTrace, times,
     free = group_multi(phi, times)
     free_trace = group_trace_history(phi, g.times)
     corr = TimeTrace(g.dt, g.samples - free_trace, True)
-    forced = duhamel_forcing(corr, phi, times, panels=panels, method=method)
+    forced = duhamel_forcing(corr, phi, times)
     return SpaceTimeField(free.origin, free.spacing, free.dt,
                           free.levels + forced.levels)
 
@@ -395,8 +369,7 @@ HALFLINE_LEFT_MATRIX = np.array([[2.0, -1.0], [-1.0, -1.0]]) / 3.0
 
 
 def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
-                            times, panels: int = DEFAULT_PANELS,
-                            method: str = "spectral") -> SpaceTimeField:
+                            times) -> SpaceTimeField:
     """Left half-line linear problem with Dirichlet g and left Neumann h.
 
     The boundary forcers are V h1 + V^{-1} h2 with (h1, h2) given by the
@@ -413,12 +386,9 @@ def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
     tr1 = group_trace_history(phi, g.times, 1, phases)
     alpha = g.samples - tr0
     beta = riemann_liouville(TimeTrace(g.dt, h.samples - tr1, True), 1.0 / 3.0).samples
-    h1 = TimeTrace(g.dt, HALFLINE_LEFT_MATRIX[0, 0] * alpha
-                   + HALFLINE_LEFT_MATRIX[0, 1] * beta, True)
-    h2 = TimeTrace(g.dt, HALFLINE_LEFT_MATRIX[1, 0] * alpha
-                   + HALFLINE_LEFT_MATRIX[1, 1] * beta, True)
-    v1 = duhamel_forcing(h1, free.level(0), times, panels=panels, method=method)
-    v2 = duhamel_forcing_deriv(h2, free.level(0), times, panels=panels,
-                               method=method)
+    h1, h2 = (TimeTrace(g.dt, row[0] * alpha + row[1] * beta, True)
+              for row in HALFLINE_LEFT_MATRIX)
+    v1 = duhamel_forcing(h1, free.level(0), times, method="spectral")
+    v2 = duhamel_forcing_deriv(h2, free.level(0), times)
     return SpaceTimeField(free.origin, free.spacing, free.dt,
                           free.levels + v1.levels + v2.levels)

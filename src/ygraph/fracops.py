@@ -65,10 +65,10 @@ class TimeTrace:
         return self.samples.dtype.kind == "c"
 
 
-def trace_from_function(fn, dt, n, causal=True):
-    """Sample ``fn`` on the grid 0, dt, ..., (n-1) dt."""
+def trace_from_function(fn, dt, n):
+    """The causal trace of ``fn`` sampled at 0, dt, ..., (n-1) dt."""
     t = dt * np.arange(n)
-    return TimeTrace(dt, np.asarray(fn(t)), causal)
+    return TimeTrace(dt, np.asarray(fn(t)))
 
 
 def product_weights(alpha: float, n: int) -> np.ndarray:
@@ -128,14 +128,14 @@ ONE_SIDED_CURVATURE = (2.0, -5.0, 4.0, -1.0)
 
 # Limits at x = 0 of a row with the vertex at node i0.  Each is one fixed
 # functional h**-deriv * sum_k weights[k] * v[i0 + offsets[k]], applied to all
-# levels at once.  Centred: nodes -1, 0, 1.  One-sided: nodes 1..4+deriv, the
-# cubic through the first four values or (derivatives) through the first four
-# differences at their own stations, composed into one vector.  Fit window
-# (j0, j1): the least-squares quadratic over nodes j0..j1, whatever h is.  A
-# left limit mirrors the offsets and carries (-1)**deriv.
+# levels at once.  Centred: nodes -1, 0, 1.  One-sided: the value and slope at
+# 0 of the cubic through nodes 1..4; the curvature through the second
+# differences at their own stations (nodes 1..6), composed into one vector.
+# Fit window (j0, j1): the least-squares quadratic over nodes j0..j1,
+# whatever h is.  A left limit mirrors the offsets and carries (-1)**deriv.
 _CENTRED = ((0.0, 1.0, 0.0), (-0.5, 0.0, 0.5), (1.0, -2.0, 1.0))
 _ONE_SIDED = ((4.0, -6.0, 4.0, -1.0),
-              (-6.5625, 18.375, -20.25, 10.625, -2.1875),  # (-105, 294, -324, 170, -35) / 16
+              (-26 / 6, 57 / 6, -42 / 6, 11 / 6),
               (10.0, -40.0, 65.0, -54.0, 23.0, -4.0))      # (10, -20, 15, -4) * (1, -2, 1)
 
 

@@ -31,6 +31,7 @@ from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
 
 BLOWUP_LIMIT = 1e6
 MAX_PICARD_ITERS = 10
+PICARD_TAPER_FRACTION = 0.15   # of the domain, at each end: picard_iterate
 
 
 def whole_steps(length: float, step: float) -> bool:
@@ -436,9 +437,9 @@ def energy_report(traj: Trajectory) -> EnergyReport:
 # whole-line reference solver (shared scheme, no vertex)
 # ---------------------------------------------------------------------------
 
-def evolve_line(u0: GridFunction, dt: float, T: float,
-                mode: str = "nonlinear") -> GridFunction:
-    """Single-interval solver with the same interior scheme, clamped ends."""
+def evolve_line(u0: GridFunction, dt: float, T: float) -> GridFunction:
+    """Single-interval nonlinear solver with the same interior scheme,
+    clamped ends."""
     n = len(u0)
     h = u0.spacing
     rows, cols, a_v, b_v = _edge_operators(n, h, dt, np.zeros(n))
@@ -455,10 +456,9 @@ def evolve_line(u0: GridFunction, dt: float, T: float,
     steps = int(round(T / dt))
     for _ in range(steps):
         rhs = bm @ x
-        if mode == "nonlinear":
-            d = _flux_derivative(x, h)
-            rhs -= dt * (d if nl_prev is None else 1.5 * d - 0.5 * nl_prev)
-            nl_prev = d
+        d = _flux_derivative(x, h)
+        rhs -= dt * (d if nl_prev is None else 1.5 * d - 0.5 * nl_prev)
+        nl_prev = d
         x = lu.solve(rhs)
         if not np.abs(x).max() <= BLOWUP_LIMIT:      # also catches NaN
             raise YGraphError("line solver blow-up")
@@ -522,34 +522,21 @@ def scaling_check(config: ScenarioConfig, lam: float) -> ScalingReport:
 # Picard iteration of the integral-equation map
 # ---------------------------------------------------------------------------
 
-def whole_line_extension(edge: GridFunction, side: str, grid: GridFunction,
-                         method: str = "taylor", width: float = 1.0) -> GridFunction:
+def whole_line_extension(edge: GridFunction, side: str,
+                         grid: GridFunction) -> GridFunction:
     """Whole-line extension of a half-line datum.
 
-    "taylor" (default) continues the datum by its second-order one-sided
-    Taylor polynomial at the vertex under a Gaussian taper of the given
-    width: C^2 matching, supported near the vertex, no spurious mass.
-
-    "hestenes" applies the classical triple reflection
-    6 f(-x) - 8 f(-2x) + 3 f(-3x).  It has the same matching order but
-    plants amplitude-6..8 images of the datum at reflected positions --
-    harmless in norm estimates, hostile numerically: the images radiate,
-    wrap around the periodized domain and excite spurious early vertex
-    traces.  Kept for cross-checks.
+    The datum continues by its second-order one-sided Taylor polynomial at
+    the vertex under the taper exp(-x^4): C^2 matching, supported near the
+    vertex, no spurious mass.  (A reflection such as Hestenes'
+    6 f(-x) - 8 f(-2x) + 3 f(-3x) matches to the same order but plants
+    amplitude-6..8 images of the datum that radiate, wrap around the
+    periodized domain and excite spurious early vertex traces.)
     """
     x = grid.x
-    xe = edge.x
-    vals = np.interp(x, xe, edge.samples, left=0.0, right=0.0)
+    vals = np.interp(x, edge.x, edge.samples, left=0.0, right=0.0)
     mask = (x > 0) if side == "left" else (x < 0)
     xm = x[mask]
-
-    if method == "hestenes":
-        def src(xx):
-            return np.interp(-xx, xe, edge.samples, left=0.0, right=0.0)
-        vals[mask] = 6.0 * src(xm) - 8.0 * src(2.0 * xm) + 3.0 * src(3.0 * xm)
-        return grid.with_samples(vals)
-    if method != "taylor":
-        raise DomainError(f"unknown extension method {method!r}")
 
     # one-sided value, slope and curvature at the vertex end, from the nodes
     # counted inward (towards -x for a datum on [-L, 0])
@@ -558,7 +545,7 @@ def whole_line_extension(edge: GridFunction, side: str, grid: GridFunction,
     f1 = sign * one_sided(ONE_SIDED_SLOPE, nodes) / edge.spacing
     f2 = one_sided(ONE_SIDED_CURVATURE, nodes) / edge.spacing ** 2
     poly = nodes[0] + f1 * xm + 0.5 * f2 * xm ** 2
-    vals[mask] = poly * np.exp(-((xm / width) ** 2) ** 2)
+    vals[mask] = poly * np.exp(-(xm ** 2) ** 2)
     return grid.with_samples(vals)
 
 
@@ -583,36 +570,34 @@ class PicardResult:
 
 
 def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
-                   n_levels: int = None, trace_dt: float = None,
-                   taper_fraction: float = 0.15) -> PicardResult:
+                   n_levels: int = None) -> PicardResult:
     """Iterate the integral-equation map on whole-line fields.
 
     Each pass recomputes the inhomogeneous Duhamel term from the previous
     iterate's nonlinearity, re-solves the vertex system for the boundary
-    traces and re-assembles the forcing superposition.  The nonlinear input
-    to the group is tapered over the outer ``taper_fraction`` of the domain
-    so the construction's slow polynomial tails cannot seed wrap-around.
+    traces and re-assembles the forcing superposition.  Vertex traces are
+    sampled every config.dt.  The nonlinear input to the group is tapered
+    over the outer :data:`PICARD_TAPER_FRACTION` of the domain so the
+    construction's slow polynomial tails cannot seed wrap-around.
     """
     if not 1 <= n_iter <= MAX_PICARD_ITERS:
         raise DomainError(f"n_iter must lie in 1..{MAX_PICARD_ITERS}, got {n_iter}")
     if config.T > 0.5 + 1e-12:
         raise DomainError("the iteration map is built for T <= 0.5")
-    trace_dt = trace_dt or config.dt
     h = config.h
     L = config.L
     grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
-    tt, out_times = time_ladder(config.T, trace_dt, n_levels)
+    tt, out_times = time_ladder(config.T, config.dt, n_levels)
 
     exts = whole_line_data(config, h, grid)
     free_fields = [group_multi(e, out_times, decay_tol=1e-5).levels for e in exts]
     free_tr = free_vertex_traces(exts, tt)
 
     taper = np.ones(len(grid))
-    wlen = int(taper_fraction * len(grid))
-    if wlen > 0:
-        ramp = 0.5 * (1.0 - np.cos(math.pi * np.arange(wlen) / wlen))
-        taper[:wlen] = ramp
-        taper[-wlen:] = ramp[::-1]
+    wlen = int(PICARD_TAPER_FRACTION * len(grid))      # >= 30: h <= L/100
+    ramp = 0.5 * (1.0 - np.cos(math.pi * np.arange(wlen) / wlen))
+    taper[:wlen] = ramp
+    taper[-wlen:] = ramp[::-1]
 
     # the physical edges, each including the vertex node
     i0 = grid.index_of_zero()
@@ -639,7 +624,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
             base = [f + k for f, k in zip(free_fields, k_fields)]
             traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]
 
-        _, _, new = solve_vertex(config.coupling, lam, traces, trace_dt, base,
+        _, _, new = solve_vertex(config.coupling, lam, traces, config.dt, base,
                                  grid, out_times)
 
         # contraction metric on the physical edges

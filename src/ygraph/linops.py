@@ -121,32 +121,23 @@ def frequencies(n: int, spacing: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(n, d=spacing)
 
 
-def airy_group(phi: GridFunction, t: float, decay_tol: float = DECAY_TOL) -> GridFunction:
+def airy_group(phi: GridFunction, t: float) -> GridFunction:
     """Apply the linear group at time t via the multiplier exp(i t xi^3)."""
     if not math.isfinite(t):
         raise DomainError("airy_group requires finite t")
-    _check_decay(phi, decay_tol)
+    _check_decay(phi, DECAY_TOL)
     xi = frequencies(len(phi), phi.spacing)
-    mult = np.exp(1j * t * xi ** 3)
-    if phi.is_complex:
-        out = np.fft.ifft(mult * np.fft.fft(phi.samples))
-    else:
-        out = np.fft.ifft(mult * np.fft.fft(phi.samples)).real
-    return phi.with_samples(out)
+    out = np.fft.ifft(np.exp(1j * t * xi ** 3) * np.fft.fft(phi.samples))
+    return phi.with_samples(out if phi.is_complex else out.real)
 
 
-def group_multi(phi: GridFunction, times, deriv: int = 0,
+def group_multi(phi: GridFunction, times,
                 decay_tol: float = DECAY_TOL) -> SpaceTimeField:
-    """Group applied at a uniform ladder of times starting at 0.
-
-    ``deriv`` returns d^j/dx^j of the evolution instead (spectral
-    differentiation).
-    """
+    """Group applied at a uniform ladder of times starting at 0."""
     times = np.asarray(times, dtype=float)
     dt = _uniform_dt(times)
     _check_decay(phi, decay_tol)
-    xi = frequencies(len(phi), phi.spacing)
-    spec = np.fft.fft(phi.samples) * (1j * xi) ** deriv
+    spec = np.fft.fft(phi.samples)
     levels = np.fft.ifft(trace_phases(len(phi), phi.spacing, times) * spec, axis=1)
     return SpaceTimeField(phi.origin, phi.spacing, dt,
                           levels if phi.is_complex else levels.real.copy())
@@ -264,7 +255,7 @@ def trace_at_zero(f, deriv: int = 0, side: str = "centered"):
     return vertex_limit(f.samples, f.index_of_zero(), f.spacing, side, deriv)
 
 
-def sobolev_norm(f: GridFunction, s: float, decay_tol: float = DECAY_TOL) -> float:
+def sobolev_norm(f: GridFunction, s: float) -> float:
     """Discrete H^s norm of the supplied whole-line extension.
 
     Uses (1/2pi) sum <xi>^{2s} |fhat|^2 dxi with <xi> = 1 + |xi|; at s = 0
@@ -272,7 +263,7 @@ def sobolev_norm(f: GridFunction, s: float, decay_tol: float = DECAY_TOL) -> flo
     """
     if not -1.0 <= s <= 2.0:
         raise DomainError("s must lie in [-1, 2]")
-    _check_decay(f, decay_tol)
+    _check_decay(f, DECAY_TOL)
     n = len(f)
     xi = frequencies(n, f.spacing)
     fhat = f.spacing * np.fft.fft(f.samples)

@@ -166,8 +166,8 @@ def det_m(m: BoundaryMatrix) -> complex:
     return complex(np.linalg.det(m.entries))
 
 
-def is_invertible(m: BoundaryMatrix, threshold: float = DET_THRESHOLD) -> bool:
-    return abs(det_m(m)) > threshold * m.row_norm_product()
+def is_invertible(m: BoundaryMatrix) -> bool:
+    return abs(det_m(m)) > DET_THRESHOLD * m.row_norm_product()
 
 
 def closed_form_det(alpha2: float, alpha3: float, beta2: float, beta3: float,
@@ -372,8 +372,7 @@ def free_vertex_traces(data, times):
 
 
 def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
-                 trace_dt: float, base, grid: GridFunction, times,
-                 method: str = "spectral"):
+                 trace_dt: float, base, grid: GridFunction, times):
     """Solve for the boundary traces and add their forcing classes to ``base``.
 
     ``traces[j]`` holds the u, v, w vertex traces of the j-th spatial
@@ -393,7 +392,7 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
     gammas = g1, g2, g3, g4 = solve_gamma(m, rhs)
 
     def fc(lam_k, sign, g):
-        return forcing_class(lam_k, sign, g, grid, times, method=method).field.levels
+        return forcing_class(lam_k, sign, g, grid, times).levels
 
     fields = [base[0] + fc(lam.l1, "minus", g1) + fc(lam.l2, "minus", g2),
               base[1] + fc(lam.l3, "plus", g3),
@@ -405,7 +404,6 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
                              w0: GridFunction, coupling: VertexCoupling,
                              lam: LambdaVector, T: float,
                              n_levels: int = 26, trace_dt: float = 1e-3,
-                             method: str = "spectral",
                              enforce_compatibility: bool = False) -> LinearSolution:
     """Build the linear graph solution from whole-line extensions.
 
@@ -428,7 +426,7 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
     traces = free_vertex_traces(data, tt)
     free = [group_multi(d, out_times).levels for d in data]
     m, gammas, fields = solve_vertex(coupling, lam, traces, trace_dt, free,
-                                     u0, out_times, method)
+                                     u0, out_times)
 
     dt_out = float(out_times[1] - out_times[0])
     fld_u, fld_v, fld_w = (SpaceTimeField(u0.origin, u0.spacing, dt_out, lv)
@@ -453,8 +451,7 @@ class VertexResidualReport:
         return worst
 
 
-def verify_vertex_conditions(sol: LinearSolution,
-                             coupling: VertexCoupling = None) -> VertexResidualReport:
+def verify_vertex_conditions(sol: LinearSolution) -> VertexResidualReport:
     """Per-time residuals of the vertex relations from one-sided traces.
 
     u contributes its limit from the incoming side (x -> 0-), v and w from
@@ -465,7 +462,6 @@ def verify_vertex_conditions(sol: LinearSolution,
     and read by the least-squares fit outside the window transition.  Each
     limit covers all levels at once.
     """
-    cp = coupling or sol.coupling
     i0, h, n = sol.u.index_of_zero(), sol.u.spacing, sol.u.levels.shape[1]
     mults = [(1j * frequencies(n, h)) ** j * smooth_window(n, h) for j in (1, 2)]
     tr = [[], [], []]
@@ -478,5 +474,5 @@ def verify_vertex_conditions(sol: LinearSolution,
             tr[j].append(lim if np.iscomplexobj(fld.levels) else lim.real)
     scales = {j: max(np.abs(t).max() for t in tr[j]) for j in (0, 1, 2)}
     res = {label: np.abs(_combine(coefs, tr[j]))
-           for label, j, coefs in cp.relations()}
+           for label, j, coefs in sol.coupling.relations()}
     return VertexResidualReport(times=sol.times, residuals=res, scales=scales)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,9 +104,16 @@ class TestAiry:
     def test_table(self, tmp_path):
         out = str(tmp_path / "table.csv")
         assert main(["airy", "--table", "-1", "1", "5", "--out", out]) == 0
-        rows = open(out).read().splitlines()
+        rows = Path(out).read_text().splitlines()
         assert rows[0] == "x,A,Aprime"
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("n", ["2.5", "-1", "0", "nan", "inf"])
+    def test_table_rejects_bad_count(self, tmp_path, capsys, n):
+        out = tmp_path / "table.csv"
+        assert main(["airy", "--table", "-1", "1", n, "--out", str(out)]) == 2
+        assert "--table" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRoundTrips:
@@ -149,6 +157,27 @@ class TestRoundTrips:
         made = [p for p in os.listdir(tmp_path) if p.startswith("field_t")]
         assert len(made) == 3
 
+    @pytest.mark.parametrize("option, value", [
+        ("--grid", "30,0.07"), ("--grid", "30,0"), ("--grid", "30,-0.05"),
+        ("--grid", "30,nan"), ("--grid", "inf,0.05"), ("--grid", "0,0.05"),
+        ("--grid", "30"), ("--times", "0,nan"), ("--times", "0"),
+        ("--times", "0,0.15,0.2"), ("--times", "0.1,0.2"), ("--times", "0,0.5")])
+    def test_forcing_rejects_bad_grid_or_times(self, tmp_path, capsys, option,
+                                               value):
+        t = 1e-3 * np.arange(301)
+        path = write(tmp_path, "g.csv",
+                     "t,value\n" + "\n".join(f"{tt:.12g},{v:.17g}"
+                                             for tt, v in zip(t, t ** 2)))
+        argv = ["forcing", "--lambda", "0.25", "--sign", "minus", "--g", path,
+                "--out", str(tmp_path / "field.csv")]
+        for opt, val in {"--grid": "10,0.05", "--times": "0,0.15,0.3",
+                         option: value}.items():
+            argv += [opt, val]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["g.csv"]
+
     def test_forcing_rejects_nan_row(self, tmp_path, capsys):
         path = write(tmp_path, "g.csv",
                      "t,value\n0,0\n0.001,1e-6\n0.002,nan\n0.003,9e-6\n")
@@ -181,7 +210,7 @@ class TestVertexCommands:
                    "--coeffs", "1,1,0,0,1,1", "--resolution", "11",
                    "--out", out])
         assert rc == 0
-        rows = open(out).read().splitlines()
+        rows = Path(out).read_text().splitlines()
         assert rows[0] == "lambda,lambda2,absdet,threshold,invertible"
         assert len(rows) == 12
 
@@ -234,7 +263,7 @@ class TestSimulate:
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", cfgp, "--out", out,
                      "--snapshots", "2"]) == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         listed = {os.path.basename(p) for p in summary["outputs"]}
         on_disk = set(os.listdir(out))
         assert on_disk <= listed
@@ -254,7 +283,7 @@ class TestSimulate:
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", cfgp, "--out", out,
                      "--snapshots", "1"]) == 0
-        metrics = json.load(open(os.path.join(out, "summary.json")))["metrics"]
+        metrics = json.loads(Path(out, "summary.json").read_text())["metrics"]
         assert metrics["max_coupling_residual"] <= 1e-10
         u0 = 0.8 * np.exp(-((np.linspace(-20.0, 0.0, 201) + 3.0) ** 2) / 2.0)
         want = u0[-1] / (3.0 * np.linalg.norm(u0))
@@ -268,7 +297,7 @@ class TestSimulate:
             out = str(tmp_path / tag)
             assert main(["simulate", "--config", cfgp, "--out", out,
                          "--snapshots", "2"]) == 0
-            outs.append(open(os.path.join(out, "diagnostics.csv"), "rb").read())
+            outs.append(Path(out, "diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
 
     def test_config_error_exit_code(self, tmp_path, capsys):

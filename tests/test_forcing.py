@@ -121,29 +121,35 @@ def test_class_trace_laws(g, grid, lam):
     ref = g_at(g, TIMES)[MASK]
     fm = forcing_class(lam, "minus", g, grid, TIMES)
     fp = forcing_class(lam, "plus", g, grid, TIMES)
-    em = np.abs(fm.field.levels[MASK, i0] - minus_trace_factor(lam) * ref).max() \
+    em = np.abs(fm.levels[MASK, i0] - minus_trace_factor(lam) * ref).max() \
         / np.abs(minus_trace_factor(lam) * ref).max()
-    ep = np.abs(fp.field.levels[MASK, i0] - plus_trace_factor(lam) * ref).max() \
+    ep = np.abs(fp.levels[MASK, i0] - plus_trace_factor(lam) * ref).max() \
         / np.abs(ref).max()
     assert em <= 5e-3
     assert ep <= 5e-3
-    assert np.iscomplexobj(fp.field.levels)
+    assert np.iscomplexobj(fp.levels)
 
 
 def test_class_order_zero_reduces_to_base(g, grid):
     base = duhamel_forcing(g, grid, TIMES, method="simpson")
     fe = forcing_class(0.0, "minus", g, grid, TIMES, method="simpson")
-    assert np.abs(fe.field.levels - base.levels).max() <= 1e-6
+    assert np.array_equal(fe.levels, base.levels)
 
 
 def test_class_negative_one_is_companion(g, grid):
     spec = duhamel_forcing_deriv(g, grid, TIMES, method="spectral")
     fe = forcing_class(-1.0, "minus", g, grid, TIMES, method="spectral")
-    assert np.abs(fe.field.levels - spec.levels).max() <= 1e-12
+    assert np.array_equal(fe.levels, spec.levels)
+    # the power-kernel multiplier |xi| e^{i pi/2 sign(xi)} is i xi up to
+    # the rounding of cos(pi/2)
+    deriv = spectral_forcing_field(riemann_liouville(g, -1.0 / 3.0), grid,
+                                   TIMES, deriv=1)
+    assert np.abs(fe.levels - deriv.levels).max() <= \
+        1e-15 * np.abs(fe.levels).max()
     # both power-kernel multipliers reduce to i xi at lam = -1
     fp = forcing_class(-1.0, "plus", g, grid, TIMES, method="spectral")
-    assert np.abs(fp.field.levels - fe.field.levels).max() <= \
-        1e-12 * np.abs(fe.field.levels).max()
+    assert np.abs(fp.levels - fe.levels).max() <= \
+        1e-12 * np.abs(fe.levels).max()
     # against the independent kernel-quadrature route, on the decaying side
     simp = duhamel_forcing_deriv(g, grid, TIMES, method="simpson")
     side = grid.x > 0.5
@@ -156,9 +162,9 @@ def test_class_negative_one_is_companion(g, grid):
                          ids=["0.3", "0.6", "0.3-plus", "0.6-plus"])
 def test_reduction_chain(g, grid, lam, sign):
     # V^{lam-1} g = d/dx V^{lam} (I_{1/3} g); sup distance on |x| <= 5
-    lhs = forcing_class(lam - 1.0, sign, g, grid, TIMES).field
+    lhs = forcing_class(lam - 1.0, sign, g, grid, TIMES)
     base = forcing_class(lam, sign, riemann_liouville(g, 1.0 / 3.0),
-                         grid, TIMES).field
+                         grid, TIMES)
     rhs = field_spatial_derivative(base, 1)
     m = np.abs(lhs.x) <= 5.0
     dev = np.abs(lhs.levels[:, m] - rhs.levels[:, m]).max()
@@ -170,8 +176,8 @@ def test_right_tail_exponent(g):
     gd = GridFunction(-45.0, h, np.zeros(int(round(90.0 / h)) + 1))
     for lam in (0.25, 0.4):
         fe = forcing_class(lam, "minus", g, gd, TIMES)
-        lev = np.abs(fe.field.level_at(0.5).samples)
-        x = fe.field.x
+        lev = np.abs(fe.level_at(0.5).samples)
+        x = fe.x
         m = (x >= 5.0) & (x <= 40.0)
         slope = np.polyfit(np.log(x[m]), np.log(lev[m] + 1e-300), 1)[0]
         assert abs(slope - (lam - 1.0)) <= 0.15
@@ -181,8 +187,8 @@ def test_left_tail_rapid_decay(g):
     h = 0.05
     gd = GridFunction(-45.0, h, np.zeros(int(round(90.0 / h)) + 1))
     fe = forcing_class(0.25, "minus", g, gd, TIMES)
-    lev = np.abs(fe.field.level_at(0.5).samples)
-    x = fe.field.x
+    lev = np.abs(fe.level_at(0.5).samples)
+    x = fe.x
     m = (x <= -5.0) & (x >= -40.0)
     slope = np.polyfit(np.log(-x[m]), np.log(lev[m] + 1e-300), 1)[0]
     # faster than any fixed power in principle; resolved here beyond x^-3
@@ -195,8 +201,8 @@ def test_plus_class_mirrored_decay(g):
     h = 0.05
     gd = GridFunction(-45.0, h, np.zeros(int(round(90.0 / h)) + 1))
     fe = forcing_class(0.25, "plus", g, gd, TIMES)
-    lev = np.abs(fe.field.level_at(0.5).samples)
-    x = fe.field.x
+    lev = np.abs(fe.level_at(0.5).samples)
+    x = fe.x
     mneg = (x <= -5.0) & (x >= -40.0)
     slope = np.polyfit(np.log(-x[mneg]), np.log(lev[mneg] + 1e-300), 1)[0]
     assert abs(slope - (0.25 - 1.0)) <= 0.15
@@ -205,8 +211,8 @@ def test_plus_class_mirrored_decay(g):
 def test_continuity_across_vertex(g, grid):
     for lam, sign in ((0.25, "minus"), (0.25, "plus")):
         fe = forcing_class(lam, sign, g, grid, TIMES)
-        left, right = one_sided_limits(fe.field, 0.5)
-        scale = np.abs(fe.field.level_at(0.5).samples).max()
+        left, right = one_sided_limits(fe, 0.5)
+        scale = np.abs(fe.level_at(0.5).samples).max()
         assert abs(right - left) / scale <= 5e-3
 
 
@@ -214,8 +220,8 @@ def test_continuity_negative_order(g):
     h = 0.01
     gd = GridFunction(-15.0, h, np.zeros(int(round(30.0 / h)) + 1))
     fe = forcing_class(-0.5, "minus", g, gd, TIMES)
-    left, right = one_sided_limits(fe.field, 0.6)
-    scale = np.abs(fe.field.level_at(0.6).samples).max()
+    left, right = one_sided_limits(fe, 0.6)
+    scale = np.abs(fe.level_at(0.6).samples).max()
     assert abs(right - left) / scale <= 5e-3
 
 
@@ -372,8 +378,18 @@ class TestContracts:
         with pytest.raises(DomainError):
             duhamel_forcing(g, off, TIMES)
 
+    @pytest.mark.parametrize("method", ["spectral", "simpson"])
+    @pytest.mark.parametrize("origin", [1.0, -2.02], ids=["no-zero", "off-node"])
+    def test_class_grid_must_have_node_at_zero(self, g, method, origin):
+        h = 0.05
+        grid = GridFunction(origin, h, np.zeros(200))
+        with pytest.raises(DomainError):
+            forcing_class(0.3, "minus", g, grid, TIMES, method=method)
+
     def test_times_must_align(self, g, grid):
         with pytest.raises(ContractError):
             duhamel_forcing(g, grid, np.array([0.0, 0.05, 0.2]))
         with pytest.raises(ContractError):
             duhamel_forcing(g, grid, np.array([0.1, 0.2]))
+        with pytest.raises(ContractError, match="finite"):
+            forcing_class(0.3, "minus", g, grid, np.array([0.0, np.nan]))

@@ -149,9 +149,10 @@ def test_non_finite_trace_rejected(bad):
 
 COEF = st.floats(-1.0, 1.0)
 SPACING = st.floats(1e-3, 1e-1)
-# the slope entries are second order: on a cubic c3 (x/h)^3 they read
-# c3/h times these factors on top of the exact slope
-SLOPE_ERROR = {"left": 0.25, "right": 0.25, "centered": 1.0}
+# on a cubic c3 (x/h)^3 the slope entries read c3/h times these factors on
+# top of the exact slope: the one-sided entries are exact for cubics, the
+# centred one is second order
+SLOPE_ERROR = {"left": 0.0, "right": 0.0, "centered": 1.0}
 
 
 def _sampled_polynomial(coefs, reach):

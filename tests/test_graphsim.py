@@ -262,8 +262,7 @@ def test_whole_line_passthrough():
     traj = evolve(cfg, store_every=cfg.n_steps)
     fin = traj.final()
     x = np.arange(-50.0, 50.0 + 1e-9, 0.05)
-    line = evolve_line(GridFunction(-50.0, 0.05, prof(x)), 1e-3, 1.0,
-                       mode="nonlinear")
+    line = evolve_line(GridFunction(-50.0, 0.05, prof(x)), 1e-3, 1.0)
     nu = cfg.n_edge + 1
     scale = np.linalg.norm(line.samples)
     assert np.linalg.norm(fin.u.samples - line.samples[:nu]) / scale <= 1e-2
@@ -325,16 +324,6 @@ class TestExtension:
         assert right_d2 == pytest.approx(left_d2, abs=3e-2)
         assert left_d1 == pytest.approx(3.0, abs=5e-3)
         assert left_d2 == pytest.approx(7.0, abs=5e-2)
-
-    def test_hestenes_exact_for_quadratic(self):
-        h = 0.05
-        xe = -5.0 + h * np.arange(101)
-        edge = GridFunction(-5.0, h, 1.0 + xe + xe ** 2)
-        x = np.arange(-5.0, 1.0, h)
-        grid = GridFunction(-5.0, h, np.zeros(x.size))
-        ext = whole_line_extension(edge, "left", grid, method="hestenes")
-        m = (x > 0) & (x < 1.0)
-        assert np.abs(ext.samples[m] - (1.0 + x[m] + x[m] ** 2)).max() <= 1e-10
 
 
 PICARD_LAM = LambdaVector(0.05, 0.3, 0.05, 0.05)
