@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ContractError, YGraphError
+from .errors import ConfigError, ContractError, DomainError, YGraphError
 from .specfun import airy_scaled_with_deriv
 from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction, airy_group
@@ -29,7 +29,8 @@ from .forcing import _check_times, forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan, anchor_lambda,
                      assemble_linear_solution, time_ladder,
-                     verify_vertex_conditions)
+                     verify_vertex_conditions, STARTUP_WINDOW,
+                     VERTEX_RESIDUAL_TOL)
 from .graphsim import (MAX_PICARD_ITERS, InitialProfile, ScenarioConfig, evolve,
                        energy_report, picard_iterate, scaling_check,
                        whole_line_data, whole_steps)
@@ -280,13 +281,21 @@ def _stamp(t: float) -> str:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _kernel_values(option, x):
+    """A and A' at x, with a bad argument reported against its option."""
+    try:
+        return airy_scaled_with_deriv(x)
+    except DomainError as exc:
+        raise ConfigError([f"{option}: {exc}"])
+
+
 def _cmd_airy(args):
     if args.table:
         a, b, n = args.table
         if not (1 <= n < math.inf and n == int(n)):
             raise ConfigError([f"--table N must be a whole number >= 1, got {n:g}"])
         xs = np.linspace(a, b, int(n))
-        va, vp = airy_scaled_with_deriv(xs)
+        va, vp = _kernel_values("--table", xs)
         with (contextlib.nullcontext(sys.stdout) if args.out is None
               else open(args.out, "w")) as out:
             out.write("x,A,Aprime\n")
@@ -295,7 +304,7 @@ def _cmd_airy(args):
         if args.out is not None:
             print(f"wrote {args.out}")
     elif args.x is not None:
-        a, ap = airy_scaled_with_deriv(args.x)
+        a, ap = _kernel_values("--x", args.x)
         print(f"A({args.x:g}) = {a:.12g}")
         print(f"A'({args.x:g}) = {ap:.12g}")
     else:
@@ -438,14 +447,22 @@ def _cmd_vertex_construct(args):
             fh.write(f"{t:.12g}," + ",".join(f"{rep.residuals[k][i]:.17g}"
                                              for k in labels) + "\n")
     outputs.append(respath)
+    worst = rep.worst_relative()
     man = RunManifest(command="vertex construct",
                       config_echo=_config_echo(cfg),
-                      metrics={"worst_relative_residual": rep.worst_relative(),
+                      metrics={"worst_relative_residual": worst,
                                "imag_residual": sol.imag_residual(),
                                "det": abs(det_m(sol.matrix))})
     man.outputs.extend(outputs)
     man.write(os.path.join(args.out, "manifest.json"))
-    print(f"worst relative vertex residual: {rep.worst_relative():.3e}")
+    if rep.times[-1] < STARTUP_WINDOW:
+        print(f"no level at t >= {STARTUP_WINDOW:g}: vertex residual not checked")
+        return 0
+    print(f"worst relative vertex residual on t >= {STARTUP_WINDOW:g}: {worst:.3e}")
+    if worst > VERTEX_RESIDUAL_TOL:
+        print(f"error: worst relative vertex residual {worst:.3e} exceeds the "
+              f"tolerance {VERTEX_RESIDUAL_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -26,6 +26,10 @@ from .forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
 
 DET_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-8
+# The constructed fields settle into the vertex relations over a start-up
+# window; residuals are judged from STARTUP_WINDOW on against VERTEX_RESIDUAL_TOL.
+STARTUP_WINDOW = 0.1
+VERTEX_RESIDUAL_TOL = 2e-2
 
 
 class CouplingKind(Enum):
@@ -441,13 +445,18 @@ class VertexResidualReport:
     residuals: dict          # relation label -> per-time absolute residual
     scales: dict             # derivative order -> trace magnitude scale
 
-    def worst_relative(self, skip_startup: int = 1) -> float:
+    def worst_relative(self, skip_startup: int | None = None) -> float:
+        """Worst residual over its order's trace scale, from level skip_startup
+        on (default: the first level at t >= STARTUP_WINDOW); 0.0 when no
+        level is left."""
+        if skip_startup is None:
+            skip_startup = int(np.searchsorted(self.times, STARTUP_WINDOW))
         worst = 0.0
         for label, res in self.residuals.items():
             order = {"dirichlet": 0, "neumann": 1, "second": 2}[
                 label.split(":")[0]]
             scale = max(self.scales[order], 1e-300)
-            worst = max(worst, float(np.max(res[skip_startup:]) / scale))
+            worst = max(worst, float(np.max(res[skip_startup:], initial=0.0) / scale))
         return worst
 
 

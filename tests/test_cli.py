@@ -45,6 +45,12 @@ fraction = 0.0
 strength = 0.0
 """
 
+CONSTRUCT_DATA = """[initial]
+u = gaussian amplitude=1.0 center=-8 width=1.2
+v = gaussian amplitude=0.7 center=7 width=1.1
+w = gaussian amplitude=0.5 center=9 width=1.3
+"""
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -114,6 +120,16 @@ class TestAiry:
         assert main(["airy", "--table", "-1", "1", n, "--out", str(out)]) == 2
         assert "--table" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--x=-1e200"], ["--x", "nan"],
+                                      ["--table", "-100000000000", "0", "3"]],
+                             ids=["x", "x-nan", "table"])
+    def test_rejects_argument_outside_domain(self, tmp_path, capsys, argv):
+        out = tmp_path / "table.csv"
+        assert main(["airy", *argv, "--out", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert argv[0].split("=")[0] in cap.err
+        assert cap.out == "" and not out.exists()
 
 
 class TestRoundTrips:
@@ -223,7 +239,7 @@ class TestVertexCommands:
         assert "--resolution" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_construct_uses_given_spacing(self, tmp_path):
+    def test_construct_uses_given_spacing(self, tmp_path, capsys):
         # np.linspace would put x = 0 about 1e-15 off the grid node here
         text = MINIMAL.replace("[coupling]", "[grid]\nL = 55\n[time]\nT = 0.01\n"
                                "[coupling]")
@@ -231,6 +247,7 @@ class TestVertexCommands:
         out = str(tmp_path / "traj")
         assert main(["vertex", "construct", "--config", cfgp, "--h", "0.0125",
                      "--levels", "11", "--out", out]) == 0
+        assert "not checked" in capsys.readouterr().out
         u = read_field_csv(os.path.join(out, "edge_u_t0p01.csv"))
         assert u.spacing == pytest.approx(0.0125, rel=1e-12)
 
@@ -255,6 +272,22 @@ class TestVertexCommands:
                      "--levels", levels, "--out", str(out)]) == 2
         assert "--levels" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("h, code", [("0.00625", 0), ("0.05", 1)],
+                             ids=["fine-passes", "coarse-fails"])
+    def test_construct_gates_on_residual(self, tmp_path, capsys, h, code):
+        # criterion 6's data on a shorter line and ladder: the worst residual
+        # after the start-up window is 1.4e-2 at h = 0.00625 and 1.1 at 0.05
+        text = MINIMAL.replace("[coupling]", "[grid]\nL = 20\n[time]\ndt = 0.001\n"
+                               "T = 0.2\n[coupling]") + CONSTRUCT_DATA
+        cfgp = write(tmp_path, "construct.cfg", text)
+        out = tmp_path / "traj"
+        assert main(["vertex", "construct", "--config", cfgp, "--h", h,
+                     "--levels", "3", "--out", str(out)]) == code
+        cap = capsys.readouterr()
+        assert "on t >= 0.1" in cap.out
+        assert ("tolerance 0.02" in cap.err) == (code == 1)
+        assert (out / "manifest.json").exists()
 
 
 class TestSimulate:

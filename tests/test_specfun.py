@@ -12,8 +12,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from ygraph import specfun
 from ygraph.errors import DomainError
-from ygraph.specfun import (airy_scaled, airy_scaled_deriv,
+from ygraph.specfun import (X_MIN, airy_scaled, airy_scaled_deriv,
                             airy_scaled_with_deriv, gamma_fn)
 
 CBRT3 = 3.0 ** (1.0 / 3.0)
@@ -116,6 +117,83 @@ def test_domain_errors(bad):
         airy_scaled(bad)
     with pytest.raises(DomainError):
         airy_scaled_deriv(bad)
+
+
+class TestSeams:
+    """Ai and Ai' against mpmath on both sides of every switch in specfun."""
+
+    @staticmethod
+    def mp_pair(x):
+        with mpmath.workdps(30):
+            z = mpmath.mpf(float(x)) / mpmath.cbrt(3)
+            return (float(mpmath.airyai(z) / mpmath.cbrt(3)),
+                    float(mpmath.airyai(z, derivative=1) / mpmath.cbrt(3) ** 2))
+
+    @staticmethod
+    def around(edges_z, seed):
+        """x at each seam z = edge and at seeded random offsets below and above it."""
+        rng = np.random.default_rng(seed)
+        edges_z = np.asarray(edges_z, dtype=float)
+        off = rng.uniform(1e-9, 1e-4, (edges_z.size, 2)) * [-1.0, 1.0]
+        z = np.concatenate([edges_z, (edges_z[:, None] * (1.0 + off)).ravel()])
+        return CBRT3 * z
+
+    def check(self, x, slack_a=0.0, slack_ap=0.0):
+        a, ap = airy_scaled_with_deriv(x)
+        ref = np.array([self.mp_pair(v) for v in x])
+        assert np.all(np.abs(a - ref[:, 0]) <= 1e-10 + slack_a)
+        assert np.all(np.abs(ap - ref[:, 1]) <= 1e-9 + slack_ap)
+
+    def test_taylor_cell_edges(self):
+        k = np.arange(-specfun._N_CELLS, specfun._N_CELLS + 1)
+        centres = k / specfun._CELLS_PER_UNIT
+        half = 0.5 / specfun._CELLS_PER_UNIT
+        edges = np.concatenate([centres - half, centres + half])
+        edges = np.unique(edges[np.abs(edges) <= specfun._Z_SWITCH])
+        self.check(self.around(edges, seed=91))
+
+    def test_series_switch(self):
+        self.check(self.around([-specfun._Z_SWITCH, specfun._Z_SWITCH], seed=92))
+
+    def test_term_count_band_edges(self):
+        # beyond |x| = 30 the phase zeta = (2/3)|z|**1.5 is itself rounded:
+        # allow that rounding times the amplitude, zeta * 2**-51 * |z|**(-+1/4)
+        zeta = specfun._BAND_ZETA[1:]
+        z = (1.5 * zeta) ** (2.0 / 3.0)
+        x = self.around(np.concatenate([-z, z[zeta < 745.0]]), seed=93)
+        w = np.abs(x) / CBRT3
+        slack = (2.0 / 3.0) * w ** 1.5 * 2.0 ** -51 / math.sqrt(math.pi)
+        self.check(x, slack_a=slack * w ** -0.25, slack_ap=slack * w ** 0.25)
+
+    def test_value_alone_is_the_joint_value(self):
+        edges = self.around((1.5 * specfun._BAND_ZETA[1:]) ** (2.0 / 3.0), 94)
+        x = np.concatenate([np.linspace(-300.0, 300.0, 20001), -edges, edges,
+                            [X_MIN, 1e300]])
+        assert np.array_equal(airy_scaled(x), airy_scaled_with_deriv(x)[0])
+        for v in (-7.5, 0.0, 3.0, 9.2):
+            assert airy_scaled(v) == airy_scaled_with_deriv(v)[0]
+
+
+class TestArgumentRange:
+    def test_phase_without_digits_raises(self):
+        with pytest.raises(DomainError, match="-1e[+]200"):
+            airy_scaled(-1e200)
+        with pytest.raises(DomainError, match="2[*][*]53"):
+            airy_scaled_with_deriv(np.array([0.0, np.nextafter(X_MIN, -np.inf)]))
+        with pytest.raises(DomainError):
+            airy_scaled_deriv(-1e11)
+
+    def test_bound_is_far_beyond_the_simpson_route(self):
+        assert X_MIN < -1e10
+        a, ap = airy_scaled_with_deriv(X_MIN)
+        assert math.isfinite(a) and math.isfinite(ap) and abs(a) < 0.1
+
+    def test_decaying_side_underflows_to_exact_zero(self):
+        x = CBRT3 * np.array([100.0, 110.0, 1e3, 1e300])
+        a, ap = airy_scaled_with_deriv(x)
+        assert a[0] > 0.0 and ap[0] < 0.0
+        assert np.all(a[1:] == 0.0) and np.all(ap[1:] == 0.0)
+        assert airy_scaled(np.finfo(float).max) == 0.0
 
 
 class TestGamma:
