@@ -248,6 +248,8 @@ class TestVertexCommands:
         assert main(["vertex", "construct", "--config", cfgp, "--h", "0.0125",
                      "--levels", "11", "--out", out]) == 0
         assert "not checked" in capsys.readouterr().out
+        man = json.loads(Path(out, "manifest.json").read_text())
+        assert man["metrics"]["worst_relative_residual"] is None
         u = read_field_csv(os.path.join(out, "edge_u_t0p01.csv"))
         assert u.spacing == pytest.approx(0.0125, rel=1e-12)
 
@@ -287,7 +289,8 @@ class TestVertexCommands:
         cap = capsys.readouterr()
         assert "on t >= 0.1" in cap.out
         assert ("tolerance 0.02" in cap.err) == (code == 1)
-        assert (out / "manifest.json").exists()
+        man = json.loads((out / "manifest.json").read_text())
+        assert (man["metrics"]["worst_relative_residual"] > 2e-2) == (code == 1)
 
 
 class TestSimulate:
