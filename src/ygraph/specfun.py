@@ -15,10 +15,10 @@ evaluated through that rescaling, z = x / 3**(1/3), in bands of z:
   with Ai(c) and Ai'(c) from a 48-term Kahan-compensated Maclaurin series.
   The series runs only once, at import; Ai' comes from the same table.
 * |z| > 6.7: the asymptotic expansions in the phase
-  zeta = (2/3)|z|**1.5.  The number of terms is set per band of zeta (one
-  band per power of two) as the fewest whose first omitted term is below
-  2**-56 of the leading one, capped at 16; 16 terms stay below ~1e-11
-  absolute at the seam.  On the decaying side Ai is an exact 0 wherever
+  zeta = (2/3)|z|**1.5.  The number of terms is set per band of zeta
+  (bands start at powers of two) as the fewest whose first omitted term is
+  below 2**-56 of the leading one, capped at 16; 16 terms stay below
+  ~1e-11 absolute at the seam.  On the decaying side Ai is an exact 0 wherever
   exp(-zeta) underflows, with no sum.  On the oscillatory side a phase of
   2**53 or more carries no digits, so arguments x below ``X_MIN``
   (about -8.2e10) raise ``DomainError``.
