@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -589,9 +590,16 @@ def _floats(text):
     return [float(tok) for tok in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    # "-1e11" and "-1e-3" are numbers, not option names (argparse before 3.13
+    # reads only "-12" and "-1.5" so); the subparsers inherit the class
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="ygraph",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="ygraph", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command")
 

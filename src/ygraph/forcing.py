@@ -39,7 +39,7 @@ from .fracops import (TimeTrace, riemann_liouville, product_weights,
                       _first_sample_correction, sampled_derivative,
                       vertex_limit)
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, trace_phases
+    group_trace_history, ladder_phases
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
@@ -154,25 +154,23 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     """Filon recurrence shared by the spectral routes.
 
     phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
-    for the piecewise-linear interpolant of f; each output level is
-    ifft(3 phi mult), where ``mult`` holds the frequency filter with the
-    grid phase and 1/spacing.  ``real`` keeps the real part.
+    for the piecewise-linear interpolant of f: phi <- p phi + a f_{m+1} + b f_m
+    (b = e1/dt, a = e0 - b).  Over an output stride of s cells, phi <- p^s phi
+    + C @ f[ks:ks+s+1], row q of C being p^{s-q} a + p^{s-1-q} b (no negative
+    powers).  Each level is ifft(3 phi mult); ``mult`` holds the frequency
+    filter with the grid phase and 1/spacing.  ``real`` keeps the real part.
     """
     idx = _check_times(times, smoothed.dt, len(smoothed))
-    n = len(grid)
+    n, s = len(grid), int(idx[1])
     p, e0, e1 = _filon_base(frequencies(n, grid.spacing) ** 3, smoothed.dt)
-    f = smoothed.samples.astype(complex)
-    df = np.diff(f)
-
-    want = {int(i): m for m, i in enumerate(idx)}
-    levels = np.zeros((len(idx), n), dtype=complex)
-    phi = np.zeros(n, dtype=complex)   # any level at t = 0 stays zero
-    e1od = e1 / smoothed.dt
-    for m in range(int(idx.max())):
-        phi = phi * p + f[m + 1] * e0 - df[m] * e1od
-        k = want.get(m + 1)
-        if k is not None:
-            levels[k] = np.fft.ifft(3.0 * phi * mult)
+    pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (s, n))]), axis=0)
+    rev, b = pw[s - 1::-1], e1 / smoothed.dt          # rev: p^{s-1} .. p^0
+    coef = np.pad(rev * b, ((0, 1), (0, 0))) + np.pad(rev * (e0 - b), ((1, 0), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(smoothed.samples, s + 1)
+    levels = np.vstack([np.zeros(n), windows[::s][:idx.size - 1] @ coef])  # t = 0: zero
+    for k in range(2, idx.size):
+        levels[k] += pw[s] * levels[k - 1]
+    levels = np.fft.ifft(3.0 * levels * mult, axis=1)
     if real:
         levels = levels.real
     dt_out = float(times[1] - times[0])
@@ -381,9 +379,8 @@ def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
     if g.dt != h.dt or len(g) != len(h):
         raise ContractError("g and h must share one time grid")
     free = group_multi(phi, times)
-    phases = trace_phases(len(phi), phi.spacing, g.times)
-    tr0 = group_trace_history(phi, g.times, 0, phases)
-    tr1 = group_trace_history(phi, g.times, 1, phases)
+    phases = ladder_phases(len(phi), phi.spacing, g.times)
+    tr0, tr1 = (group_trace_history(phi, g.times, j, phases) for j in (0, 1))
     alpha = g.samples - tr0
     beta = riemann_liouville(TimeTrace(g.dt, h.samples - tr1, True), 1.0 / 3.0).samples
     h1, h2 = (TimeTrace(g.dt, row[0] * alpha + row[1] * beta, True)

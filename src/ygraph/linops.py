@@ -168,28 +168,42 @@ def trace_phases(n: int, spacing: float, times) -> np.ndarray:
     return phases
 
 
+def ladder_phases(n: int, spacing: float, times):
+    """The coarse (t_0, t_s, t_2s, ...) and fine (t_0 .. t_{s-1}) rows of
+    :func:`trace_phases` for a uniform ladder of M times from 0, s =
+    ceil(sqrt(M)): exp(i t_{js+r} xi^3) = exp(i t_{js} xi^3) exp(i t_r xi^3),
+    so about 2 sqrt(M) rows stand for all M."""
+    times = np.asarray(times, dtype=float)
+    _uniform_dt(times)
+    s = math.isqrt(times.size - 1) + 1
+    return trace_phases(n, spacing, times[::s]), trace_phases(n, spacing, times[:s])
+
+
 def group_trace_history(phi: GridFunction, times, deriv: int = 0,
-                        phases: np.ndarray = None) -> np.ndarray:
+                        phases=None) -> np.ndarray:
     """Trace of d^j/dx^j exp(-t d^3/dx^3) phi at x = 0 for each time.
 
     Evaluated directly in frequency space; exact up to the periodization
-    already inherent in the grid representation.  The phase matrix
-    ``trace_phases(len(phi), phi.spacing, times)`` depends only on the grid
-    and the time ladder, not on the data or ``deriv``: callers tracing
-    several functions on one grid and ladder build it once and pass it as
-    ``phases``; without it the call builds its own.
+    already inherent in the grid representation.  The times form a uniform
+    ladder from 0, and time t_{js+r} is entry (j, r) of one small product
+    of the :func:`ladder_phases` pair.  The pair depends only on the grid
+    and the ladder: callers tracing several functions on one grid and
+    ladder build it once and pass it as ``phases``; without it the call
+    builds its own.
     """
     times = np.asarray(times, dtype=float)
+    _uniform_dt(times)
     if phases is None:
-        phases = trace_phases(len(phi), phi.spacing, times)
-    elif phases.shape != (times.size, len(phi)):
-        raise ContractError(
-            f"phase matrix shape {phases.shape} does not match "
-            f"{times.size} times x {len(phi)} grid points")
+        phases = ladder_phases(len(phi), phi.spacing, times)
+    s = math.isqrt(times.size - 1) + 1
+    if [np.shape(t) for t in phases] != [(-(-times.size // s), len(phi)), (s, len(phi))]:
+        raise ContractError(f"phases are not the ladder_phases pair of {times.size} "
+                            f"times x {len(phi)} grid points")
+    coarse, fine = phases
     xi = frequencies(len(phi), phi.spacing)
     spec = np.fft.fft(phi.samples) / len(phi)
     spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
-    out = phases @ spec
+    out = ((coarse * spec) @ fine.T).reshape(-1)[:times.size]
     if not phi.is_complex:
         out = out.real
     return out

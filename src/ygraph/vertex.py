@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville, vertex_limit
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, trace_phases
+    group_trace_history, ladder_phases
 from .forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
 
 DET_THRESHOLD = 1e-8
@@ -367,10 +367,10 @@ def free_vertex_traces(data, times):
     x-derivatives: ``[[trace of d^j/dx^j exp(-t dx^3) d for d in data]
     for j in (0, 1, 2)]``, the ``traces`` layout of :func:`solve_vertex`.
 
-    The data share one grid, so one phase matrix serves all the histories;
-    it is released when this returns.
+    The data share one grid, so one pair of ladder phase tables serves all
+    the histories.
     """
-    phases = trace_phases(len(data[0]), data[0].spacing, times)
+    phases = ladder_phases(len(data[0]), data[0].spacing, times)
     return [[group_trace_history(d, times, j, phases) for d in data]
             for j in (0, 1, 2)]
 

@@ -122,14 +122,28 @@ class TestAiry:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--x=-1e200"], ["--x", "nan"],
-                                      ["--table", "-100000000000", "0", "3"]],
-                             ids=["x", "x-nan", "table"])
+                                      ["--table", "-100000000000", "0", "3"],
+                                      ["--x", "-1e200"],
+                                      ["--table", "-1e11", "0", "3"]],
+                             ids=["x", "x-nan", "table", "x-exponent",
+                                  "table-exponent"])
     def test_rejects_argument_outside_domain(self, tmp_path, capsys, argv):
         out = tmp_path / "table.csv"
         assert main(["airy", *argv, "--out", str(out)]) == 2
         cap = capsys.readouterr()
         assert argv[0].split("=")[0] in cap.err
         assert cap.out == "" and not out.exists()
+
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--x", "-1e-3"], "A(-0.001) = 0.2462"),
+        (["--x", "-.5"], "A(-0.5) = 0.3064"),
+        (["--table", "-1e-3", "0", "2"], "-0.001,0.2462")],
+        ids=["x", "x-no-leading-digit", "table"])
+    def test_negative_exponent_form_is_a_value(self, capsys, argv, want):
+        # argparse before 3.13 took "-1e-3" for an option name
+        assert main(["airy", *argv]) == 0
+        assert want in capsys.readouterr().out
 
 
 class TestRoundTrips:

@@ -11,13 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import TimeTrace, riemann_liouville
 from ygraph.linops import GridFunction, SpaceTimeField, frequencies, \
     trace_at_zero
 from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
-                            duhamel_forcing,
+                            _filon_base, _filon_field, duhamel_forcing,
                             duhamel_forcing_deriv, field_spatial_derivative,
                             forcing_class, minus_trace_factor,
                             one_sided_limits, plus_trace_factor,
@@ -393,3 +394,36 @@ class TestContracts:
             duhamel_forcing(g, grid, np.array([0.1, 0.2]))
         with pytest.raises(ContractError, match="finite"):
             forcing_class(0.3, "minus", g, grid, np.array([0.0, np.nan]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stride=st.integers(1, 40), n_out=st.integers(2, 8),
+       extra=st.integers(0, 5), complex_trace=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
+                                                         complex_trace, seed):
+    # the field advances one output stride per product; the reference takes
+    # one trace step at a time and keeps every stride-th state.  Phases
+    # xi^3 dt reach ~30 on this grid, so both Filon branches are exercised.
+    rng = np.random.default_rng(seed)
+    n, h, dt = 128, 0.1, 1e-3
+    n_steps = stride * (n_out - 1)
+    f = rng.standard_normal(n_steps + 1 + extra)
+    if complex_trace:
+        f = f + 1j * rng.standard_normal(f.size)
+    grid = GridFunction(-6.4, h, np.zeros(n))
+    mult = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    times = stride * dt * np.arange(n_out)
+    got = _filon_field(TimeTrace(dt, f), grid, times, mult, not complex_trace)
+
+    p, e0, e1 = _filon_base(frequencies(n, h) ** 3, dt)
+    phi = np.zeros(n, dtype=complex)
+    want = np.zeros((n_out, n), dtype=complex)
+    for m in range(n_steps):
+        phi = phi * p + f[m + 1] * e0 - (f[m + 1] - f[m]) * e1 / dt
+        if (m + 1) % stride == 0:
+            want[(m + 1) // stride] = np.fft.ifft(3.0 * phi * mult)
+    if not complex_trace:
+        want = want.real
+    assert np.iscomplexobj(got.levels) == complex_trace
+    assert np.abs(got.levels - want).max() <= 1e-12 * np.abs(want).max()

@@ -10,8 +10,8 @@ from ygraph import linops, vertex
 from ygraph.errors import ContractError, DomainError
 from ygraph.linops import (GridFunction, SpaceTimeField, airy_group,
                            duhamel_inhomog, frequencies, gaussian_profile,
-                           group_multi, group_trace_history, sobolev_norm,
-                           trace_at_zero, trace_phases)
+                           group_multi, group_trace_history, ladder_phases,
+                           sobolev_norm, trace_at_zero, trace_phases)
 from ygraph.specfun import airy_scaled, airy_scaled_deriv
 
 
@@ -300,6 +300,24 @@ class TestTracePhases:
         want = np.exp(1j * np.outer(times, frequencies(n, h) ** 3))
         assert np.array_equal(trace_phases(n, h, times), want)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 26, 101, 501])
+    def test_ladder_pair_reproduces_trace_phases(self, m):
+        # row js + r of the full matrix is coarse row j times fine row r.
+        # Both forms round the phase t xi^3 to its own ulp, so they agree to
+        # 1e-13 where |t xi^3| stays below ~100 (h = 0.5) and to a few ulps
+        # of the phase on a fine grid (h = 0.01, phases up to 1.5e7)
+        times = 1e-3 * np.arange(m)
+        s = math.ceil(math.sqrt(m))
+        for n, h, tol in ((64, 0.5, 1e-13), (2048, 0.01, None)):
+            coarse, fine = ladder_phases(n, h, times)
+            assert coarse.shape == (math.ceil(m / s), n) and fine.shape == (s, n)
+            full = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, n)[:m]
+            err = np.abs(full - trace_phases(n, h, times))
+            if tol is None:
+                phase = np.abs(np.outer(times, frequencies(n, h) ** 3))
+                tol = 4 * np.finfo(float).eps * (1.0 + phase)
+            assert np.all(err <= tol)
+
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_prebuilt_matrix_gives_the_same_history(self, kind, deriv):
@@ -310,20 +328,51 @@ class TestTracePhases:
             prof = prof * np.exp(0.7j * x)
         phi = GridFunction(x[0], h, prof)
         times = 1e-3 * np.arange(201)
-        phases = trace_phases(len(phi), h, times)
+        phases = ladder_phases(len(phi), h, times)
         got = group_trace_history(phi, times, deriv, phases)
         assert np.array_equal(got, group_trace_history(phi, times, deriv))
         assert np.iscomplexobj(got) == (kind == "complex")
+        # the factorized history is the full phase-matrix product
+        spec = np.fft.fft(phi.samples) / len(phi)
+        xi = frequencies(len(phi), h)
+        spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
+        want = trace_phases(len(phi), h, times) @ spec
+        want = want if kind == "complex" else want.real
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_mismatched_matrix_rejected(self):
         h = 0.05
         x = np.arange(-60.0, 60.0, h)
         phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
         times = 1e-3 * np.arange(11)
+        full = trace_phases(len(phi), h, times)
+        for bad in (ladder_phases(len(phi), h, times[:8]),
+                    ladder_phases(len(phi), h, times)[::-1],
+                    ladder_phases(len(phi) - 1, h, times),
+                    full[:2], full):
+            with pytest.raises(ContractError):
+                group_trace_history(phi, times, 0, bad)
+
+    @pytest.mark.parametrize("times", [1e-3 * np.arange(1, 12),
+                                       1e-3 * np.arange(11) ** 1.5,
+                                       np.array([0.0])],
+                             ids=["late-start", "non-uniform", "single"])
+    def test_ladder_must_be_uniform_from_zero(self, times):
+        h = 0.05
+        x = np.arange(-60.0, 60.0, h)
+        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
         with pytest.raises(ContractError):
-            group_trace_history(phi, times, 0, trace_phases(len(phi), h, times[:-1]))
+            ladder_phases(len(phi), h, times)
+        with pytest.raises(ContractError):
+            group_trace_history(phi, times)
+        if times.size > 1:
+            pair = ladder_phases(len(phi), h, 1e-3 * np.arange(times.size))
+            with pytest.raises(ContractError):
+                group_trace_history(phi, times, 0, pair)
 
     def test_assembly_builds_one_matrix(self, monkeypatch):
+        # one ladder pair for all nine trace histories, and no phase table
+        # anywhere in the assembly with more than 2 ceil(sqrt(M)) rows
         built = []
 
         def counting(*args):
@@ -331,7 +380,13 @@ class TestTracePhases:
             return trace_phases(*args)
 
         monkeypatch.setattr(linops, "trace_phases", counting)
-        monkeypatch.setattr(vertex, "trace_phases", counting)
+        ladders = []
+
+        def counting_pairs(*args):
+            ladders.append(args)
+            return linops.ladder_phases(*args)
+
+        monkeypatch.setattr(vertex, "ladder_phases", counting_pairs)
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
         u0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.5, -8.0, 1.2))
@@ -341,10 +396,8 @@ class TestTracePhases:
             u0, v0, w0, vertex.VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0),
             vertex.LambdaVector(0.05, 0.3, 0.05, 0.05), T=0.05, n_levels=11,
             trace_dt=1e-3)
-        # group_multi builds its own matrix on the 11 output levels; the
-        # trace ladder's matrix is built once for all nine histories
         tt, _ = vertex.time_ladder(0.05, 1e-3, 11)
-        on_trace_ladder = [b for b in built if len(b[2]) == tt.size]
-        assert len(on_trace_ladder) == 1
-        assert on_trace_ladder[0][:2] == (len(u0), h)
-        assert np.array_equal(on_trace_ladder[0][2], tt)
+        assert len(ladders) == 1
+        assert ladders[0][:2] == (len(u0), h)
+        assert np.array_equal(ladders[0][2], tt)
+        assert max(len(b[2]) for b in built) <= 2 * math.ceil(math.sqrt(tt.size))

@@ -292,6 +292,27 @@ class TestAssemble:
             assemble_linear_solution(z, z, z, C_UNIT, lam, T=T,
                                      n_levels=n_levels, trace_dt=1e-3)
 
+    def test_residuals_do_not_depend_on_the_output_ladder(self):
+        # 4 and 7 levels over T = 0.3 share t = 0, 0.1, 0.2, 0.3.  Fields and
+        # absolute residuals agree there to rounding; the relative residual
+        # still differs, because VertexResidualReport.scales is a max over
+        # the stored levels (curvature scale 0.0097 against 0.031 here).
+        h = 0.0125
+        gx = np.arange(-20.0, 20.0, h)
+        data = [GridFunction(gx[0], h, gaussian_profile(gx, a, c, wd))
+                for a, c, wd in ((1.0, -8.0, 1.2), (0.7, 7.0, 1.1), (0.5, 9.0, 1.3))]
+        lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
+        sols = [assemble_linear_solution(*data, C_UNIT, lam, T=0.3, n_levels=n,
+                                         trace_dt=1e-3) for n in (4, 7)]
+        reps = [verify_vertex_conditions(sol) for sol in sols]
+        assert np.allclose(reps[0].times, reps[1].times[::2], rtol=0, atol=1e-15)
+        for name in "uvw":
+            a, b = (getattr(sol, name).levels for sol in sols)
+            assert np.abs(a - b[::2]).max() <= 1e-13 * np.abs(a).max()
+        for label, j, _ in C_UNIT.relations():
+            a, b = reps[0].residuals[label], reps[1].residuals[label][::2]
+            assert np.abs(a - b).max() <= 1e-9 * reps[0].scales[j]
+
     def test_grid_mismatch(self):
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
