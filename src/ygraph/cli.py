@@ -591,8 +591,7 @@ def _floats(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    # "-1e11" and "-1e-3" are numbers, not option names (argparse before 3.13
-    # reads only "-12" and "-1.5" so); the subparsers inherit the class
+    # "-1e11" and "-1e-3" are numbers, not options (argparse < 3.13); subparsers inherit
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")

@@ -154,22 +154,33 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     """Filon recurrence shared by the spectral routes.
 
     phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
-    for the piecewise-linear interpolant of f: phi <- p phi + a f_{m+1} + b f_m
-    (b = e1/dt, a = e0 - b).  Over an output stride of s cells, phi <- p^s phi
-    + C @ f[ks:ks+s+1], row q of C being p^{s-q} a + p^{s-1-q} b (no negative
-    powers).  Each level is ifft(3 phi mult); ``mult`` holds the frequency
-    filter with the grid phase and 1/spacing.  ``real`` keeps the real part.
+    for the piecewise-linear interpolant of f: phi <- p phi + b f_m + a f_{m+1}
+    (b = e1/dt, a = e0 - b); over c cells from node k, phi <- p^c phi +
+    sum_i p^{c-1-i} (b f_{k+i} + a f_{k+i+1}).  Each output stride is nb blocks
+    of q ~ sqrt(M) cells and one of the r left: one product per block length
+    and a loop over blocks, with tables of q rows whatever the stride.  Each
+    level is ifft(3 phi mult), ``mult`` holding the frequency filter with the
+    grid phase and 1/spacing.  ``real`` keeps the real part.
     """
     idx = _check_times(times, smoothed.dt, len(smoothed))
     n, s = len(grid), int(idx[1])
+    q = min(s, math.isqrt(int(idx[-1])) + 1)
+    (nb, r), first = divmod(s, q), s * np.arange(idx.size - 1)
     p, e0, e1 = _filon_base(frequencies(n, grid.spacing) ** 3, smoothed.dt)
-    pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (s, n))]), axis=0)
-    rev, b = pw[s - 1::-1], e1 / smoothed.dt          # rev: p^{s-1} .. p^0
-    coef = np.pad(rev * b, ((0, 1), (0, 0))) + np.pad(rev * (e0 - b), ((1, 0), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(smoothed.samples, s + 1)
-    levels = np.vstack([np.zeros(n), windows[::s][:idx.size - 1] @ coef])  # t = 0: zero
-    for k in range(2, idx.size):
-        levels[k] += pw[s] * levels[k - 1]
+    pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (q, n))]), axis=0)
+    rb = pw[q - 1::-1] * (e1 / smoothed.dt)          # rows p^{q-1} b .. b
+    ra = pw[q - 1::-1] * (e0 - e1 / smoothed.dt)     # rows p^{q-1} a .. a
+
+    def gain(c, k):   # the sum over c cells from each node k
+        win = np.lib.stride_tricks.sliding_window_view(smoothed.samples, c)
+        return win[k] @ rb[q - c:] + win[k + 1] @ ra[q - c:]
+    full, rest = gain(q, first[:, None] + q * np.arange(nb)), gain(r, first + nb * q)
+    levels = np.zeros((idx.size, n), dtype=complex)   # level 0 (t = 0) stays zero
+    for k in range(idx.size - 1):
+        phi = levels[k]
+        for g in full[k]:
+            phi = pw[q] * phi + g
+        levels[k + 1] = pw[r] * phi + rest[k]
     levels = np.fft.ifft(3.0 * levels * mult, axis=1)
     if real:
         levels = levels.real

@@ -5,7 +5,8 @@ The group is a Fourier multiplier exp(i t xi^3) applied on the periodized
 grid; inputs must decay at both ends so periodization is harmless.  The
 group over a time ladder and the Duhamel integral at every level of a
 field are each one batched pass over all levels (one FFT, one phase
-matrix, one inverse FFT), not a loop over times.
+matrix, one inverse FFT), not a loop over times.  Vertex trace histories
+over M times read coarse x fine phase tables of ~2 sqrt(M) rows in all.
 """
 
 from __future__ import annotations
@@ -169,10 +170,9 @@ def trace_phases(n: int, spacing: float, times) -> np.ndarray:
 
 
 def ladder_phases(n: int, spacing: float, times):
-    """The coarse (t_0, t_s, t_2s, ...) and fine (t_0 .. t_{s-1}) rows of
-    :func:`trace_phases` for a uniform ladder of M times from 0, s =
-    ceil(sqrt(M)): exp(i t_{js+r} xi^3) = exp(i t_{js} xi^3) exp(i t_r xi^3),
-    so about 2 sqrt(M) rows stand for all M."""
+    """Coarse (t_0, t_s, t_2s, ...) and fine (t_0 .. t_{s-1}) rows of :func:`trace_phases`
+    for a uniform ladder of M times from 0, s = ceil(sqrt(M)): exp(i t_{js+r} xi^3) =
+    exp(i t_{js} xi^3) exp(i t_r xi^3), so ~2 sqrt(M) rows stand for all M."""
     times = np.asarray(times, dtype=float)
     _uniform_dt(times)
     s = math.isqrt(times.size - 1) + 1
@@ -184,12 +184,11 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
     """Trace of d^j/dx^j exp(-t d^3/dx^3) phi at x = 0 for each time.
 
     Evaluated directly in frequency space; exact up to the periodization
-    already inherent in the grid representation.  The times form a uniform
-    ladder from 0, and time t_{js+r} is entry (j, r) of one small product
-    of the :func:`ladder_phases` pair.  The pair depends only on the grid
-    and the ladder: callers tracing several functions on one grid and
-    ladder build it once and pass it as ``phases``; without it the call
-    builds its own.
+    already inherent in the grid representation.  Time t_{js+r} of the
+    uniform ladder from 0 is entry (j, r) of one small product of the
+    :func:`ladder_phases` pair, which depends only on the grid and the
+    ladder: callers tracing several functions on one grid and ladder build
+    it once and pass it as ``phases``; without it the call builds its own.
     """
     times = np.asarray(times, dtype=float)
     _uniform_dt(times)
@@ -197,8 +196,7 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
         phases = ladder_phases(len(phi), phi.spacing, times)
     s = math.isqrt(times.size - 1) + 1
     if [np.shape(t) for t in phases] != [(-(-times.size // s), len(phi)), (s, len(phi))]:
-        raise ContractError(f"phases are not the ladder_phases pair of {times.size} "
-                            f"times x {len(phi)} grid points")
+        raise ContractError(f"phase tables do not fit {times.size} times x {len(phi)} points")
     coarse, fine = phases
     xi = frequencies(len(phi), phi.spacing)
     spec = np.fft.fft(phi.samples) / len(phi)

@@ -8,6 +8,7 @@ incoherent quadrature noise and is exercised only at the trace level.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,9 +403,10 @@ class TestContracts:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
                                                          complex_trace, seed):
-    # the field advances one output stride per product; the reference takes
-    # one trace step at a time and keeps every stride-th state.  Phases
-    # xi^3 dt reach ~30 on this grid, so both Filon branches are exercised.
+    # the field advances in blocks of ~sqrt(M) cells, with a shorter last
+    # block in a stride that q does not divide; the reference takes one
+    # trace step at a time and keeps every stride-th state.  Phases xi^3 dt
+    # reach ~30 on this grid, so both Filon branches are exercised.
     rng = np.random.default_rng(seed)
     n, h, dt = 128, 0.1, 1e-3
     n_steps = stride * (n_out - 1)
@@ -427,3 +429,19 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
         want = want.real
     assert np.iscomplexobj(got.levels) == complex_trace
     assert np.abs(got.levels - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_filon_tables_stay_small_for_long_strides():
+    # two output levels 1000 trace steps apart: blocks of ~sqrt(M) cells keep
+    # the peak to ~160 grid rows, where one 1000-cell block takes ~4000
+    n, h, dt = 2048, 0.05, 1e-3
+    grid = GridFunction(-h * n / 2, h, np.zeros(n))
+    f = TimeTrace(dt, np.sin(3.0 * dt * np.arange(1001)), True)
+    tracemalloc.start()
+    try:
+        fld = spectral_forcing_field(f, grid, np.array([0.0, 1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.n_levels == 2
+    assert peak <= 300 * n * np.dtype(complex).itemsize
