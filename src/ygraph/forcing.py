@@ -171,16 +171,18 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     rb = pw[q - 1::-1] * (e1 / smoothed.dt)          # rows p^{q-1} b .. b
     ra = pw[q - 1::-1] * (e0 - e1 / smoothed.dt)     # rows p^{q-1} a .. a
 
-    def gain(c, k):   # the sum over c cells from each node k
-        win = np.lib.stride_tricks.sliding_window_view(smoothed.samples, c)
-        return win[k] @ rb[q - c:] + win[k + 1] @ ra[q - c:]
-    full, rest = gain(q, first[:, None] + q * np.arange(nb)), gain(r, first + nb * q)
+    def gain(c, k):   # the sum over c cells from each node k, in one product
+        coef = np.vstack([rb[q - c:], np.zeros(n)])
+        coef[1:] += ra[q - c:]
+        return np.lib.stride_tricks.sliding_window_view(smoothed.samples, c + 1)[k] @ coef
+    blocks = (first[:, None] + q * np.arange(nb)).ravel()
+    full, rest = gain(q, blocks).reshape(-1, nb, n), gain(r, first + nb * q)
     levels = np.zeros((idx.size, n), dtype=complex)   # level 0 (t = 0) stays zero
     for k in range(idx.size - 1):
         phi = levels[k]
         for g in full[k]:
             phi = pw[q] * phi + g
-        levels[k + 1] = pw[r] * phi + rest[k]
+        levels[k + 1] = pw[r] * phi + rest[k] if r else phi
     levels = np.fft.ifft(3.0 * levels * mult, axis=1)
     if real:
         levels = levels.real
