@@ -157,7 +157,7 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     for the piecewise-linear interpolant of f: phi <- p phi + b f_m + a f_{m+1}
     (b = e1/dt, a = e0 - b); over c cells from node k, phi <- p^c phi +
     sum_i p^{c-1-i} (b f_{k+i} + a f_{k+i+1}).  Each output stride is nb blocks
-    of q ~ sqrt(M) cells and one of the r left: one product per block length
+    of q ~ sqrt(M) of the M cells and one of the r left: one product per block length
     and a loop over blocks, with tables of q rows whatever the stride.  Each
     level is ifft(3 phi mult), ``mult`` holding the frequency filter with the
     grid phase and 1/spacing.  ``real`` keeps the real part.
