@@ -28,7 +28,7 @@ from .fracops import TimeTrace, riemann_liouville
 from .linops import GridFunction, airy_group
 from .forcing import _check_times, forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
-                     det_m, is_invertible, admissible_scan, anchor_lambda,
+                     det_m, is_invertible, admissible_scan,
                      assemble_linear_solution, time_ladder,
                      verify_vertex_conditions, STARTUP_WINDOW,
                      VERTEX_RESIDUAL_TOL)
@@ -66,20 +66,21 @@ def _json_default(obj):
 # scenario config files
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    ("grid", "l"): "50", ("grid", "h"): "0.05",
-    ("time", "dt"): "1e-3", ("time", "t"): "1.0", ("time", "mode"): "linear",
-    ("sponge", "fraction"): "0.0", ("sponge", "strength"): "0.0",
-    ("initial", "u"): "zero", ("initial", "v"): "zero", ("initial", "w"): "zero",
+# (section, key) -> the ScenarioConfig field it sets, parsed as the type of
+# that field's default.  A key the file omits takes the ScenarioConfig
+# default.  [coupling] keys build the VertexCoupling, which has no default,
+# and [initial] keys are edge profiles.
+_FIELDS = {
+    ("grid", "l"): "L", ("grid", "h"): "h",
+    ("time", "dt"): "dt", ("time", "t"): "T", ("time", "mode"): "mode",
+    ("sponge", "fraction"): "sponge_fraction",
+    ("sponge", "strength"): "sponge_strength",
 }
-
-_KNOWN_KEYS = {
-    "grid": {"l", "h"},
-    "time": {"dt", "t", "mode"},
-    "coupling": {"type", "a2", "a3", "b2", "b3", "c2", "c3"},
-    "initial": {"u", "v", "w"},
-    "sponge": {"fraction", "strength"},
-}
+_COEFFS = ("a2", "a3", "b2", "b3", "c2", "c3")
+_KNOWN_KEYS = {sec: {k for s, k in _FIELDS if s == sec} for sec, _ in _FIELDS}
+_KNOWN_KEYS.update(coupling={"type", *_COEFFS}, initial={"u", "v", "w"})
+_COUPLING_KINDS = {"1": CouplingKind.TYPE1, "type1": CouplingKind.TYPE1,
+                   "2": CouplingKind.TYPE2, "type2": CouplingKind.TYPE2}
 
 
 def _parse_profile(text, where, problems):
@@ -155,58 +156,32 @@ def parse_config(path) -> ScenarioConfig:
             continue
         raw[(section, key)] = (val.strip(), ln)
 
-    def get(section, key, cast=float):
-        item = raw.get((section, key))
-        if item is None:
-            default = _DEFAULTS.get((section, key))
-            if default is None:
-                problems.append(f"missing required key {key!r} in [{section}]")
-                return None
-            return cast(default) if cast is not float else float(default)
-        val, ln = item
+    def parse(section, key, cast=float):
+        if (section, key) not in raw:
+            problems.append(f"missing required key {key!r} in [{section}]")
+            return None
+        val, ln = raw[(section, key)]
         try:
-            return cast(val) if cast is not float else float(val)
+            return cast(val)
         except ValueError:
             problems.append(f"line {ln}: cannot parse {key} = {val!r}")
             return None
 
-    L = get("grid", "l")
-    h = get("grid", "h")
-    dt = get("time", "dt")
-    T = get("time", "t")
-    mode = get("time", "mode", str)
-    ctype = get("coupling", "type", str)
-    coeffs = {k: get("coupling", k) for k in ("a2", "a3", "b2", "b3", "c2", "c3")}
-    profiles = {}
-    for name in ("u", "v", "w"):
-        item = raw.get(("initial", name))
-        if item is None:
-            profiles[name] = InitialProfile("zero")
-        else:
-            profiles[name] = _parse_profile(item[0], f"line {item[1]}", problems)
-    frac = get("sponge", "fraction")
-    strength = get("sponge", "strength")
-
-    coupling = None
-    if ctype is not None and None not in coeffs.values():
-        if str(ctype).strip() in ("1", "type1"):
-            kind = CouplingKind.TYPE1
-        elif str(ctype).strip() in ("2", "type2"):
-            kind = CouplingKind.TYPE2
-        else:
-            problems.append(f"coupling type must be 1 or 2, got {ctype!r}")
-            kind = None
-        if kind is not None:
-            coupling = VertexCoupling(kind, **coeffs)
+    values = {name: parse(*sk, type(getattr(ScenarioConfig, name)))
+              for sk, name in _FIELDS.items() if sk in raw}
+    ctype = parse("coupling", "type", str)
+    coeffs = {key: parse("coupling", key) for key in _COEFFS}
+    if ctype is not None and ctype not in _COUPLING_KINDS:
+        problems.append(f"coupling type must be 1 or 2, got {ctype!r}")
+    for (sec, edge), (text, ln) in raw.items():
+        if sec == "initial":
+            values[f"initial_{edge}"] = _parse_profile(text, f"line {ln}", problems)
 
     if problems:
         raise ConfigError(problems)
     try:
-        return ScenarioConfig(L=L, h=h, dt=dt, T=T, coupling=coupling,
-                              mode=str(mode).strip(),
-                              initial_u=profiles["u"], initial_v=profiles["v"],
-                              initial_w=profiles["w"], sponge_fraction=frac,
-                              sponge_strength=strength)
+        return ScenarioConfig(
+            coupling=VertexCoupling(_COUPLING_KINDS[ctype], **coeffs), **values)
     except YGraphError as exc:
         raise ConfigError(str(exc).split("; "))
 
@@ -244,16 +219,24 @@ def _read_csv(path, axis):
     return a, float(step), vals
 
 
+# row formats: axis columns (x, t, lambda, lambda2) carry 12 significant
+# digits, values 17 so that they parse back bit-exactly
+_AXIS, _VALUE = "%.12g", "%.17g"
+
+
+def _write_table(out, columns, formats):
+    """A header of the column names, then one row per entry of the columns."""
+    out.write(",".join(columns) + "\n")
+    row = ",".join(formats) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    out.write("".join(row % r for r in rows))
+
+
 def _write_csv(path, axis, coords, samples):
+    values = ({"re": samples.real, "im": samples.imag} if samples.dtype.kind == "c"
+              else {"value": samples})
     with open(path, "w") as fh:
-        if samples.dtype.kind == "c":
-            fh.write(f"{axis},re,im\n")
-            for c, v in zip(coords, samples):
-                fh.write(f"{c:.12g},{v.real:.17g},{v.imag:.17g}\n")
-        else:
-            fh.write(f"{axis},value\n")
-            for c, v in zip(coords, samples):
-                fh.write(f"{c:.12g},{v:.17g}\n")
+        _write_table(fh, {axis: coords, **values}, (_AXIS,) + (_VALUE,) * len(values))
 
 
 def read_trace_csv(path) -> TimeTrace:
@@ -278,6 +261,14 @@ def _stamp(t: float) -> str:
     return f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "p").replace("-", "m")
 
 
+def _write_edges(outdir, t, u, v, w):
+    """edge_{u,v,w}_t<stamp>.csv snapshots at time t; returns their paths."""
+    paths = [os.path.join(outdir, f"edge_{e}_t{_stamp(t)}.csv") for e in "uvw"]
+    for path, g in zip(paths, (u, v, w)):
+        write_field_csv(path, g)
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -299,9 +290,8 @@ def _cmd_airy(args):
         va, vp = _kernel_values("--table", xs)
         with (contextlib.nullcontext(sys.stdout) if args.out is None
               else open(args.out, "w")) as out:
-            out.write("x,A,Aprime\n")
-            for x, y, yp in zip(xs, va, vp):
-                out.write(f"{x:.12g},{y:.17g},{yp:.17g}\n")
+            _write_table(out, {"x": xs, "A": va, "Aprime": vp},
+                         (_AXIS, _VALUE, _VALUE))
         if args.out is not None:
             print(f"wrote {args.out}")
     elif args.x is not None:
@@ -314,26 +304,22 @@ def _cmd_airy(args):
 
 
 def _cmd_fracint(args):
-    trace = read_trace_csv(args.infile)
-    out = riemann_liouville(trace, args.alpha)
+    out = riemann_liouville(read_trace_csv(args.infile), args.alpha)
     write_trace_csv(args.out, out)
     man = RunManifest(command="fracint",
                       config_echo={"alpha": args.alpha, "in": args.infile},
-                      metrics={"n_samples": len(out)})
-    man.outputs.append(args.out)
+                      outputs=[args.out], metrics={"n_samples": len(out)})
     man.write(args.out + ".manifest.json")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_group(args):
-    fieldin = read_field_csv(args.infile)
-    out = airy_group(fieldin, args.t)
+    out = airy_group(read_field_csv(args.infile), args.t)
     write_field_csv(args.out, out)
     man = RunManifest(command="group",
                       config_echo={"t": args.t, "in": args.infile},
-                      metrics={"n_samples": len(out)})
-    man.outputs.append(args.out)
+                      outputs=[args.out], metrics={"n_samples": len(out)})
     man.write(args.out + ".manifest.json")
     print(f"wrote {args.out}")
     return 0
@@ -354,35 +340,26 @@ def _cmd_forcing(args):
     except YGraphError as exc:
         raise ConfigError([f"--times: {exc}"])
     fld = forcing_class(args.lam, args.sign, g, grid, times, method=args.method)
-    stem, dot, suffix = args.out.rpartition(".")
-    if not dot:
-        stem, suffix = args.out, "csv"
-    outputs = []
-    for m, t in enumerate(times):
-        path = f"{stem}_t{_stamp(t)}.{suffix}" if len(times) > 1 else args.out
+    stem, suffix = os.path.splitext(args.out)
+    outputs = [f"{stem}_t{_stamp(t)}{suffix or '.csv'}" for t in times]
+    for m, path in enumerate(outputs):
         write_field_csv(path, fld.level(m))
-        outputs.append(path)
     man = RunManifest(command="forcing",
                       config_echo={"lambda": args.lam, "sign": args.sign,
                                    "grid": [L, h], "times": list(times),
                                    "method": args.method},
-                      metrics={"levels": len(times)})
-    man.outputs.extend(outputs)
+                      outputs=list(outputs), metrics={"levels": len(times)})
     man.write(f"{stem}.manifest.json")
     print("\n".join(f"wrote {p}" for p in outputs))
     return 0
 
 
 def _parse_coupling(args) -> VertexCoupling:
-    a2, a3, b2, b3, c2, c3 = args.coeffs
-    kind = CouplingKind.TYPE1 if args.type == 1 else CouplingKind.TYPE2
-    return VertexCoupling(kind, a2, a3, b2, b3, c2, c3)
+    return VertexCoupling(_COUPLING_KINDS[str(args.type)], *args.coeffs)
 
 
 def _cmd_vertex_det(args):
-    coupling = _parse_coupling(args)
-    lam = LambdaVector(*args.lam)
-    m = build_matrix(coupling, lam)
+    m = build_matrix(_parse_coupling(args), LambdaVector(*args.lam))
     d = det_m(m)
     print(f"det M = {d.real:.12g} {d.imag:+.12g}i")
     print(f"|det M| = {abs(d):.12g}")
@@ -393,22 +370,22 @@ def _cmd_vertex_det(args):
 def _cmd_vertex_scan(args):
     if args.resolution < 1:
         raise ConfigError([f"--resolution must be >= 1, got {args.resolution}"])
-    coupling = _parse_coupling(args)
-    rep = admissible_scan(args.s, coupling, resolution=args.resolution,
-                          eps=args.eps)
+    rep = admissible_scan(args.s, _parse_coupling(args),
+                          resolution=args.resolution, eps=args.eps)
+    columns = {"lambda": "lam", "lambda2": "lam2", "absdet": "absdet",
+               "threshold": "threshold", "invertible": "invertible"}
     with open(args.out, "w") as fh:
-        fh.write("lambda,lambda2,absdet,threshold,invertible\n")
-        for r in rep.rows:
-            fh.write(f"{r.lam:.12g},{r.lam2:.12g},{r.absdet:.17g},"
-                     f"{r.threshold:.17g},{int(r.invertible)}\n")
+        _write_table(fh, {c: [getattr(r, f) for r in rep.rows]
+                          for c, f in columns.items()},
+                     (_AXIS, _AXIS, _VALUE, _VALUE, "%d"))
     man = RunManifest(command="vertex scan",
                       config_echo={"s": args.s, "eps": args.eps,
                                    "resolution": args.resolution,
                                    "window": list(rep.window),
                                    "branch": rep.branch},
+                      outputs=[args.out],
                       metrics={"rows": len(rep.rows),
                                "any_invertible": rep.any_invertible})
-    man.outputs.append(args.out)
     man.write(args.out + ".manifest.json")
     print(f"window ({rep.window[0]:g}, {rep.window[1]:g}), "
           f"{sum(r.invertible for r in rep.rows)}/{len(rep.rows)} invertible")
@@ -428,34 +405,25 @@ def _cmd_vertex_construct(args):
         raise ConfigError([f"--levels must be >= 2 with --levels - 1 dividing "
                            f"the {cfg.n_steps} time steps, got {args.levels}"])
     os.makedirs(args.out, exist_ok=True)
-    lam = LambdaVector(*args.lam) if args.lam else \
-        LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
     grid = GridFunction(-cfg.L, h, np.zeros(int(round(2 * cfg.L / h)) + 1))
     u0, v0, w0 = whole_line_data(cfg, h, grid)
-    sol = assemble_linear_solution(u0, v0, w0, cfg.coupling, lam, T=cfg.T,
-                                   n_levels=args.levels, trace_dt=cfg.dt)
+    sol = assemble_linear_solution(u0, v0, w0, cfg.coupling, LambdaVector(*args.lam),
+                                   T=cfg.T, n_levels=args.levels, trace_dt=cfg.dt)
     rep = verify_vertex_conditions(sol)
-    outputs = []
-    for name, fld in (("u", sol.u), ("v", sol.v), ("w", sol.w)):
-        path = os.path.join(args.out, f"edge_{name}_t{_stamp(float(sol.times[-1]))}.csv")
-        write_field_csv(path, fld.level(fld.n_levels - 1))
-        outputs.append(path)
+    outputs = _write_edges(args.out, float(sol.times[-1]),
+                           *(f.level(-1) for f in (sol.u, sol.v, sol.w)))
     respath = os.path.join(args.out, "vertex_residuals.csv")
     with open(respath, "w") as fh:
-        labels = list(rep.residuals)
-        fh.write("t," + ",".join(labels) + "\n")
-        for i, t in enumerate(rep.times):
-            fh.write(f"{t:.12g}," + ",".join(f"{rep.residuals[k][i]:.17g}"
-                                             for k in labels) + "\n")
+        _write_table(fh, {"t": rep.times, **rep.residuals},
+                     (_AXIS,) + (_VALUE,) * len(rep.residuals))
     outputs.append(respath)
     checked = rep.times[-1] >= STARTUP_WINDOW
     worst = rep.worst_relative() if checked else None
     man = RunManifest(command="vertex construct",
-                      config_echo=_config_echo(cfg),
+                      config_echo=_config_echo(cfg), outputs=outputs,
                       metrics={"worst_relative_residual": worst,
                                "imag_residual": sol.imag_residual(),
                                "det": abs(det_m(sol.matrix))})
-    man.outputs.extend(outputs)
     man.write(os.path.join(args.out, "manifest.json"))
     if not checked:
         print(f"no level at t >= {STARTUP_WINDOW:g}: vertex residual not checked")
@@ -473,10 +441,9 @@ def _write_diagnostics(path, diag):
             "wx", "uxx", "vxx", "wxx", "flux", "flux_integrand",
             "coupling_residual"]
     with open(path, "w") as fh:
-        fh.write("step," + ",".join(keys) + "\n")
-        for i in range(len(diag["t"])):
-            fh.write(str(i) + "," + ",".join(f"{diag[k][i]:.17g}"
-                                             for k in keys) + "\n")
+        _write_table(fh, {"step": range(len(diag["t"])),
+                          **{k: diag[k] for k in keys}},
+                     ("%d",) + (_VALUE,) * len(keys))
 
 
 def _cmd_simulate(args):
@@ -485,32 +452,27 @@ def _cmd_simulate(args):
         raise ConfigError([f"--snapshots must be >= 1, got {args.snapshots}"])
     os.makedirs(args.out, exist_ok=True)
     wall = time.perf_counter()
-    store = max(1, cfg.n_steps // args.snapshots)
-    traj = evolve(cfg, store_every=store)
+    traj = evolve(cfg, store_every=max(1, cfg.n_steps // args.snapshots))
     outputs = []
     for st in traj.states:
-        for name, g in (("u", st.u), ("v", st.v), ("w", st.w)):
-            path = os.path.join(args.out, f"edge_{name}_t{_stamp(st.t)}.csv")
-            write_field_csv(path, g)
-            outputs.append(path)
+        outputs += _write_edges(args.out, st.t, st.u, st.v, st.w)
     diagpath = os.path.join(args.out, "diagnostics.csv")
     _write_diagnostics(diagpath, traj.diagnostics)
     outputs.append(diagpath)
     rep = energy_report(traj)
-    residual = traj.diagnostics["coupling_residual"]   # row 0 is the data
+    diag = traj.diagnostics
+    residual = diag["coupling_residual"]   # row 0 is the data
     man = RunManifest(command="simulate", config_echo=_config_echo(cfg),
-                      metrics={
-                          "final_total_mass": float(traj.diagnostics["mass_u"][-1]
-                                                    + traj.diagnostics["mass_v"][-1]
-                                                    + traj.diagnostics["mass_w"][-1]),
+                      outputs=outputs, metrics={
+                          "final_total_mass": float(sum(diag[f"mass_{e}"][-1]
+                                                        for e in "uvw")),
                           "energy_mismatch": rep.worst_mismatch(),
                           "max_coupling_residual": float(residual[1:].max()),
                           "data_coupling_residual": float(residual[0]),
-                          "condition_estimate": traj.diagnostics["condition_estimate"],
+                          "condition_estimate": diag["condition_estimate"],
                           "wall_time": time.perf_counter() - wall,
                           "nonlinear_warning": rep.nonlinear_warning,
                       })
-    man.outputs.extend(outputs)
     man.write(os.path.join(args.out, "summary.json"))
     print(f"simulated {cfg.n_steps} steps; outputs in {args.out}")
     return 0
@@ -522,26 +484,19 @@ def _cmd_picard(args):
         raise ConfigError([f"--iters must lie in 1..{MAX_PICARD_ITERS}, "
                            f"got {args.iters}"])
     os.makedirs(args.out, exist_ok=True)
-    lam = LambdaVector(*args.lam) if args.lam else \
-        LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
-    res = picard_iterate(cfg, lam, n_iter=args.iters)
+    res = picard_iterate(cfg, LambdaVector(*args.lam), n_iter=args.iters)
     hist = os.path.join(args.out, "picard_history.csv")
     with open(hist, "w") as fh:
-        fh.write("iterate,distance\n")
-        for i, d in enumerate(res.distances, 1):
-            fh.write(f"{i},{d:.17g}\n")
-    outputs = [hist]
-    names = ("u", "v", "w")
-    for name, fld in zip(names, res.final):
-        path = os.path.join(args.out, f"edge_{name}_t{_stamp(float(res.times[-1]))}.csv")
-        lev = fld.level(fld.n_levels - 1)
-        write_field_csv(path, lev.with_samples(np.real(lev.samples)))
-        outputs.append(path)
+        _write_table(fh, {"iterate": range(1, len(res.distances) + 1),
+                          "distance": res.distances}, ("%d", _VALUE))
+    outputs = [hist] + _write_edges(
+        args.out, float(res.times[-1]),
+        *(GridFunction(f.origin, f.spacing, np.real(f.levels[-1])) for f in res.final))
     man = RunManifest(command="picard", config_echo=_config_echo(cfg),
+                      outputs=outputs,
                       metrics={"iterations": len(res.distances),
                                "final_distance": float(res.distances[-1]),
                                "diverged": res.diverged})
-    man.outputs.extend(outputs)
     man.write(os.path.join(args.out, "manifest.json"))
     print("distances:", " ".join(f"{d:.3e}" for d in res.distances))
     if res.diverged:
@@ -572,12 +527,10 @@ def _cmd_accept(args):
     from .acceptance import run_all
     results = run_all(quick=args.quick)
     width = max(len(r.name) for r in results)
-    failed = 0
+    failed = sum(not r.passed for r in results)
     for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failed += 1
-        print(f"[{mark}] {r.name:<{width}}  {r.detail}  ({r.seconds:.1f}s)")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}  "
+              f"({r.seconds:.1f}s)")
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1
 
@@ -588,6 +541,23 @@ def _cmd_accept(args):
 
 def _floats(text):
     return [float(tok) for tok in text.split(",")]
+
+
+class _Numbers(argparse.Action):
+    """A finite number, or with ``count`` a comma list of that many; a bad
+    value raises ConfigError during parsing, before any handler runs."""
+
+    def __init__(self, *args, count=None, **kwargs):
+        super().__init__(*args, type=_floats if count else float, **kwargs)
+        self.count = count
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        nums = values if self.count else [values]
+        if len(nums) != (self.count or 1) or not all(map(math.isfinite, nums)):
+            want = f"{self.count} finite numbers" if self.count else "finite"
+            raise ConfigError([f"{option_string} must be {want}, got "
+                               + ",".join(f"{v:g}" for v in nums)])
+        setattr(namespace, self.dest, values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -609,19 +579,19 @@ def build_parser():
     pa.set_defaults(func=_cmd_airy)
 
     pf = sub.add_parser("fracint", help="Riemann-Liouville fractional integral")
-    pf.add_argument("--alpha", type=float, required=True)
+    pf.add_argument("--alpha", action=_Numbers, required=True)
     pf.add_argument("--in", dest="infile", required=True)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=_cmd_fracint)
 
     pg = sub.add_parser("group", help="apply the linear group at time t")
-    pg.add_argument("--t", type=float, required=True)
+    pg.add_argument("--t", action=_Numbers, required=True)
     pg.add_argument("--in", dest="infile", required=True)
     pg.add_argument("--out", required=True)
     pg.set_defaults(func=_cmd_group)
 
     pfo = sub.add_parser("forcing", help="evaluate a boundary forcing class field")
-    pfo.add_argument("--lambda", dest="lam", type=float, required=True)
+    pfo.add_argument("--lambda", dest="lam", action=_Numbers, required=True)
     pfo.add_argument("--sign", choices=("minus", "plus"), required=True)
     pfo.add_argument("--g", required=True, help="causal trace CSV")
     pfo.add_argument("--grid", type=_floats, required=True, metavar="L,h")
@@ -635,22 +605,25 @@ def build_parser():
     vsub = pv.add_subparsers(dest="vertex_command")
     pvd = vsub.add_parser("det", help="determinant at one order vector")
     pvd.add_argument("--type", type=int, choices=(1, 2), required=True)
-    pvd.add_argument("--coeffs", type=_floats, required=True,
-                     metavar="a2,a3,b2,b3,c2,c3")
-    pvd.add_argument("--lambda", dest="lam", type=_floats, required=True,
-                     metavar="l1,l2,l3,l4")
+    coeffs = dict(action=_Numbers, count=6, required=True,
+                  metavar="a2,a3,b2,b3,c2,c3")
+    orders = dict(dest="lam", action=_Numbers, count=4, metavar="l1,l2,l3,l4")
+    # the class orders of the linear assembly and of the Picard map
+    default_orders = dict(orders, default=(0.05, 0.3, 0.05, 0.05))
+    pvd.add_argument("--coeffs", **coeffs)
+    pvd.add_argument("--lambda", required=True, **orders)
     pvd.set_defaults(func=_cmd_vertex_det)
     pvs = vsub.add_parser("scan", help="invertibility scan over the order window")
-    pvs.add_argument("--s", type=float, required=True)
+    pvs.add_argument("--s", action=_Numbers, required=True)
     pvs.add_argument("--type", type=int, choices=(1, 2), required=True)
-    pvs.add_argument("--coeffs", type=_floats, required=True)
-    pvs.add_argument("--eps", type=float, default=0.1)
+    pvs.add_argument("--coeffs", **coeffs)
+    pvs.add_argument("--eps", action=_Numbers, default=0.1)
     pvs.add_argument("--resolution", type=int, default=101)
     pvs.add_argument("--out", required=True)
     pvs.set_defaults(func=_cmd_vertex_scan)
     pvc = vsub.add_parser("construct", help="assemble the linear graph solution")
     pvc.add_argument("--config", required=True)
-    pvc.add_argument("--lambda", dest="lam", type=_floats)
+    pvc.add_argument("--lambda", **default_orders)
     pvc.add_argument("--h", type=float, default=0.0125)
     pvc.add_argument("--levels", type=int, default=26)
     pvc.add_argument("--out", required=True)
@@ -665,13 +638,13 @@ def build_parser():
     pp = sub.add_parser("picard", help="fixed-point iteration of the integral map")
     pp.add_argument("--config", required=True)
     pp.add_argument("--iters", type=int, default=6)
-    pp.add_argument("--lambda", dest="lam", type=_floats)
+    pp.add_argument("--lambda", **default_orders)
     pp.add_argument("--out", required=True)
     pp.set_defaults(func=_cmd_picard)
 
     psc = sub.add_parser("scaling-check", help="scaling-symmetry discrepancy")
     psc.add_argument("--config", required=True)
-    psc.add_argument("--lam", type=float, required=True)
+    psc.add_argument("--lam", action=_Numbers, required=True)
     psc.add_argument("--out")
     psc.set_defaults(func=_cmd_scaling)
 
@@ -684,11 +657,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_usage(sys.stderr)
+            return 2
         return args.func(args)
     except ConfigError as exc:
         print("configuration errors:", file=sys.stderr)

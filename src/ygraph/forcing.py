@@ -73,7 +73,7 @@ def _check_times(times, dt_trace, n_trace):
 # sigma-substitution Simpson route
 # ---------------------------------------------------------------------------
 
-def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times, panels):
+def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
     """9 * int_0^{t^{1/3}} A(x/s) s f(t - s^3) ds per output time."""
     idx = _check_times(times, smoothed.dt, len(smoothed))
     times = np.asarray(times, dtype=float)
@@ -86,10 +86,10 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times, panels):
         if t == 0.0:
             continue
         top = t ** (1.0 / 3.0)
-        n_nodes = 2 * panels + 1
+        n_nodes = 2 * DEFAULT_PANELS + 1
         sig = np.linspace(0.0, top, n_nodes)
         w = np.empty(n_nodes)
-        hstep = top / (2 * panels)
+        hstep = top / (2 * DEFAULT_PANELS)
         w[0] = w[-1] = 1.0
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -258,8 +258,7 @@ def _one_sided_convolve(levels: np.ndarray, spacing: float, lam: float,
 
 
 def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
-                  times, panels: int = DEFAULT_PANELS,
-                  method: str = "spectral") -> SpaceTimeField:
+                  times, method: str = "spectral") -> SpaceTimeField:
     """The field of the generalized forcing operator of order lam.
 
     lam in (-2, 1).  Order 0 is V; negative orders follow the reduction
@@ -290,7 +289,7 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
             return _spectral_class_negative(smoothed, grid, times, lam, sign)
         return _convolved_class(spectral_forcing_field(smoothed, grid, times),
                                 grid, lam, sign)
-    base = _sigma_field(smoothed, grid, times, panels)
+    base = _sigma_field(smoothed, grid, times)
     if lam < 0.0:
         k = int(math.ceil(-lam))
         return field_spatial_derivative(

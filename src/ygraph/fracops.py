@@ -225,14 +225,15 @@ def sampled_derivative(vals: np.ndarray, dt: float, k: int) -> np.ndarray:
 def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     """Apply I_alpha to a causal trace.
 
-    Positive orders use product integration; alpha = 0 is the identity;
-    negative orders differentiate I_{alpha+k} with centered differences
-    (one-sided at the ends).
+    Orders lie in (-MAX_ORDER, MAX_ORDER].  Positive orders use product
+    integration; alpha = 0 is the identity; negative orders differentiate
+    I_{alpha+k} with centered differences (one-sided at the ends).
     """
     if not f.causal:
         raise ContractError("riemann_liouville requires a causal trace")
-    if abs(alpha) > MAX_ORDER:
-        raise DomainError(f"|alpha| <= {MAX_ORDER} required, got {alpha}")
+    if not -MAX_ORDER < alpha <= MAX_ORDER:
+        raise DomainError(f"alpha must lie in ({-MAX_ORDER:g}, {MAX_ORDER:g}], "
+                          f"got {alpha}")
     if alpha == 0.0:
         return TimeTrace(f.dt, f.samples.copy(), True)
 

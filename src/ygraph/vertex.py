@@ -266,7 +266,7 @@ def solve_gamma(m: BoundaryMatrix, rhs) -> tuple:
             not (r1.dt == r2.dt == r3.dt == r4.dt):
         raise ContractError("rhs traces must share one time grid")
     d = det_m(m)
-    if abs(d) <= DET_THRESHOLD * m.row_norm_product():
+    if not is_invertible(m):
         raise SingularMatrixError(
             f"vertex matrix numerically singular, |det| = {abs(d):.3e}", det=d)
     stacked = np.stack([r1.samples, r2.samples, r3.samples, r4.samples])

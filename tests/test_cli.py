@@ -1,15 +1,26 @@
 """CLI surface: subcommands, config parsing, file formats, manifests."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ygraph.cli import main, parse_config, read_field_csv, read_trace_csv
 from ygraph.errors import ConfigError
+from ygraph.forcing import forcing_class
+from ygraph.fracops import riemann_liouville
+from ygraph.graphsim import ScenarioConfig
+from ygraph.linops import GridFunction, airy_group
+from ygraph.specfun import airy_scaled_with_deriv
+from ygraph.vertex import CouplingKind, VertexCoupling, admissible_scan
 
 MINIMAL = """
 [coupling]
@@ -58,6 +69,49 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def read_table(path, header, formats):
+    """The columns of a CSV table, once its header is ``header`` and every
+    entry is its column's %-format of the double it parses to, so that it
+    parses back bit-exactly."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == header
+    fmts = formats.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        assert [f % float(tok) for f, tok in zip(fmts, row)] == row
+    cols = np.array(rows, dtype=float).reshape(len(rows), len(fmts)).T
+    return dict(zip(header.split(","), cols))
+
+
+# every key of SCENARIO; [coupling] keys have no default, the others take
+# the ScenarioConfig field's default when omitted
+SCENARIO_KEYS = {("grid", "L"): "L", ("grid", "h"): "h", ("time", "dt"): "dt",
+                 ("time", "T"): "T", ("time", "mode"): "mode",
+                 ("coupling", "type"): None,
+                 **{("coupling", k): None
+                    for k in ("a2", "a3", "b2", "b3", "c2", "c3")},
+                 ("sponge", "fraction"): "sponge_fraction",
+                 ("sponge", "strength"): "sponge_strength"}
+DELETE, UNKNOWN_KEY, UNKNOWN_SECTION = "<delete>", "<unknown key>", "<unknown section>"
+BAD_VALUES = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "1e999", "-1e999"]),
+    st.text("abcdefghijklmnopqrstuvwxyz", min_size=1).filter(
+        lambda v: v not in ("linear", "nonlinear")))
+
+
+def corrupt(section, key, how):
+    """SCENARIO with one key given a bad value, deleted, joined by an
+    unknown key, or with its section renamed to an unknown one."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if how == DELETE:
+        return line.sub("", SCENARIO)
+    if how == UNKNOWN_KEY:
+        return line.sub(lambda m: f"{m.group()}\n{key}x = 1", SCENARIO)
+    if how == UNKNOWN_SECTION:
+        return SCENARIO.replace(f"[{section}]", f"[{section}x]")
+    return line.sub(f"{key} = {how}", SCENARIO)
+
+
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, "min.cfg", MINIMAL))
@@ -100,6 +154,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, "empty.cfg", "[grid]\nL = 50\n"))
 
+    @pytest.mark.parametrize("section,key", list(SCENARIO_KEYS),
+                             ids=[f"{s}-{k}" for s, k in SCENARIO_KEYS])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(how=st.one_of(BAD_VALUES,
+                         st.sampled_from([DELETE, UNKNOWN_KEY, UNKNOWN_SECTION])))
+    def test_corrupted_key(self, section, key, how):
+        # one corrupted key is a ConfigError, never another class, and
+        # simulate exits 2 before writing anything
+        field = SCENARIO_KEYS[(section, key)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "scenario.cfg", corrupt(section, key, how))
+            if how == DELETE and field is not None:
+                cfg = parse_config(path)
+                assert getattr(cfg, field) == getattr(ScenarioConfig, field)
+                return
+            with pytest.raises(ConfigError):
+                parse_config(path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["simulate", "--config", path,
+                             "--out", os.path.join(tmp, "run")]) == 2
+            assert err.getvalue().startswith("configuration errors:\n")
+            assert os.listdir(tmp) == ["scenario.cfg"]
+
 
 class TestAiry:
     def test_point_evaluation(self, capsys):
@@ -110,9 +188,10 @@ class TestAiry:
     def test_table(self, tmp_path):
         out = str(tmp_path / "table.csv")
         assert main(["airy", "--table", "-1", "1", "5", "--out", out]) == 0
-        rows = Path(out).read_text().splitlines()
-        assert rows[0] == "x,A,Aprime"
-        assert len(rows) == 6
+        cols = read_table(out, "x,A,Aprime", "%.12g,%.17g,%.17g")
+        a, ap = airy_scaled_with_deriv(np.linspace(-1.0, 1.0, 5))
+        assert np.array_equal(cols["x"], [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.array_equal(cols["A"], a) and np.array_equal(cols["Aprime"], ap)
 
     @pytest.mark.parametrize("n", ["2.5", "-1", "0", "nan", "inf"])
     def test_table_rejects_bad_count(self, tmp_path, capsys, n):
@@ -159,6 +238,9 @@ class TestRoundTrips:
         m = t >= 0.1
         assert np.abs(tr.samples[m] - 2 * t[m]).max() <= 1e-5
         assert os.path.exists(out + ".manifest.json")
+        cols = read_table(out, "t,value", "%.12g,%.17g")
+        want = riemann_liouville(read_trace_csv(path), -1.0)
+        assert np.array_equal(cols["value"], want.samples)
 
     def test_group(self, tmp_path):
         h = 0.05
@@ -172,6 +254,9 @@ class TestRoundTrips:
         g = read_field_csv(out)
         n0 = np.linalg.norm(np.exp(-x ** 2 / 2))
         assert abs(np.linalg.norm(g.samples) - n0) / n0 <= 1e-9
+        cols = read_table(out, "x,value", "%.12g,%.17g")
+        want = airy_group(read_field_csv(path), 0.3).samples
+        assert np.array_equal(cols["value"], want)
 
     def test_forcing(self, tmp_path):
         dt = 1e-3
@@ -186,12 +271,34 @@ class TestRoundTrips:
                      "--times", "0,0.15,0.3", "--out", out]) == 0
         made = [p for p in os.listdir(tmp_path) if p.startswith("field_t")]
         assert len(made) == 3
+        times = np.array([0.0, 0.15, 0.3])
+        grid = GridFunction(-10.0, 0.05, np.zeros(401))
+        for sign, header in (("minus", "x,value"), ("plus", "x,re,im")):
+            out = str(tmp_path / f"{sign}.csv")
+            assert main(["forcing", "--lambda", "0.25", "--sign", sign,
+                         "--g", path, "--grid", "10,0.05",
+                         "--times", "0,0.15,0.3", "--out", out]) == 0
+            want = forcing_class(0.25, sign, read_trace_csv(path), grid, times)
+            for m, stamp in enumerate(("0", "0p15", "0p3")):
+                cols = read_table(tmp_path / f"{sign}_t{stamp}.csv", header,
+                                  "%.12g" + ",%.17g" * header.count(","))
+                got = cols["value"] if sign == "minus" else cols["re"] + 1j * cols["im"]
+                assert np.array_equal(got, want.levels[m])
+        # no suffix: the levels take .csv, beside a dot in a directory name
+        outdir = tmp_path / "run.v1"
+        outdir.mkdir()
+        assert main(["forcing", "--lambda", "0.25", "--sign", "minus", "--g", path,
+                     "--grid", "10,0.05", "--times", "0,0.15",
+                     "--out", str(outdir / "field")]) == 0
+        assert sorted(os.listdir(outdir)) == ["field.manifest.json", "field_t0.csv",
+                                              "field_t0p15.csv"]
 
     @pytest.mark.parametrize("option, value", [
         ("--grid", "30,0.07"), ("--grid", "30,0"), ("--grid", "30,-0.05"),
         ("--grid", "30,nan"), ("--grid", "inf,0.05"), ("--grid", "0,0.05"),
         ("--grid", "30"), ("--times", "0,nan"), ("--times", "0"),
-        ("--times", "0,0.15,0.2"), ("--times", "0.1,0.2"), ("--times", "0,0.5")])
+        ("--times", "0,0.15,0.2"), ("--times", "0.1,0.2"), ("--times", "0,0.5"),
+        ("--lambda", "nan"), ("--lambda", "inf")])
     def test_forcing_rejects_bad_grid_or_times(self, tmp_path, capsys, option,
                                                value):
         t = 1e-3 * np.arange(301)
@@ -243,6 +350,12 @@ class TestVertexCommands:
         rows = Path(out).read_text().splitlines()
         assert rows[0] == "lambda,lambda2,absdet,threshold,invertible"
         assert len(rows) == 12
+        cols = read_table(out, rows[0], "%.12g,%.12g,%.17g,%.17g,%d")
+        rep = admissible_scan(0.0, VertexCoupling(CouplingKind.TYPE1, 1, 1, 0, 0, 1, 1),
+                              resolution=11)
+        assert np.array_equal(cols["absdet"], [r.absdet for r in rep.rows])
+        assert np.array_equal(cols["threshold"], [r.threshold for r in rep.rows])
+        assert np.array_equal(cols["invertible"], [r.invertible for r in rep.rows])
 
     @pytest.mark.parametrize("resolution", ["0", "-3"])
     def test_scan_rejects_bad_resolution(self, tmp_path, capsys, resolution):
@@ -266,6 +379,9 @@ class TestVertexCommands:
         assert man["metrics"]["worst_relative_residual"] is None
         u = read_field_csv(os.path.join(out, "edge_u_t0p01.csv"))
         assert u.spacing == pytest.approx(0.0125, rel=1e-12)
+        read_table(os.path.join(out, "vertex_residuals.csv"),
+                   "t,dirichlet:u-a2v,dirichlet:u-a3w,neumann:u-b2v-b3w,"
+                   "second:u-c2v-c3w", "%.12g" + ",%.17g" * 4)
 
     @pytest.mark.parametrize("h", ["0", "nan", "-0.1", "0.03"],
                              ids=["zero", "nan", "negative", "not-dividing-L"])
@@ -319,6 +435,14 @@ class TestSimulate:
         assert on_disk <= listed
         assert "diagnostics.csv" in on_disk
         assert summary["metrics"]["max_coupling_residual"] <= 1e-10
+        keys = ("t,mass_u,mass_v,mass_w,u0,v0,w0,ux,vx,wx,uxx,vxx,wxx,flux,"
+                "flux_integrand,coupling_residual")
+        cols = read_table(Path(out, "diagnostics.csv"), "step," + keys,
+                          "%d" + ",%.17g" * 16)
+        assert np.array_equal(cols["step"], np.arange(11))
+        residual = cols["coupling_residual"]
+        assert residual[1:].max() == summary["metrics"]["max_coupling_residual"]
+        assert residual[0] == summary["metrics"]["data_coupling_residual"]
 
     def test_data_residual_reported_apart(self, tmp_path):
         # type-2 data off the type-2 Dirichlet relation u = a2 v + a3 w: the
@@ -409,7 +533,11 @@ class TestOtherCommands:
         out = str(tmp_path / "pic")
         rc = main(["picard", "--config", cfgp, "--iters", "2", "--out", out])
         assert rc == 0
-        assert os.path.exists(os.path.join(out, "picard_history.csv"))
+        cols = read_table(os.path.join(out, "picard_history.csv"),
+                          "iterate,distance", "%d,%.17g")
+        assert np.array_equal(cols["iterate"], [1, 2])
+        final = json.loads(Path(out, "manifest.json").read_text())["metrics"]
+        assert cols["distance"][-1] == final["final_distance"]
 
     @pytest.mark.parametrize("iters", ["0", "-1", "11"])
     def test_picard_iteration_count_range(self, tmp_path, capsys, iters):
@@ -419,6 +547,42 @@ class TestOtherCommands:
                      "--out", str(out)]) == 2
         assert "--iters" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["vertex", "det", "--type", "1", "--coeffs", "1,1,0,0,1,1",
+          "--lambda", "nan,0.1,0,0"], "--lambda"),
+        (["vertex", "det", "--type", "1", "--coeffs", "1,1,0,0,1",
+          "--lambda", "0,0.1,0,0"], "--coeffs"),
+        (["vertex", "scan", "--s", "nan", "--type", "1", "--coeffs", "1,1,0,0,1,1",
+          "--out", "{tmp}/scan.csv"], "--s"),
+        (["vertex", "scan", "--s", "0", "--eps", "inf", "--type", "1",
+          "--coeffs", "1,1,0,0,1,1", "--out", "{tmp}/scan.csv"], "--eps"),
+        (["vertex", "scan", "--s", "0", "--type", "1", "--coeffs", "1,1,0,0,1,1,1",
+          "--out", "{tmp}/scan.csv"], "--coeffs"),
+        (["vertex", "construct", "--config", "{tmp}/scenario.cfg", "--h", "0.1",
+          "--lambda", "0.05,0.3,0.05", "--out", "{tmp}/traj"], "--lambda"),
+        (["picard", "--config", "{tmp}/scenario.cfg", "--lambda",
+          "0.05,inf,0.05,0.05", "--out", "{tmp}/pic"], "--lambda"),
+        (["fracint", "--alpha", "nan", "--in", "{tmp}/trace.csv",
+          "--out", "{tmp}/out.csv"], "--alpha"),
+        (["group", "--t=-inf", "--in", "{tmp}/field.csv",
+          "--out", "{tmp}/out.csv"], "--t"),
+        (["scaling-check", "--config", "{tmp}/scenario.cfg", "--lam", "nan",
+          "--out", "{tmp}/scaling.json"], "--lam"),
+    ], ids=["det-lambda-nan", "det-coeffs-count", "scan-s-nan", "scan-eps-inf",
+            "scan-coeffs-count", "construct-lambda-count", "picard-lambda-inf",
+            "fracint-alpha-nan", "group-t-inf", "scaling-lam-nan"])
+    def test_option_values_rejected(self, tmp_path, capsys, argv, option):
+        inputs = {"scenario.cfg": SCENARIO,
+                  "trace.csv": "t,value\n0,0\n0.001,1\n0.002,2\n0.003,3\n0.004,4\n",
+                  "field.csv": "x,value\n-0.1,0\n0,1\n0.1,0\n"}
+        for name, text in inputs.items():
+            write(tmp_path, name, text)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith("configuration errors:\n")
+        assert f"  {option} must be " in cap.err and cap.out == ""
+        assert sorted(os.listdir(tmp_path)) == sorted(inputs)
 
     def test_usage_errors(self, capsys):
         assert main([]) == 2

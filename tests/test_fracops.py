@@ -123,6 +123,18 @@ def test_boundary_layer_width():
     assert boundary_layer_width(-2.5) == 6
 
 
+@pytest.mark.parametrize("alpha", [-3.0, -3.5, 3.5, math.nan, math.inf, -math.inf])
+def test_order_outside_range(ramp, alpha):
+    # -3 would need a fourth derivative; NaN fails every comparison
+    with pytest.raises(DomainError, match=r"alpha must lie in \(-3, 3\]"):
+        riemann_liouville(ramp[1], alpha)
+
+
+@pytest.mark.parametrize("alpha", [-2.999, 3.0])
+def test_order_range_ends(ramp, alpha):
+    assert np.isfinite(riemann_liouville(ramp[1], alpha).samples).all()
+
+
 def test_contract_errors():
     tr = TimeTrace(1e-3, np.ones(10), causal=False)
     with pytest.raises(ContractError):
