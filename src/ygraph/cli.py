@@ -30,11 +30,11 @@ from .forcing import _check_times, forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan,
                      assemble_linear_solution, time_ladder,
-                     verify_vertex_conditions, STARTUP_WINDOW,
+                     verify_vertex_conditions, whole_steps, STARTUP_WINDOW,
                      VERTEX_RESIDUAL_TOL)
 from .graphsim import (MAX_PICARD_ITERS, InitialProfile, ScenarioConfig, evolve,
                        energy_report, picard_iterate, scaling_check,
-                       whole_line_data, whole_steps)
+                       whole_line_data)
 
 
 @dataclass
@@ -561,10 +561,12 @@ class _Numbers(argparse.Action):
 
 
 class _Parser(argparse.ArgumentParser):
-    # "-1e11" and "-1e-3" are numbers, not options (argparse < 3.13); subparsers inherit
+    # "-1e11", "-1e-3", "-inf" and "-nan" are values, not options (argparse
+    # < 3.13 took only "-12" and "-1.5"); subparsers inherit
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)",
+                                                   re.IGNORECASE)
 
 
 def build_parser():

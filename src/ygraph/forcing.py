@@ -183,7 +183,10 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
         for g in full[k]:
             phi = pw[q] * phi + g
         levels[k + 1] = pw[r] * phi + rest[k] if r else phi
-    levels = np.fft.ifft(3.0 * levels * mult, axis=1)
+    del full, rest     # and scale in place: the transform adds only its output
+    levels *= 3.0
+    levels *= mult
+    levels = np.fft.ifft(levels, axis=1)
     if real:
         levels = levels.real
     dt_out = float(times[1] - times[0])

@@ -27,18 +27,11 @@ from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
 from .linops import GridFunction, SpaceTimeField, group_multi, duhamel_inhomog
 from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
                      LambdaVector, compatibility_deviation, free_vertex_traces,
-                     solve_vertex, time_ladder)
+                     solve_vertex, time_ladder, whole_steps)
 
 BLOWUP_LIMIT = 1e6
 MAX_PICARD_ITERS = 10
 PICARD_TAPER_FRACTION = 0.15   # of the domain, at each end: picard_iterate
-
-
-def whole_steps(length: float, step: float) -> bool:
-    """Whether length / step is a whole number to 1e-9 relative, so a grid
-    of that step ends exactly at length; step must be positive."""
-    r = length / step
-    return math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +175,6 @@ class Trajectory:
     states: list = field(repr=False)
     diagnostics: dict = field(repr=False)
 
-    @property
-    def times(self):
-        return self.diagnostics["t"]
-
     def final(self) -> GraphState:
         return self.states[-1]
 
@@ -215,21 +204,6 @@ def _edge_operators(n: int, h: float, dt: float, sigma: np.ndarray):
     a = np.concatenate([1.0 + 0.5 * dt * sigma[pde], 0.5 * dt * d3])
     b = np.concatenate([1.0 - 0.5 * dt * sigma[pde], -0.5 * dt * d3])
     return rows, cols, a, b
-
-
-def _flux_derivative(u: np.ndarray, h: float) -> np.ndarray:
-    """Conservative-form flux derivative d/dx(u^2/2) along the last axis.
-
-    Filled on the Crank-Nicolson rows 1..n-3 only.  Fourth-order centered
-    differences on interior nodes keep the nonlinear truncation error below
-    the dispersive stencil's.
-    """
-    q = 0.5 * u ** 2
-    d = np.zeros_like(q)
-    d[..., 2:-2] = (q[..., :-4] - 8.0 * q[..., 1:-3] + 8.0 * q[..., 3:-1]
-                    - q[..., 4:]) / (12.0 * h)
-    d[..., 1] = (q[..., 2] - q[..., 0]) / (2.0 * h)
-    return d
 
 
 class GraphSystem:
@@ -311,8 +285,18 @@ class GraphSystem:
         self.condition_estimate = float(diag.max() / max(diag.min(), 1e-300))
 
     def nonlinear_term(self, x: np.ndarray) -> np.ndarray:
-        """Conservative-form flux derivative d/dx(u^2/2), per edge."""
-        return _flux_derivative(x.reshape(3, self.n), self.config.h).ravel()
+        """Conservative-form flux derivative d/dx(u^2/2), per edge.
+
+        Filled on the Crank-Nicolson rows 1..n-3 only.  Fourth-order centered
+        differences on interior nodes keep the nonlinear truncation error
+        below the dispersive stencil's.
+        """
+        q, h = 0.5 * x.reshape(3, self.n) ** 2, self.config.h
+        d = np.zeros_like(q)
+        d[:, 2:-2] = (q[:, :-4] - 8.0 * q[:, 1:-3] + 8.0 * q[:, 3:-1]
+                      - q[:, 4:]) / (12.0 * h)
+        d[:, 1] = (q[:, 2] - q[:, 0]) / (2.0 * h)
+        return d.ravel()
 
 
 def _initial_samples(config: ScenarioConfig, h: float):
@@ -434,38 +418,6 @@ def energy_report(traj: Trajectory) -> EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# whole-line reference solver (shared scheme, no vertex)
-# ---------------------------------------------------------------------------
-
-def evolve_line(u0: GridFunction, dt: float, T: float) -> GridFunction:
-    """Single-interval nonlinear solver with the same interior scheme,
-    clamped ends."""
-    n = len(u0)
-    h = u0.spacing
-    rows, cols, a_v, b_v = _edge_operators(n, h, dt, np.zeros(n))
-    ends = [0, n - 2, n - 1]
-    lu = splu(sp.coo_matrix((np.concatenate([a_v, np.ones(3)]),
-                             (np.concatenate([rows, ends]),
-                              np.concatenate([cols, ends]))),
-                            shape=(n, n)).tocsc())
-    bm = sp.coo_matrix((b_v, (rows, cols)), shape=(n, n)).tocsr()
-    x = u0.samples.astype(float).copy()
-    x[[0, 1, -2, -1]] = 0.0
-
-    nl_prev = None
-    steps = int(round(T / dt))
-    for _ in range(steps):
-        rhs = bm @ x
-        d = _flux_derivative(x, h)
-        rhs -= dt * (d if nl_prev is None else 1.5 * d - 0.5 * nl_prev)
-        nl_prev = d
-        x = lu.solve(rhs)
-        if not np.abs(x).max() <= BLOWUP_LIMIT:      # also catches NaN
-            raise YGraphError("line solver blow-up")
-    return u0.with_samples(x)
-
-
-# ---------------------------------------------------------------------------
 # scaling symmetry check
 # ---------------------------------------------------------------------------
 
@@ -563,7 +515,6 @@ def whole_line_data(config: ScenarioConfig, h: float,
 class PicardResult:
     iterates: list               # list of (u, v, w) level stacks
     distances: np.ndarray        # sup distance between consecutive iterates
-    converged: bool
     diverged: bool
     final: tuple                 # (u, v, w) SpaceTimeFields on the whole line
     times: np.ndarray
@@ -607,7 +558,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     iterates = []
     distances = []
 
-    for it in range(n_iter):
+    for _ in range(n_iter):
         base, traces = free_fields, free_tr
         if nonlinear:
             k_fields = []
@@ -633,15 +584,12 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
         distances.append(d)
         iterates.append(new)
         current = new
-        if len(distances) >= 2 and distances[-1] > distances[-2] and \
-                distances[-1] > 1e-12:
+        diverged = bool(len(distances) >= 2 and distances[-1] > distances[-2]
+                        and distances[-1] > 1e-12)
+        if diverged:
             break
 
-    distances = np.asarray(distances)
-    diverged = bool(len(distances) >= 2 and distances[-1] > distances[-2]
-                    and distances[-1] > 1e-12)
     dt_out = float(out_times[1] - out_times[0])
     final = tuple(SpaceTimeField(-L, h, dt_out, lv) for lv in current)
-    return PicardResult(iterates=iterates, distances=distances,
-                        converged=not diverged, diverged=diverged,
-                        final=final, times=np.asarray(out_times))
+    return PicardResult(iterates=iterates, distances=np.asarray(distances),
+                        diverged=diverged, final=final, times=np.asarray(out_times))

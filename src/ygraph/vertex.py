@@ -130,10 +130,6 @@ class BoundaryMatrix:
     lam: LambdaVector = None
     coupling: VertexCoupling = None
 
-    @property
-    def det(self) -> complex:
-        return det_m(self)
-
     def row_norm_product(self) -> float:
         return float(np.prod(np.linalg.norm(self.entries, axis=1)))
 
@@ -334,13 +330,11 @@ def compatibility_deviation(coupling: VertexCoupling, u, v, w) -> float:
     return float(np.max(np.abs(devs)))
 
 
-def check_compatibility(u0: GridFunction, v0: GridFunction, w0: GridFunction,
-                        coupling: VertexCoupling) -> float:
-    """Deviation from the Dirichlet compatibility the high-regularity
-    setting demands of initial data; returns the worst absolute mismatch."""
-    return compatibility_deviation(coupling, u0.samples[u0.index_of_zero()],
-                                   v0.samples[v0.index_of_zero()],
-                                   w0.samples[w0.index_of_zero()])
+def whole_steps(length: float, step: float) -> bool:
+    """Whether length / step is a whole number to 1e-9 relative, so a grid
+    of that step ends exactly at length; step must be positive."""
+    r = length / step
+    return math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r
 
 
 def time_ladder(T: float, trace_dt: float, n_levels: int = None):
@@ -348,8 +342,11 @@ def time_ladder(T: float, trace_dt: float, n_levels: int = None):
 
     The n_levels output times are every k-th trace time, so n_levels - 1
     must divide the trace step count; None picks the largest level count
-    up to 26 that tiles it.
+    up to 26 that tiles it.  T / trace_dt must be a whole number.
     """
+    if not (trace_dt > 0 and whole_steps(T, trace_dt)):
+        raise ContractError(f"T = {T:g} must be a whole number of positive "
+                            f"trace steps, got trace_dt = {trace_dt:g}")
     n_tr = int(round(T / trace_dt)) + 1
     if n_levels is None:
         n_levels = next((k + 1 for k in range(25, 1, -1) if (n_tr - 1) % k == 0), 2)
@@ -407,8 +404,8 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
 def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
                              w0: GridFunction, coupling: VertexCoupling,
                              lam: LambdaVector, T: float,
-                             n_levels: int = 26, trace_dt: float = 1e-3,
-                             enforce_compatibility: bool = False) -> LinearSolution:
+                             n_levels: int = 26,
+                             trace_dt: float = 1e-3) -> LinearSolution:
     """Build the linear graph solution from whole-line extensions.
 
     The three data extensions share one grid.  Free-evolution vertex traces
@@ -419,11 +416,6 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
             u0.spacing == v0.spacing == w0.spacing and
             len(u0) == len(v0) == len(w0)):
         raise ContractError("data extensions must share one grid")
-    if enforce_compatibility:
-        dev = check_compatibility(u0, v0, w0, coupling)
-        if not dev <= COMPATIBILITY_TOL:
-            raise ContractError(
-                f"initial data violate the Dirichlet compatibility by {dev:.2e}")
 
     tt, out_times = time_ladder(T, trace_dt, n_levels)
     data = (u0, v0, w0)

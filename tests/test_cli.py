@@ -569,9 +569,18 @@ class TestOtherCommands:
           "--out", "{tmp}/out.csv"], "--t"),
         (["scaling-check", "--config", "{tmp}/scenario.cfg", "--lam", "nan",
           "--out", "{tmp}/scaling.json"], "--lam"),
+        # a separate "-inf" or "-nan" is a value, not an option name
+        (["group", "--t", "-inf", "--in", "{tmp}/field.csv",
+          "--out", "{tmp}/out.csv"], "--t"),
+        (["fracint", "--alpha", "-Infinity", "--in", "{tmp}/trace.csv",
+          "--out", "{tmp}/out.csv"], "--alpha"),
+        (["scaling-check", "--config", "{tmp}/scenario.cfg", "--lam", "-NaN",
+          "--out", "{tmp}/scaling.json"], "--lam"),
     ], ids=["det-lambda-nan", "det-coeffs-count", "scan-s-nan", "scan-eps-inf",
             "scan-coeffs-count", "construct-lambda-count", "picard-lambda-inf",
-            "fracint-alpha-nan", "group-t-inf", "scaling-lam-nan"])
+            "fracint-alpha-nan", "group-t-inf", "scaling-lam-nan",
+            "group-t-minus-inf", "fracint-alpha-minus-infinity",
+            "scaling-lam-minus-nan"])
     def test_option_values_rejected(self, tmp_path, capsys, argv, option):
         inputs = {"scenario.cfg": SCENARIO,
                   "trace.csv": "t,value\n0,0\n0.001,1\n0.002,2\n0.003,3\n0.004,4\n",

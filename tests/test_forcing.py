@@ -431,17 +431,30 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
     assert np.abs(got.levels - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_filon_tables_stay_small_for_long_strides():
-    # two output levels 1000 trace steps apart: blocks of ~sqrt(M) cells keep
-    # the peak to ~160 grid rows, where one 1000-cell block takes ~4000
+def _filon_peak_rows(times):
+    """tracemalloc peak of a spectral forcing field on 2,048 points, in grid
+    rows of complex, for a 1,001-sample trace and the output ``times``."""
     n, h, dt = 2048, 0.05, 1e-3
     grid = GridFunction(-h * n / 2, h, np.zeros(n))
     f = TimeTrace(dt, np.sin(3.0 * dt * np.arange(1001)), True)
     tracemalloc.start()
     try:
-        fld = spectral_forcing_field(f, grid, np.array([0.0, 1.0]))
+        fld = spectral_forcing_field(f, grid, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fld.n_levels == 2
-    assert peak <= 300 * n * np.dtype(complex).itemsize
+    assert fld.n_levels == len(times)
+    return peak / (n * np.dtype(complex).itemsize)
+
+
+def test_filon_tables_stay_small_for_long_strides():
+    # two output levels 1000 trace steps apart: blocks of ~sqrt(M) cells keep
+    # the peak to ~160 grid rows, where one 1000-cell block takes ~4000
+    assert _filon_peak_rows(np.array([0.0, 1.0])) <= 300
+
+
+def test_filon_transform_holds_few_copies_of_the_level_stack():
+    # 101 output levels: the gain tables are freed and the stack is scaled in
+    # place before the batched transform, so the peak is ~340 grid rows;
+    # ~544 when the scaling made two temporary stacks
+    assert _filon_peak_rows(np.linspace(0.0, 1.0, 101)) <= 400

@@ -12,8 +12,8 @@ from ygraph.linops import GridFunction, gaussian_profile, group_multi
 from ygraph.vertex import (BoundaryMatrix, CouplingKind, LambdaVector,
                            VertexCoupling, admissible_scan, admissible_window,
                            anchor_lambda, assemble_linear_solution,
-                           build_matrix, check_compatibility, closed_form_det,
-                           det_m, is_invertible, solve_gamma,
+                           build_matrix, closed_form_det, compatibility_deviation,
+                           det_m, is_invertible, solve_gamma, time_ladder,
                            verify_vertex_conditions, LinearSolution)
 
 C_UNIT = VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0)
@@ -257,13 +257,12 @@ class TestAssemble:
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
         u0 = GridFunction(gx[0], h, gaussian_profile(gx, 1.0, 0.0, 2.0))
-        z = GridFunction(gx[0], h, np.zeros(gx.size))
-        assert check_compatibility(u0, z, z, C_UNIT) == pytest.approx(1.0)
-        lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
-        with pytest.raises(ContractError, match="compatibility"):
-            assemble_linear_solution(u0, z, z, C_UNIT, lam, T=0.2,
-                                     n_levels=11, trace_dt=1e-3,
-                                     enforce_compatibility=True)
+        u_vertex = u0.samples[u0.index_of_zero()]
+        assert compatibility_deviation(C_UNIT, u_vertex, 0.0, 0.0) == \
+            pytest.approx(1.0)
+        assert compatibility_deviation(C_UNIT, u_vertex, u_vertex, u_vertex) == 0.0
+        c2 = VertexCoupling(CouplingKind.TYPE2, 2.0, 3.0, 0.0, 0.0, 1.0, 1.0)
+        assert compatibility_deviation(c2, 5.0, 1.0, 1.0) == 0.0
 
     def test_nan_vertex_value_violates_compatibility(self):
         h = 0.05
@@ -275,14 +274,17 @@ class TestAssemble:
         # a NaN written into the buffer after construction still fails
         w0 = GridFunction(gx[0], h, np.zeros(gx.size))
         w0.samples[:] = nan_at_vertex
-        assert math.isnan(check_compatibility(z, z, w0, C_UNIT))
+        i0 = w0.index_of_zero()
+        assert math.isnan(compatibility_deviation(
+            C_UNIT, z.samples[i0], z.samples[i0], w0.samples[i0]))
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
-        with pytest.raises(ContractError, match="compatibility"):
+        with pytest.raises(ContractError, match="finite"):
             assemble_linear_solution(z, z, w0, C_UNIT, lam, T=0.2,
-                                     n_levels=11, trace_dt=1e-3,
-                                     enforce_compatibility=True)
+                                     n_levels=11, trace_dt=1e-3)
 
-    @pytest.mark.parametrize("T,n_levels", [(0.2, 1), (1e-4, 11), (0.2, 12)])
+    @pytest.mark.parametrize("T,n_levels", [(0.2, 1), (1e-4, 11), (0.2, 12),
+                                            (0.2005, 11), (0.1003, None),
+                                            (math.inf, 11), (math.nan, None)])
     def test_time_ladder_contract(self, T, n_levels):
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
@@ -291,6 +293,11 @@ class TestAssemble:
         with pytest.raises(ContractError, match="trace step"):
             assemble_linear_solution(z, z, z, C_UNIT, lam, T=T,
                                      n_levels=n_levels, trace_dt=1e-3)
+
+    @pytest.mark.parametrize("trace_dt", [0.0, math.nan])
+    def test_time_ladder_needs_a_positive_step(self, trace_dt):
+        with pytest.raises(ContractError, match="trace step"):
+            time_ladder(0.2, trace_dt)
 
     def test_residuals_do_not_depend_on_the_output_ladder(self):
         # 4 and 7 levels over T = 0.3 share t = 0, 0.1, 0.2, 0.3.  Fields and
