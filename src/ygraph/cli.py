@@ -24,17 +24,17 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ContractError, DomainError, YGraphError
 from .specfun import airy_scaled_with_deriv
-from .fracops import TimeTrace, riemann_liouville
+from .fracops import TimeTrace, check_order, riemann_liouville
 from .linops import GridFunction, airy_group
-from .forcing import _check_times, forcing_class
+from .forcing import _check_times, check_class_order, forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan,
                      assemble_linear_solution, time_ladder,
                      verify_vertex_conditions, whole_steps, STARTUP_WINDOW,
                      VERTEX_RESIDUAL_TOL)
 from .graphsim import (MAX_PICARD_ITERS, InitialProfile, ScenarioConfig, evolve,
-                       energy_report, picard_iterate, scaling_check,
-                       whole_line_data)
+                       check_scale, energy_report, picard_iterate,
+                       scaling_check, whole_line_data)
 
 
 @dataclass
@@ -273,10 +273,10 @@ def _write_edges(outdir, t, u, v, w):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _kernel_values(option, x):
-    """A and A' at x, with a bad argument reported against its option."""
+def _in_domain(option, fn, value):
+    """``fn(value)``, with a DomainError reported against ``option``."""
     try:
-        return airy_scaled_with_deriv(x)
+        return fn(value)
     except DomainError as exc:
         raise ConfigError([f"{option}: {exc}"])
 
@@ -287,7 +287,7 @@ def _cmd_airy(args):
         if not (1 <= n < math.inf and n == int(n)):
             raise ConfigError([f"--table N must be a whole number >= 1, got {n:g}"])
         xs = np.linspace(a, b, int(n))
-        va, vp = _kernel_values("--table", xs)
+        va, vp = _in_domain("--table", airy_scaled_with_deriv, xs)
         with (contextlib.nullcontext(sys.stdout) if args.out is None
               else open(args.out, "w")) as out:
             _write_table(out, {"x": xs, "A": va, "Aprime": vp},
@@ -295,7 +295,7 @@ def _cmd_airy(args):
         if args.out is not None:
             print(f"wrote {args.out}")
     elif args.x is not None:
-        a, ap = _kernel_values("--x", args.x)
+        a, ap = _in_domain("--x", airy_scaled_with_deriv, args.x)
         print(f"A({args.x:g}) = {a:.12g}")
         print(f"A'({args.x:g}) = {ap:.12g}")
     else:
@@ -304,6 +304,7 @@ def _cmd_airy(args):
 
 
 def _cmd_fracint(args):
+    _in_domain("--alpha", check_order, args.alpha)
     out = riemann_liouville(read_trace_csv(args.infile), args.alpha)
     write_trace_csv(args.out, out)
     man = RunManifest(command="fracint",
@@ -326,6 +327,7 @@ def _cmd_group(args):
 
 
 def _cmd_forcing(args):
+    _in_domain("--lambda", check_class_order, args.lam)
     g = read_trace_csv(args.g)
     if not (len(args.grid) == 2 and all(0.0 < v < math.inf for v in args.grid)
             and whole_steps(*args.grid)):
@@ -506,6 +508,7 @@ def _cmd_picard(args):
 
 
 def _cmd_scaling(args):
+    _in_domain("--lam", check_scale, args.lam)
     cfg = parse_config(args.config)
     rep = scaling_check(cfg, args.lam)
     print(f"lam = {args.lam:g}")

@@ -32,12 +32,11 @@ import cmath
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ContractError, DomainError
 from .fracops import (TimeTrace, riemann_liouville, product_weights,
-                      _first_sample_correction, sampled_derivative,
-                      vertex_limit)
+                      _first_sample_correction, fftconvolve,
+                      sampled_derivative, vertex_limit)
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
     group_trace_history, ladder_phases
 from .specfun import airy_scaled
@@ -253,11 +252,17 @@ def _one_sided_convolve(levels: np.ndarray, spacing: float, lam: float,
     c = product_weights(lam, n)
     corr = _first_sample_correction(lam, n)
     work = levels if from_left else levels[:, ::-1]
-    conv = fftconvolve(work, c[None, :], axes=1)[:, :n]
+    conv = fftconvolve(work, c)[:, :n]
     conv = conv + np.outer(work[:, 0], corr)
     if not from_left:
         conv = conv[:, ::-1]
     return (spacing ** lam / math.gamma(lam + 2.0)) * conv
+
+
+def check_class_order(lam: float):
+    """Raise DomainError unless lam is an order :func:`forcing_class` takes."""
+    if not -2.0 < lam < 1.0:
+        raise DomainError(f"lambda must lie in (-2, 1), got {lam}")
 
 
 def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
@@ -271,8 +276,7 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
     """
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    if not -2.0 < lam < 1.0:
-        raise DomainError(f"lambda must lie in (-2, 1), got {lam}")
+    check_class_order(lam)
     if method not in ("spectral", "simpson"):
         raise DomainError(f"unknown method {method!r}")
     _require_causal(g, "forcing_class")

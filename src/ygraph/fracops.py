@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ContractError, DomainError
 
@@ -63,6 +62,43 @@ class TimeTrace:
     @property
     def is_complex(self):
         return self.samples.dtype.kind == "c"
+
+
+def _fast_length(n: int, primes) -> int:
+    """The smallest m >= n that is 2**k times a product of ``primes``."""
+    odd = {1}
+    for p in primes:
+        for m in list(odd):
+            while m * p < 2 * n:
+                m *= p
+                odd.add(m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
+def _spectrum(x, size):
+    """The DFT of ``x`` zero-padded to ``size``; for real ``x`` the Hermitian
+    completion of its rfft, as scipy.fft computes it."""
+    if x.dtype.kind == "c":
+        return np.fft.fft(x, size)
+    half = np.fft.rfft(x, size)
+    return np.concatenate([half, half[..., (size + 1) // 2 - 1:0:-1].conj()], axis=-1)
+
+
+def fftconvolve(a, b) -> np.ndarray:
+    """Full linear convolution of ``a`` and ``b`` along the last axis, the
+    leading axes broadcast: bitwise scipy.signal.fftconvolve(a, b, axes=-1),
+    whose transform lengths (5-smooth for real operands, 11-smooth for
+    complex) it uses, without importing scipy.signal.  A length-1 operand
+    is a plain product."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b
+    n = a.shape[-1] + b.shape[-1] - 1
+    if a.dtype.kind == "c" or b.dtype.kind == "c":
+        size = _fast_length(n, (3, 5, 7, 11))
+        return np.fft.ifft(_spectrum(a, size) * _spectrum(b, size))[..., :n]
+    size = _fast_length(n, (3, 5))
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
 def trace_from_function(fn, dt, n):
@@ -222,6 +258,13 @@ def sampled_derivative(vals: np.ndarray, dt: float, k: int) -> np.ndarray:
     return out
 
 
+def check_order(alpha: float):
+    """Raise DomainError unless alpha lies in (-MAX_ORDER, MAX_ORDER]."""
+    if not -MAX_ORDER < alpha <= MAX_ORDER:
+        raise DomainError(f"alpha must lie in ({-MAX_ORDER:g}, {MAX_ORDER:g}], "
+                          f"got {alpha}")
+
+
 def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     """Apply I_alpha to a causal trace.
 
@@ -231,9 +274,7 @@ def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     """
     if not f.causal:
         raise ContractError("riemann_liouville requires a causal trace")
-    if not -MAX_ORDER < alpha <= MAX_ORDER:
-        raise DomainError(f"alpha must lie in ({-MAX_ORDER:g}, {MAX_ORDER:g}], "
-                          f"got {alpha}")
+    check_order(alpha)
     if alpha == 0.0:
         return TimeTrace(f.dt, f.samples.copy(), True)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.interpolate import CubicSpline
 
 from .errors import ContractError, DomainError, YGraphError
 from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
@@ -433,6 +432,12 @@ class ScalingReport:
         return max(self.discrepancy_u, self.discrepancy_v, self.discrepancy_w)
 
 
+def check_scale(lam: float):
+    """Raise DomainError unless lam is a scale :func:`scaling_check` takes."""
+    if not 0.0 < lam <= 1.0:
+        raise DomainError(f"lam must lie in (0, 1], got {lam}")
+
+
 def scaling_check(config: ScenarioConfig, lam: float) -> ScalingReport:
     """Compare a run against its rescaled twin.
 
@@ -441,8 +446,7 @@ def scaling_check(config: ScenarioConfig, lam: float) -> ScalingReport:
     onto the base run; the vertex relations are scale-invariant so the
     coupling passes through unchanged.
     """
-    if not 0.0 < lam <= 1.0:
-        raise DomainError("lam must lie in (0, 1]")
+    check_scale(lam)
     if lam == 1.0:
         evolve(config, store_every=max(config.n_steps, 1))
         return ScalingReport(lam=lam, discrepancy_u=0.0, discrepancy_v=0.0,
@@ -511,6 +515,45 @@ def whole_line_data(config: ScenarioConfig, h: float,
             whole_line_extension(GridFunction(0.0, h, w), "right", grid)]
 
 
+def _spline_matrix(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(len(points), len(nodes)) matrix of not-a-knot cubic interpolation
+    from ``nodes`` to ``points``: the spline scipy's CubicSpline builds, with
+    its line for two nodes and its parabola for three, applied to each unit
+    vector of node values."""
+    x = np.asarray(nodes, dtype=float)
+    n = x.size
+    dx = np.diff(x)
+    col = dx[:, None]
+    slope = np.diff(np.eye(n), axis=0) / col
+    if n == 2:
+        s = np.vstack([slope, slope])
+    else:
+        # node slopes s from a s = b: C^2 at the inner nodes, plus end rows
+        a = np.zeros((n, n))
+        b = np.empty((n, n))
+        i = np.arange(1, n - 1)
+        a[i, i - 1], a[i, i], a[i, i + 1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+        b[1:-1] = 3.0 * (col[1:] * slope[:-1] + col[:-1] * slope[1:])
+        if n == 3:          # both end conditions coincide: the parabola
+            a[0, :2] = a[2, 1:] = 1.0
+            b[0], b[2] = 2.0 * slope
+        else:               # one cubic over the first two and the last two intervals
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            a[0, :2] = dx[1], d0
+            a[-1, -2:] = d1, dx[-2]
+            b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            b[-1] = (dx[-1] ** 2 * slope[-2]
+                     + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = np.linalg.solve(a, b)
+    # Hermite coefficients per interval, in powers of (t - x_k)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / col
+    c3, c2, c1, c0 = t / col, (slope - s[:-1]) / col - t, s[:-1], np.eye(n)[:-1]
+    pts = np.asarray(points, dtype=float)
+    k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, n - 2)
+    z = (pts - x[k])[:, None]
+    return ((c3[k] * z + c2[k]) * z + c1[k]) * z + c0[k]
+
+
 @dataclass(frozen=True)
 class PicardResult:
     iterates: list               # list of (u, v, w) level stacks
@@ -527,7 +570,9 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     Each pass recomputes the inhomogeneous Duhamel term from the previous
     iterate's nonlinearity, re-solves the vertex system for the boundary
     traces and re-assembles the forcing superposition.  Vertex traces are
-    sampled every config.dt.  The nonlinear input to the group is tapered
+    sampled every config.dt: the Duhamel term's traces move from the output
+    ladder to that trace ladder by one not-a-knot cubic interpolation
+    matrix, built once per call.  The nonlinear input to the group is tapered
     over the outer :data:`PICARD_TAPER_FRACTION` of the domain so the
     construction's slow polynomial tails cannot seed wrap-around.
     """
@@ -540,6 +585,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
     tt, out_times = time_ladder(config.T, config.dt, n_levels)
 
+    spline = _spline_matrix(out_times, tt)
     exts = whole_line_data(config, h, grid)
     free_fields = [group_multi(e, out_times, decay_tol=1e-5).levels for e in exts]
     free_tr = free_vertex_traces(exts, tt)
@@ -571,7 +617,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
                 k_fields.append(kf)
                 for j in range(3):
                     vals = vertex_limit(kf, i0, h, "centered", j)
-                    k_tr[j].append(CubicSpline(out_times, np.real(vals))(tt))
+                    k_tr[j].append(spline @ np.real(vals))
             base = [f + k for f, k in zip(free_fields, k_fields)]
             traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]
 

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ygraph
 from ygraph.cli import main, parse_config, read_field_csv, read_trace_csv
-from ygraph.errors import ConfigError
-from ygraph.forcing import forcing_class
-from ygraph.fracops import riemann_liouville
-from ygraph.graphsim import ScenarioConfig
+from ygraph.errors import ConfigError, DomainError
+from ygraph.forcing import check_class_order, forcing_class
+from ygraph.fracops import check_order, riemann_liouville
+from ygraph.graphsim import ScenarioConfig, check_scale
 from ygraph.linops import GridFunction, airy_group
 from ygraph.specfun import airy_scaled_with_deriv
 from ygraph.vertex import CouplingKind, VertexCoupling, admissible_scan
@@ -593,6 +596,31 @@ class TestOtherCommands:
         assert f"  {option} must be " in cap.err and cap.out == ""
         assert sorted(os.listdir(tmp_path)) == sorted(inputs)
 
+    @pytest.mark.parametrize("argv,option,check,value", [
+        (["fracint", "--alpha", "5", "--in", "{tmp}/trace.csv",
+          "--out", "{tmp}/out.csv"], "--alpha", check_order, 5.0),
+        (["scaling-check", "--config", "{tmp}/scenario.cfg", "--lam", "2",
+          "--out", "{tmp}/scaling.json"], "--lam", check_scale, 2.0),
+        (["forcing", "--lambda", "2", "--sign", "minus", "--g", "{tmp}/trace.csv",
+          "--grid", "1,0.1", "--times", "0,0.002", "--out", "{tmp}/field.csv"],
+         "--lambda", check_class_order, 2.0),
+    ], ids=["fracint-alpha", "scaling-lam", "forcing-lambda"])
+    def test_option_values_outside_domain(self, tmp_path, capsys, argv, option,
+                                          check, value):
+        # a finite value the operation does not take is a configuration
+        # error reported with the library's own message
+        inputs = {"scenario.cfg": SCENARIO,
+                  "trace.csv": "t,value\n0,0\n0.001,1\n0.002,2\n0.003,3\n0.004,4\n"}
+        for name, text in inputs.items():
+            write(tmp_path, name, text)
+        with pytest.raises(DomainError) as exc:
+            check(value)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        cap = capsys.readouterr()
+        assert cap.err == f"configuration errors:\n  {option}: {exc.value}\n"
+        assert cap.out == ""
+        assert sorted(os.listdir(tmp_path)) == sorted(inputs)
+
     def test_usage_errors(self, capsys):
         assert main([]) == 2
         with pytest.raises(SystemExit):
@@ -616,3 +644,17 @@ class TestOtherCommands:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_import_leaves_out_heavy_scipy_modules():
+    # the CLI needs numpy and scipy.sparse only; scipy.signal (with
+    # scipy.stats) and scipy.interpolate cost most of a second to import
+    src = Path(ygraph.__file__).resolve().parents[1]
+    code = "import sys, ygraph.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    heavy = {"scipy.signal", "scipy.interpolate", "scipy.stats", "scipy.fft"}
+    loaded = proc.stdout.split()
+    assert "ygraph.cli" in loaded and "scipy.sparse.linalg" in loaded
+    assert not [m for m in loaded if ".".join(m.split(".")[:2]) in heavy]

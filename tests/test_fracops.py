@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal          # the reference only; ygraph does not import it
 from hypothesis import given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError
-from ygraph.fracops import (TimeTrace, boundary_layer_width,
+from ygraph.fracops import (TimeTrace, boundary_layer_width, fftconvolve,
                             fractional_integral_samples, product_weights,
                             riemann_liouville, trace_from_function,
                             limit_weights, vertex_limit)
@@ -237,3 +238,25 @@ def test_vertex_limit_domain():
     with pytest.raises(DomainError):              # needs nodes +1..+6
         vertex_limit(row, 4, 0.1, "right", 2)
     assert vertex_limit(row, 4, 0.1, "left") == 0.0
+
+
+@pytest.mark.parametrize("shape_a,n_b", [
+    ((501,), 501), ((12800,), 12800), ((26, 12800), 12800), ((37,), 100),
+    ((1,), 40), ((40,), 1), ((1,), 1), ((26, 1), 7)],
+    ids=["501", "12800", "stack-26x12800", "unequal", "a-length-1",
+         "b-length-1", "both-length-1", "stack-length-1"])
+@pytest.mark.parametrize("kind", ["real", "complex-a", "complex-b", "complex"])
+def test_fftconvolve_matches_scipy(shape_a, n_b, kind):
+    rng = np.random.default_rng(n_b)
+    a, b = rng.standard_normal(shape_a), rng.standard_normal(n_b)
+    if kind in ("complex-a", "complex"):
+        a = a + 1j * rng.standard_normal(shape_a)
+    if kind in ("complex-b", "complex"):
+        b = b + 1j * rng.standard_normal(n_b)
+    want = scipy.signal.fftconvolve(a, b[None, :], axes=1) if a.ndim == 2 \
+        else scipy.signal.fftconvolve(a, b)
+    got = fftconvolve(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # scipy's transform lengths and spectra: bitwise, complex included, so
+    # the forcing classes stay bitwise what they were with scipy.signal
+    assert np.array_equal(got, want)

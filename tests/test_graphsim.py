@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline   # the reference only
 
 from ygraph.errors import ContractError, DomainError, YGraphError
 from ygraph.fracops import ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided
 from ygraph.linops import GridFunction, group_multi
 from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
                            assemble_linear_solution)
-from ygraph.graphsim import (InitialProfile, ScenarioConfig, edge_mass,
-                             energy_report, evolve, picard_iterate,
+from ygraph.graphsim import (InitialProfile, ScenarioConfig, _spline_matrix,
+                             edge_mass, energy_report, evolve, picard_iterate,
                              scaling_check, soliton_exact, whole_line_data,
                              whole_line_extension)
 
@@ -380,3 +381,23 @@ class TestPicard:
                              mode="nonlinear")
         with pytest.raises(DomainError):
             picard_iterate(cfg, LambdaVector(0.05, 0.3, 0.05, 0.05))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 26, 101])
+def test_spline_matrix_matches_cubic_spline(n):
+    # picard_iterate's output-ladder to trace-ladder interpolation
+    rng = np.random.default_rng(n)
+    nodes = np.linspace(0.0, 0.5, n)
+    points = np.linspace(0.0, 0.5, 501)
+    spline = _spline_matrix(nodes, points)
+    assert spline.shape == (points.size, n)
+    for _ in range(5):
+        vals = rng.standard_normal(n)
+        want = CubicSpline(nodes, vals)(points)
+        assert np.abs(spline @ vals - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(_spline_matrix(nodes, nodes) - np.eye(n)).max() <= 1e-14
+    # not-a-knot reproduces cubics; two nodes give the line, three the parabola
+    poly = np.array([2.0, -1.0, 3.0, -5.0])[:min(n, 4)]
+    want = np.polynomial.polynomial.polyval(points, poly)
+    got = spline @ np.polynomial.polynomial.polyval(nodes, poly)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
