@@ -10,7 +10,11 @@ Two evaluation routes are provided and cross-checked by the test suite:
 
 * ``simpson`` -- the explicit kernel formula after the substitution
   t - t' = sigma^3 (which removes the singular factor), with composite
-  Simpson in sigma.  Accurate for vertex traces and on the decaying side,
+  Simpson in sigma.  Arguments are measured from the zero node, so the
+  kernel at node offset k and Simpson node j is A(k h / sigma_j), a function
+  of the ratio k/j alone: each level evaluates A once per reduced pair
+  (k/g, j/g), g = gcd(k, j), at ascending arguments, and reads every other
+  entry from it.  Accurate for vertex traces and on the decaying side,
   but its quadrature error in the Airy-oscillation region x << 0 is not
   smooth from node to node, so spatial derivatives of the field amplify it.
 * ``spectral`` -- per-frequency exact (Filon) integration of the Duhamel
@@ -72,20 +76,51 @@ def _check_times(times, dt_trace, n_trace):
 # sigma-substitution Simpson route
 # ---------------------------------------------------------------------------
 
+def _ratio_table(n, i0, n_sig):
+    """Reduced pairs of the (n, n_sig) kernel matrix of the sigma route.
+
+    Entry (i, j - 1) is A(k h / sigma_j) with k = i - i0 and j = 1..n_sig,
+    which equals the entry of the reduced pair (k/g, j/g), g = gcd(k, j).
+    Returns the coprime pairs (p, q) in ascending order of p/q and, for
+    every entry, the slot of its reduced pair among them.
+    """
+    itype = np.int32 if n * n_sig < 2 ** 31 else np.int64
+    k = np.arange(-i0, n - i0, dtype=itype)[:, None]
+    j = np.arange(1, n_sig + 1, dtype=itype)
+    g = np.gcd(k, j)
+    reduced = (k // g + i0) * n_sig + (j // g - 1)   # flat entry of the reduced pair
+    coprime = g == 1
+    p, q = (np.broadcast_to(a, g.shape)[coprime] for a in (k, j))
+    order = np.argsort(p / q)
+    p, q = p[order], q[order]
+    slot = np.empty(n * n_sig, dtype=itype)
+    slot[(p + i0) * n_sig + (q - 1)] = np.arange(p.size, dtype=itype)
+    return p, q, slot[reduced]
+
+
 def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
-    """9 * int_0^{t^{1/3}} A(x/s) s f(t - s^3) ds per output time."""
+    """9 * int_0^{t^{1/3}} A(x/s) s f(t - s^3) ds per output time.
+
+    Composite Simpson in s on 2 * DEFAULT_PANELS panels, s_j = j top / (2P).
+    x is measured from the zero node, x = k h, so the kernel matrix entry
+    A(k h / s_j) depends on k/j alone.  The reuse rule: each level makes one
+    call of ``airy_scaled`` at (p h) / s_q for the coprime pairs (p, q) of
+    :func:`_ratio_table`, which are ascending because s > 0, and gathers the
+    (n, 2P) matrix by slot before the Simpson sum.
+    """
     idx = _check_times(times, smoothed.dt, len(smoothed))
     times = np.asarray(times, dtype=float)
-    x = grid.x
+    n_nodes = 2 * DEFAULT_PANELS + 1
+    p, q, slot = _ratio_table(len(grid), grid.index_of_zero(), n_nodes - 1)
+    ph = p * grid.spacing
     tf = smoothed.times
     fs = smoothed.samples
     is_c = smoothed.is_complex
-    levels = np.zeros((times.size, x.size), dtype=complex if is_c else float)
+    levels = np.zeros((times.size, len(grid)), dtype=complex if is_c else float)
     for m, t in enumerate(times):
         if t == 0.0:
             continue
         top = t ** (1.0 / 3.0)
-        n_nodes = 2 * DEFAULT_PANELS + 1
         sig = np.linspace(0.0, top, n_nodes)
         w = np.empty(n_nodes)
         hstep = top / (2 * DEFAULT_PANELS)
@@ -96,7 +131,7 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
         fvals = np.interp(t - sig[1:] ** 3, tf, fs.real)
         if is_c:
             fvals = fvals + 1j * np.interp(t - sig[1:] ** 3, tf, fs.imag)
-        kmat = airy_scaled(x[:, None] / sig[None, 1:])
+        kmat = airy_scaled(ph / sig[q])[slot]
         levels[m] = 9.0 * (kmat * (sig[1:] * w[1:] * fvals)).sum(axis=1)
     dt_out = times[1] - times[0]
     return SpaceTimeField(grid.origin, grid.spacing, dt_out, levels)

@@ -21,11 +21,19 @@ evaluated through that rescaling, z = x / 3**(1/3), in bands of z:
   ~1e-11 absolute at the seam.  On the decaying side Ai is an exact 0 wherever
   exp(-zeta) underflows, with no sum.  On the oscillatory side a phase of
   2**53 or more carries no digits, so arguments x below ``X_MIN``
-  (about -8.2e10) raise ``DomainError``.
+  (about -8.2e10) raise ``DomainError``, as do arguments that are not real.
+
+The evaluator works on ascending arguments: the oscillatory, Taylor and
+decaying regions are consecutive slices, found by ``searchsorted``, and each
+band of zeta is a contiguous run within its region.  Unordered input is
+argsorted once and the values are scattered back; every element takes the
+same operations wherever it sits, so its value does not depend on the order
+or shape of the input.
 
 Against mpmath over |x| <= 30 the worst absolute errors are ~3e-12 for A
-and ~6e-12 for A', both near z = 6.6, where the Maclaurin seeds cancel.  No library Airy routine is used, so independent
-implementations can serve as test oracles.
+and ~6e-12 for A', both near z = 6.6, where the Maclaurin seeds cancel.  No
+library Airy routine is used, so independent implementations can serve as
+test oracles.
 """
 
 from __future__ import annotations
@@ -167,39 +175,39 @@ def _ai_taylor(z, deriv):
 def _tail_sums(zeta, step, series):
     """sum_k c_k step**k for each (coef, start, stride) in series.
 
-    A point whose band of zeta has term count n sums the terms
-    c = coef[start:n + 1:stride]; the points of one band share one gather
-    of step.
+    ``zeta`` is ascending, so each band of zeta is one contiguous run of it,
+    found by ``searchsorted``.  A point whose band has term count n sums the
+    terms c = coef[start:n + 1:stride]; the points of one band share one
+    slice of step.
     """
-    band = np.searchsorted(_BAND_ZETA, zeta, side="right") - 1
+    cuts = [0, *np.searchsorted(zeta, _BAND_ZETA[1:]), zeta.size]
     sums = [np.empty_like(step) for _ in series]
-    for b, n in enumerate(_BAND_TERMS):
-        idx = np.flatnonzero(band == b)
-        if idx.size:
-            s = step[idx]
+    for n, lo, hi in zip(_BAND_TERMS, cuts[:-1], cuts[1:]):
+        if hi > lo:
+            s = step[lo:hi]
             for out, (coef, start, stride) in zip(sums, series):
-                out[idx] = _horner(coef[start:n + 1:stride], s)
+                out[lo:hi] = _horner(coef[start:n + 1:stride], s)
     return sums
 
 
 def _ai_decaying(z, deriv):
-    """Asymptotic Ai (and Ai') on the decaying side z > _Z_SWITCH."""
+    """Asymptotic Ai (and Ai') on the decaying side z > _Z_SWITCH, z ascending."""
     ai = np.zeros_like(z)
     aip = np.zeros_like(z) if deriv else None
     zeta = (2.0 / 3.0) * np.minimum(z, _Z_DEAD) ** 1.5
     e = np.exp(-zeta)
-    live = np.flatnonzero(e)
-    z, zeta, e = z[live], zeta[live], e[live]
+    live = np.count_nonzero(e)     # e falls as z rises: its zeros are a suffix
+    z, zeta, e = z[:live], zeta[:live], e[:live]
     sums = _tail_sums(zeta, -1.0 / zeta, [(_U_COEF, 0, 1), (_V_COEF, 0, 1)][:1 + deriv])
-    ai[live] = e / (2.0 * _SQRT_PI * z ** 0.25) * sums[0]
+    ai[:live] = e / (2.0 * _SQRT_PI * z ** 0.25) * sums[0]
     if deriv:
-        aip[live] = -(z ** 0.25) * e / (2.0 * _SQRT_PI) * sums[1]
+        aip[:live] = -(z ** 0.25) * e / (2.0 * _SQRT_PI) * sums[1]
     return ai, aip
 
 
 def _ai_oscillatory(z, deriv):
-    """Asymptotic Ai (and Ai') on the oscillatory side z < -_Z_SWITCH."""
-    w = -z
+    """Asymptotic Ai (and Ai') on the oscillatory side z < -_Z_SWITCH, z ascending."""
+    w = -z[::-1]                   # ascending, so zeta is too
     zeta = (2.0 / 3.0) * w ** 1.5
     series = [(_U_COEF, 0, 2), (_U_COEF, 1, 2), (_V_COEF, 0, 2), (_V_COEF, 1, 2)]
     sums = _tail_sums(zeta, -1.0 / (zeta * zeta), series[:2 + 2 * deriv])
@@ -207,27 +215,50 @@ def _ai_oscillatory(z, deriv):
     sn, cs = np.sin(phase), np.cos(phase)
     ai = (sn * sums[0] - cs * sums[1] / zeta) / (_SQRT_PI * w ** 0.25)
     if not deriv:
-        return ai, None
-    return ai, -(w ** 0.25) / _SQRT_PI * (cs * sums[2] + sn * sums[3] / zeta)
+        return ai[::-1], None
+    aip = -(w ** 0.25) / _SQRT_PI * (cs * sums[2] + sn * sums[3] / zeta)
+    return ai[::-1], aip[::-1]
 
 
 def _ai(z, deriv):
-    """Ai(z) and, if deriv, Ai'(z) (else None) on an array of finite z >= X_MIN / 3**(1/3)."""
-    ai = np.empty_like(z)
-    aip = np.empty_like(z) if deriv else None
-    for mask, part in ((np.abs(z) <= _Z_SWITCH, _ai_taylor),
-                       (z > _Z_SWITCH, _ai_decaying),
-                       (z < -_Z_SWITCH, _ai_oscillatory)):
-        if mask.any():
-            a, ap = part(z[mask], deriv)
-            ai[mask] = a
+    """Ai(z) and, if deriv, Ai'(z) (else None) on an array of finite z >= X_MIN / 3**(1/3).
+
+    The oscillatory, Taylor and decaying regions are consecutive slices of
+    the ascending arguments; unordered input is argsorted once and its values
+    are scattered back, so each value is the same whatever its position.
+    """
+    flat = z.reshape(-1)
+    order = None
+    if not np.all(flat[:-1] <= flat[1:]):
+        order = np.argsort(flat)
+        flat = flat[order]
+    lo = np.searchsorted(flat, -_Z_SWITCH, side="left")
+    hi = np.searchsorted(flat, _Z_SWITCH, side="right")
+    ai = np.empty_like(flat)
+    aip = np.empty_like(flat) if deriv else None
+    for part, cut in ((_ai_oscillatory, slice(0, lo)), (_ai_taylor, slice(lo, hi)),
+                      (_ai_decaying, slice(hi, flat.size))):
+        if cut.stop > cut.start:
+            at = cut if order is None else order[cut]
+            a, ap = part(flat[cut], deriv)
+            ai[at] = a
             if deriv:
-                aip[mask] = ap
-    return ai, aip
+                aip[at] = ap
+    return ai.reshape(z.shape), (aip.reshape(z.shape) if deriv else None)
 
 
 def _checked(x):
-    arr = np.asarray(x, dtype=float)
+    """x as a float array; DomainError unless it holds finite reals >= X_MIN."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "O":
+        try:
+            arr = arr.astype(float)          # float() of each element
+        except (TypeError, ValueError):
+            pass
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"airy kernel arguments must be real numbers, "
+                          f"got {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise DomainError("airy kernel requires finite arguments")
     if arr.size and arr.min() < X_MIN:

@@ -14,17 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ygraph import forcing
 from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import TimeTrace, riemann_liouville
 from ygraph.linops import GridFunction, SpaceTimeField, frequencies, \
     trace_at_zero
 from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
-                            _filon_base, _filon_field, duhamel_forcing,
+                            _filon_base, _filon_field, _sigma_field,
+                            duhamel_forcing,
                             duhamel_forcing_deriv, field_spatial_derivative,
                             forcing_class, minus_trace_factor,
                             one_sided_limits, plus_trace_factor,
                             smooth_window, spectral_forcing_field,
                             halfline_construct_left, halfline_construct_right)
+from ygraph.specfun import airy_scaled
 
 DT = 1e-3
 T = 1.0
@@ -458,3 +461,92 @@ def test_filon_transform_holds_few_copies_of_the_level_stack():
     # place before the batched transform, so the peak is ~340 grid rows;
     # ~544 when the scaling made two temporary stacks
     assert _filon_peak_rows(np.linspace(0.0, 1.0, 101)) <= 400
+
+
+# ---------------------------------------------------------------------------
+# sigma route: one kernel value per reduced ratio
+# ---------------------------------------------------------------------------
+
+SIGMA_GRIDS = {
+    "symmetric": GridFunction(-3.0, 0.05, np.zeros(121)),
+    "criterion-3": GridFunction(-30.0, 0.25, np.zeros(181)),
+    # origin + i0 h is 8.9e-16 here; x is measured from the zero node itself
+    "zero-near-end": GridFunction(-5.85, 0.05, np.zeros(120)),
+}
+SIGMA_TIMES = np.array([0.0, 0.1, 0.2, 0.3])
+
+
+def _sigma_trace(kind):
+    t = DT * np.arange(301)
+    g = t ** 2 * np.exp(-t)
+    if kind == "complex":   # a plus-class trace carries a complex phase
+        g = plus_trace_factor(0.3) * g + 0.5j * t * np.sin(5.0 * t)
+    return riemann_liouville(TimeTrace(DT, g, True), -2.0 / 3.0)
+
+
+def _sigma_brute_force(smoothed, grid, times):
+    """_sigma_field's Simpson sum with the whole kernel matrix A(k h / s_j)."""
+    n_sig = 2 * forcing.DEFAULT_PANELS
+    kh = (np.arange(len(grid)) - grid.index_of_zero()) * grid.spacing
+    fs = smoothed.samples
+    levels = np.zeros((len(times), len(grid)), dtype=fs.dtype)
+    for m, t in enumerate(times[1:], 1):
+        top = t ** (1.0 / 3.0)
+        sig = np.linspace(0.0, top, n_sig + 1)
+        w = np.ones(n_sig + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= top / n_sig / 3.0
+        fvals = np.interp(t - sig[1:] ** 3, smoothed.times, fs.real)
+        if smoothed.is_complex:
+            fvals = fvals + 1j * np.interp(t - sig[1:] ** 3, smoothed.times, fs.imag)
+        kmat = airy_scaled(kh[:, None] / sig[None, 1:])
+        levels[m] = 9.0 * (kmat * (sig[1:] * w[1:] * fvals)).sum(axis=1)
+    return levels
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("name", list(SIGMA_GRIDS))
+def test_sigma_field_matches_whole_kernel_matrix(name, kind):
+    grid, smoothed = SIGMA_GRIDS[name], _sigma_trace(kind)
+    got = _sigma_field(smoothed, grid, SIGMA_TIMES).levels
+    want = _sigma_brute_force(smoothed, grid, SIGMA_TIMES)
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    i0 = grid.index_of_zero()
+    assert got[:, i0].tobytes() == want[:, i0].tobytes()
+
+
+@pytest.mark.parametrize("name", list(SIGMA_GRIDS))
+def test_sigma_field_evaluates_each_reduced_ratio_once(name, monkeypatch):
+    # forcing.airy_scaled is the name the benchmark tracer rebinds; each
+    # level passes it one ascending argument per coprime pair (k, j)
+    grid = SIGMA_GRIDS[name]
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return airy_scaled(x)
+    monkeypatch.setattr(forcing, "airy_scaled", counted)
+    _sigma_field(_sigma_trace("real"), grid, SIGMA_TIMES)
+    i0, n_sig = grid.index_of_zero(), 2 * forcing.DEFAULT_PANELS
+    pairs = sum(math.gcd(k, j) == 1 for k in range(-i0, len(grid) - i0)
+                for j in range(1, n_sig + 1))
+    assert [c.size for c in calls] == [pairs] * (SIGMA_TIMES.size - 1)
+    assert all(np.all(np.diff(c) > 0) for c in calls)
+
+
+def test_sigma_field_peak_memory():
+    # in units of one (n, 2P) float kernel matrix on the forcing_quadrature
+    # grid: ~7.0 with the ratio table, ~9.4 when A is evaluated at every
+    # entry of the matrix
+    n = 1201
+    grid = GridFunction(-30.0, 0.05, np.zeros(n))
+    smoothed = _sigma_trace("real")
+    tracemalloc.start()
+    try:
+        _sigma_field(smoothed, grid, SIGMA_TIMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * 2 * forcing.DEFAULT_PANELS * 8) <= 8.0

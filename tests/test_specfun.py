@@ -9,6 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -188,12 +189,83 @@ class TestArgumentRange:
         a, ap = airy_scaled_with_deriv(X_MIN)
         assert math.isfinite(a) and math.isfinite(ap) and abs(a) < 0.1
 
+    @pytest.mark.parametrize("bad", [np.array([1.0 + 2.0j]), 1.0 + 2.0j, "x", "1.5"],
+                             ids=["complex-array", "complex", "string", "numeric-string"])
+    def test_non_real_arguments_raise(self, bad):
+        for f in (airy_scaled, airy_scaled_deriv, airy_scaled_with_deriv):
+            with pytest.raises(DomainError, match="must be real numbers"):
+                f(bad)
+
     def test_decaying_side_underflows_to_exact_zero(self):
         x = CBRT3 * np.array([100.0, 110.0, 1e3, 1e300])
         a, ap = airy_scaled_with_deriv(x)
         assert a[0] > 0.0 and ap[0] < 0.0
         assert np.all(a[1:] == 0.0) and np.all(ap[1:] == 0.0)
         assert airy_scaled(np.finfo(float).max) == 0.0
+
+
+def _seam_values():
+    """x on and one ulp either side of every seam of the evaluator: the
+    Taylor cell edges, the series switch, each zeta-band edge, the zone where
+    exp(-zeta) underflows, the clip _Z_DEAD, and X_MIN."""
+    k = np.arange(-specfun._N_CELLS, specfun._N_CELLS + 1) / specfun._CELLS_PER_UNIT
+    half = 0.5 / specfun._CELLS_PER_UNIT
+    cells = np.concatenate([k - half, k + half, [-specfun._Z_SWITCH, specfun._Z_SWITCH]])
+    cells = cells[np.abs(cells) <= specfun._Z_SWITCH]
+    bands = (1.5 * specfun._BAND_ZETA[1:]) ** (2.0 / 3.0)
+    underflow = (1.5 * np.array([700.0, 745.0, 745.13, 745.2, 760.0])) ** (2.0 / 3.0)
+    z = np.concatenate([cells, -bands, bands, underflow, [specfun._Z_DEAD]])
+    x = CBRT3 * z
+    x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        [X_MIN, np.nextafter(X_MIN, np.inf), 0.0, -0.0, 1e300]])
+    return np.unique(x[x >= X_MIN])
+
+
+SEAMS = _seam_values()
+KERNELS = (airy_scaled, airy_scaled_deriv, airy_scaled_with_deriv)
+
+
+def _outputs(f, arg):
+    out = f(arg)
+    return out if f is airy_scaled_with_deriv else (out,)
+
+
+def _layouts(x, rng):
+    """Arrangements of x, each with the index into x of every element."""
+    n = x.size
+    perm = rng.permutation(n)
+    strided = np.empty(2 * n)
+    strided[::2] = x
+    return [(x[perm], perm), (x[::-1], np.arange(n)[::-1]),
+            (np.stack([x, x[perm]]), np.stack([np.arange(n), perm])),
+            (strided[::2], np.arange(n)), (x[perm][::-1], perm[::-1])]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.sampled_from(list(SEAMS)),
+                                 st.floats(-60.0, 60.0),
+                                 st.floats(X_MIN, 1e300)),
+                       max_size=80),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_value_of_an_element_does_not_depend_on_its_position(values, seed):
+    # sorted input is evaluated in place, any other order through one
+    # argsort; every element must come out bitwise the same either way
+    x = np.sort(np.array(values, dtype=float))
+    rng = np.random.default_rng(seed)
+    for f in KERNELS:
+        ref = _outputs(f, x)
+        for arr, at in _layouts(x, rng):
+            for got, r in zip(_outputs(f, arr), ref):
+                assert got.shape == arr.shape
+                assert got.tobytes() == r[at].tobytes()
+        for i in range(min(3, x.size)):
+            for arg in (float(x[i]), np.array(x[i])):
+                for got, r in zip(_outputs(f, arg), ref):
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == r[i].tobytes()
+        for empty in (np.empty(0), np.empty((0, 3))):
+            for got in _outputs(f, empty):
+                assert got.shape == empty.shape
 
 
 class TestGamma:
