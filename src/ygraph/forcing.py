@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -183,8 +184,37 @@ def smooth_window(n: int, spacing: float) -> np.ndarray:
 SMOOTH_FIT_WINDOW = (12, 28)
 
 
+FilonTables = namedtuple("FilonTables", "key phase powers coefs")
+
+
+def filon_tables(grid: GridFunction, dt: float, times, tables=None,
+                 n_trace=math.inf) -> FilonTables:
+    """The part of :func:`_filon_field` that the grid, the trace step dt and the
+    output ``times`` (within ``n_trace`` samples) fix: the grid phase exp(i xi x_0),
+    the powers p^q and p^r (r = s mod q) and the gain coefficients of q and r
+    cells.  Callers forcing many traces on one grid and ladder build it once;
+    given ``tables`` are returned if they fit, ContractError if not."""
+    idx = _check_times(times, dt, n_trace)
+    n, s = len(grid), int(idx[1])
+    key = n, grid.spacing, grid.origin, dt, s, min(s, math.isqrt(int(idx[-1])) + 1)
+    if tables is not None:
+        if tables.key != key:
+            raise ContractError("Filon tables do not fit this grid, trace step or ladder")
+        return tables
+    q = key[-1]
+    xi = frequencies(n, grid.spacing)
+    p, e0, e1 = _filon_base(xi ** 3, dt)
+    pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (q, n))]), axis=0)
+    rb = pw[q - 1::-1] * (e1 / dt)          # rows p^{q-1} b .. b
+    ra = pw[q - 1::-1] * (e0 - e1 / dt)     # rows p^{q-1} a .. a
+    coefs = [np.vstack([rb[q - c:], np.zeros(n)]) for c in (q, s % q)]
+    for c, coef in zip((q, s % q), coefs):  # row i weighs sample k + i of c cells
+        coef[1:] += ra[q - c:]
+    return FilonTables(key, np.exp(1j * xi * grid.origin), (pw[q], pw[s % q]), tuple(coefs))
+
+
 def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
-                 real: bool) -> SpaceTimeField:
+                 real: bool, tables=None) -> SpaceTimeField:
     """Filon recurrence shared by the spectral routes.
 
     phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
@@ -196,27 +226,21 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     level is ifft(3 phi mult), ``mult`` holding the frequency filter with the
     grid phase and 1/spacing.  ``real`` keeps the real part.
     """
-    idx = _check_times(times, smoothed.dt, len(smoothed))
-    n, s = len(grid), int(idx[1])
-    q = min(s, math.isqrt(int(idx[-1])) + 1)
-    (nb, r), first = divmod(s, q), s * np.arange(idx.size - 1)
-    p, e0, e1 = _filon_base(frequencies(n, grid.spacing) ** 3, smoothed.dt)
-    pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (q, n))]), axis=0)
-    rb = pw[q - 1::-1] * (e1 / smoothed.dt)          # rows p^{q-1} b .. b
-    ra = pw[q - 1::-1] * (e0 - e1 / smoothed.dt)     # rows p^{q-1} a .. a
-
-    def gain(c, k):   # the sum over c cells from each node k, in one product
-        coef = np.vstack([rb[q - c:], np.zeros(n)])
-        coef[1:] += ra[q - c:]
-        return np.lib.stride_tricks.sliding_window_view(smoothed.samples, c + 1)[k] @ coef
+    if tables is None:   # given tables were checked by the spectral entries
+        tables = filon_tables(grid, smoothed.dt, times, n_trace=len(smoothed))
+    n, s, q = len(grid), tables.key[4], tables.key[5]
+    (nb, r), first = divmod(s, q), s * np.arange(len(times) - 1)
+    (pq, pr), (cq, cr) = tables.powers, tables.coefs
+    cells = np.lib.stride_tricks.sliding_window_view   # c + 1 samples from each node
     blocks = (first[:, None] + q * np.arange(nb)).ravel()
-    full, rest = gain(q, blocks).reshape(-1, nb, n), gain(r, first + nb * q)
-    levels = np.zeros((idx.size, n), dtype=complex)   # level 0 (t = 0) stays zero
-    for k in range(idx.size - 1):
+    full = (cells(smoothed.samples, q + 1)[blocks] @ cq).reshape(-1, nb, n)
+    rest = cells(smoothed.samples, r + 1)[first + nb * q] @ cr
+    levels = np.zeros((len(times), n), dtype=complex)   # level 0 (t = 0) stays zero
+    for k in range(len(times) - 1):
         phi = levels[k]
         for g in full[k]:
-            phi = pw[q] * phi + g
-        levels[k + 1] = pw[r] * phi + rest[k] if r else phi
+            phi = pq * phi + g
+        levels[k + 1] = pr * phi + rest[k] if r else phi
     del full, rest     # and scale in place: the transform adds only its output
     levels *= 3.0
     levels *= mult
@@ -228,8 +252,8 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
 
 
 def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
-                           deriv: int = 0,
-                           window: str | None = None) -> SpaceTimeField:
+                           deriv: int = 0, window: str | None = None,
+                           tables=None) -> SpaceTimeField:
     """Field of 3 * int_0^t exp(-(t-t') dx^3) delta_0 f(t') dt'.
 
     ``smoothed`` is the already fractionally-smoothed trace f (for V g it is
@@ -238,14 +262,15 @@ def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
     window="smooth" applies :func:`smooth_window`, which derivative fields
     with vertex steps need before any polynomial limit extraction.
     """
+    tables = filon_tables(grid, smoothed.dt, times, tables, len(smoothed))
     n = len(grid)
     xi = frequencies(n, grid.spacing)
-    mult = (1j * xi) ** deriv * np.exp(1j * xi * grid.origin) / grid.spacing
+    mult = (1j * xi) ** deriv * tables.phase / grid.spacing
     if window == "smooth":
         mult = mult * smooth_window(n, grid.spacing)
     elif window is not None:
         raise DomainError(f"unknown window {window!r}")
-    return _filon_field(smoothed, grid, times, mult, not smoothed.is_complex)
+    return _filon_field(smoothed, grid, times, mult, not smoothed.is_complex, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +326,7 @@ def check_class_order(lam: float):
 
 
 def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
-                  times, method: str = "spectral") -> SpaceTimeField:
+                  times, method: str = "spectral", tables=None) -> SpaceTimeField:
     """The field of the generalized forcing operator of order lam.
 
     lam in (-2, 1).  Order 0 is V; negative orders follow the reduction
@@ -314,6 +339,8 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
     check_class_order(lam)
     if method not in ("spectral", "simpson"):
         raise DomainError(f"unknown method {method!r}")
+    if tables is not None and method != "spectral":
+        raise ContractError("Filon tables serve the spectral route only")
     _require_causal(g, "forcing_class")
     grid.index_of_zero()
 
@@ -328,9 +355,9 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
             # the class field decays on both sides, so the multiplier route
             # is exact where the x-space convolution would have to
             # differentiate through the vertex
-            return _spectral_class_negative(smoothed, grid, times, lam, sign)
-        return _convolved_class(spectral_forcing_field(smoothed, grid, times),
-                                grid, lam, sign)
+            return _spectral_class_negative(smoothed, grid, times, lam, sign, tables)
+        return _convolved_class(spectral_forcing_field(smoothed, grid, times,
+                                                       tables=tables), grid, lam, sign)
     base = _sigma_field(smoothed, grid, times)
     if lam < 0.0:
         k = int(math.ceil(-lam))
@@ -342,7 +369,7 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
 def _convolved_class(base: SpaceTimeField, grid: GridFunction, lam: float,
                      sign: str) -> SpaceTimeField:
     """Class field of order lam >= 0 from the base field; order 0 is V."""
-    levels = base.levels.astype(complex) if sign == "plus" else base.levels
+    levels = base.levels.astype(complex, copy=False) if sign == "plus" else base.levels
     if lam > 0.0:
         levels = _one_sided_convolve(levels, grid.spacing, lam,
                                      from_left=(sign == "minus"))
@@ -352,7 +379,7 @@ def _convolved_class(base: SpaceTimeField, grid: GridFunction, lam: float,
 
 
 def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
-                             lam: float, sign: str) -> SpaceTimeField:
+                             lam: float, sign: str, tables=None) -> SpaceTimeField:
     """Negative-order class via the power-kernel Fourier multiplier.
 
     x_+^{lam-1}/Gamma(lam) has transform (i xi)^{-lam}; the reflected
@@ -368,11 +395,12 @@ def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
         kernel_mult = cmath.exp(1j * math.pi * lam) * mag * \
             np.exp(1j * lam * 0.5 * math.pi * np.sign(xi))
     kernel_mult[xi == 0.0] = 0.0
-    mult = kernel_mult * np.exp(1j * xi * grid.origin) / grid.spacing
+    tables = filon_tables(grid, smoothed.dt, times, tables, len(smoothed))
+    mult = kernel_mult * tables.phase / grid.spacing
     if lam < -1.0:
         mult = mult * smooth_window(n, grid.spacing)
     return _filon_field(smoothed, grid, times, mult,
-                        sign == "minus" and not smoothed.is_complex)
+                        sign == "minus" and not smoothed.is_complex, tables)
 
 
 def minus_trace_factor(lam: float) -> float:

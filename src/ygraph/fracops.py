@@ -24,9 +24,11 @@ MAX_ORDER = 3.0
 def checked_samples(samples, ndim: int, what: str) -> np.ndarray:
     """``samples`` as a float (or complex) array of rank ``ndim``, non-empty
     and finite; ``what`` names them in the ContractError otherwise."""
-    arr = np.asarray(samples)
-    if arr.dtype.kind not in "fc":
-        arr = arr.astype(float)
+    try:
+        arr = np.asarray(samples)
+        arr = arr if arr.dtype.kind in "fc" else arr.astype(float)
+    except (TypeError, ValueError):      # ragged nesting, text
+        raise ContractError(f"{what} must be a rectangular array of numbers") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ContractError(f"{what} must be a non-empty {ndim}-d array")
     if not np.isfinite(arr).all():
@@ -64,6 +66,7 @@ class TimeTrace:
         return self.samples.dtype.kind == "c"
 
 
+@functools.lru_cache(maxsize=None)
 def _fast_length(n: int, primes) -> int:
     """The smallest m >= n that is 2**k times a product of ``primes``."""
     odd = {1}

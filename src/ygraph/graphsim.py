@@ -23,7 +23,8 @@ from scipy.sparse.linalg import splu
 from .errors import ContractError, DomainError, YGraphError
 from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
                       sampled_derivative, vertex_limit)
-from .linops import GridFunction, SpaceTimeField, group_multi, duhamel_inhomog
+from .forcing import filon_tables
+from .linops import GridFunction, SpaceTimeField, duhamel_inhomog, group_multi, trace_phases
 from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
                      LambdaVector, compatibility_deviation, free_vertex_traces,
                      solve_vertex, time_ladder, whole_steps)
@@ -572,9 +573,10 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     traces and re-assembles the forcing superposition.  Vertex traces are
     sampled every config.dt: the Duhamel term's traces move from the output
     ladder to that trace ladder by one not-a-knot cubic interpolation
-    matrix, built once per call.  The nonlinear input to the group is tapered
-    over the outer :data:`PICARD_TAPER_FRACTION` of the domain so the
-    construction's slow polynomial tails cannot seed wrap-around.
+    matrix.  It, the output ladder's phase table and the forcing classes'
+    Filon tables are built once per call.  The nonlinear input to the group
+    is tapered over the outer :data:`PICARD_TAPER_FRACTION` of the domain so
+    the construction's slow polynomial tails cannot seed wrap-around.
     """
     if not 1 <= n_iter <= MAX_PICARD_ITERS:
         raise DomainError(f"n_iter must lie in 1..{MAX_PICARD_ITERS}, got {n_iter}")
@@ -586,8 +588,10 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     tt, out_times = time_ladder(config.T, config.dt, n_levels)
 
     spline = _spline_matrix(out_times, tt)
+    phases = trace_phases(len(grid), h, out_times)
+    filon = filon_tables(grid, config.dt, out_times)
     exts = whole_line_data(config, h, grid)
-    free_fields = [group_multi(e, out_times, decay_tol=1e-5).levels for e in exts]
+    free_fields = [group_multi(e, out_times, 1e-5, phases).levels for e in exts]
     free_tr = free_vertex_traces(exts, tt)
 
     taper = np.ones(len(grid))
@@ -607,22 +611,21 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     for _ in range(n_iter):
         base, traces = free_fields, free_tr
         if nonlinear:
-            k_fields = []
-            k_tr = [[], [], []]
-            for lvls in current:
+            base, k_tr = [], [[], [], []]
+            for lvls, free in zip(current, free_fields):
                 flux = np.real(lvls) * sampled_derivative(np.real(lvls), h, 1)
                 flux *= taper
                 wfield = SpaceTimeField(-L, h, float(out_times[1]), flux)
-                kf = -duhamel_inhomog(wfield, decay_tol=1e-3).levels
-                k_fields.append(kf)
+                kf = -duhamel_inhomog(wfield, decay_tol=1e-3, phases=phases).levels
+                base.append(free + kf)
                 for j in range(3):
                     vals = vertex_limit(kf, i0, h, "centered", j)
                     k_tr[j].append(spline @ np.real(vals))
-            base = [f + k for f, k in zip(free_fields, k_fields)]
+            del flux, wfield, kf    # not held through the vertex solve
             traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]
 
         _, _, new = solve_vertex(config.coupling, lam, traces, config.dt, base,
-                                 grid, out_times)
+                                 grid, out_times, filon)
 
         # contraction metric on the physical edges
         d = max(np.abs(np.real(nw) - np.real(cur))[edge].max()

@@ -132,14 +132,16 @@ def airy_group(phi: GridFunction, t: float) -> GridFunction:
     return phi.with_samples(out if phi.is_complex else out.real)
 
 
-def group_multi(phi: GridFunction, times,
-                decay_tol: float = DECAY_TOL) -> SpaceTimeField:
-    """Group applied at a uniform ladder of times starting at 0."""
+def group_multi(phi: GridFunction, times, decay_tol: float = DECAY_TOL,
+                phases=None) -> SpaceTimeField:
+    """Group applied at a uniform ladder of times starting at 0; ``phases``
+    is their :func:`trace_phases` table, built here when None."""
     times = np.asarray(times, dtype=float)
     dt = _uniform_dt(times)
     _check_decay(phi, decay_tol)
+    phases = _phase_table(phases, len(phi), phi.spacing, times)
     spec = np.fft.fft(phi.samples)
-    levels = np.fft.ifft(trace_phases(len(phi), phi.spacing, times) * spec, axis=1)
+    levels = np.fft.ifft(phases * spec, axis=1)
     return SpaceTimeField(phi.origin, phi.spacing, dt,
                           levels if phi.is_complex else levels.real.copy())
 
@@ -167,6 +169,13 @@ def trace_phases(n: int, spacing: float, times) -> np.ndarray:
     np.cos(arg, out=phases.real)
     np.sin(arg, out=phases.imag)
     return phases
+
+
+def _phase_table(phases, n: int, spacing: float, times) -> np.ndarray:
+    """``phases`` if it is (times, n) (ContractError if not); a new table if None."""
+    if phases is not None and getattr(phases, "shape", None) != (len(times), n):
+        raise ContractError(f"phase table does not fit {len(times)} times x {n} points")
+    return trace_phases(n, spacing, times) if phases is None else phases
 
 
 def ladder_phases(n: int, spacing: float, times):
@@ -207,14 +216,15 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
     return out
 
 
-def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL) -> SpaceTimeField:
+def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL,
+                    phases=None) -> SpaceTimeField:
     """Inhomogeneous Duhamel integral of a forcing field at every stored level.
 
     Level m is sum_j W_mj exp(i (t_m - t_j) xi^3) F_j: composite Simpson
     in t' over levels 0..m (3/8 closure for an odd interval count), with
     the phase split as exp(i t_m xi^3) exp(-i t_j xi^3).  One batched FFT,
     one phase matrix, one lower-triangular (M x M) @ (M x n) product and
-    one batched inverse FFT serve all levels.
+    one batched inverse FFT serve all levels; ``phases`` is that matrix.
     """
     levels = w.levels
     n_t, n = levels.shape
@@ -223,7 +233,7 @@ def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL) -> SpaceTim
         bad = np.flatnonzero(ends > decay_tol)
         if bad.size:
             _check_decay(w.level(int(bad[0])), decay_tol)
-    phases = trace_phases(n, w.spacing, w.times)
+    phases = _phase_table(phases, n, w.spacing, w.times)
     spec = _ladder_weights(n_t, w.dt) @ (phases.conj() * np.fft.fft(levels, axis=1))
     acc = np.fft.ifft(phases * spec, axis=1)
     return SpaceTimeField(w.origin, w.spacing, w.dt,

@@ -249,7 +249,10 @@ def _ai(z, deriv):
 
 def _checked(x):
     """x as a float array; DomainError unless it holds finite reals >= X_MIN."""
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):      # ragged nesting
+        raise DomainError("airy kernel arguments must be a rectangular array") from None
     if arr.dtype.kind == "O":
         try:
             arr = arr.astype(float)          # float() of each element

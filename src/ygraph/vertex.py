@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville, vertex_limit
 from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, ladder_phases
+    group_trace_history, ladder_phases, trace_phases
 from .forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
 
 DET_THRESHOLD = 1e-8
@@ -373,15 +373,15 @@ def free_vertex_traces(data, times):
 
 
 def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
-                 trace_dt: float, base, grid: GridFunction, times):
+                 trace_dt: float, base, grid: GridFunction, times, filon=None):
     """Solve for the boundary traces and add their forcing classes to ``base``.
 
     ``traces[j]`` holds the u, v, w vertex traces of the j-th spatial
     derivative of the fields the forcing corrects, sampled every trace_dt;
     the slope and curvature rows enter through Riemann-Liouville integrals
     of order 1/3 and 2/3.  ``base`` holds the u, v, w levels at ``times``.
-    Returns the matrix, the traces (gamma_1, ..., gamma_4) and the three
-    superposed level stacks.
+    ``filon``: shared :func:`forcing.filon_tables` or None.  Returns the matrix,
+    the traces (gamma_1, ..., gamma_4) and the three superposed level stacks.
     """
     f0, d_raw, s_raw = traces
     d0 = [riemann_liouville(TimeTrace(trace_dt, d, True), 1.0 / 3.0).samples
@@ -393,7 +393,7 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
     gammas = g1, g2, g3, g4 = solve_gamma(m, rhs)
 
     def fc(lam_k, sign, g):
-        return forcing_class(lam_k, sign, g, grid, times).levels
+        return forcing_class(lam_k, sign, g, grid, times, tables=filon).levels
 
     fields = [base[0] + fc(lam.l1, "minus", g1) + fc(lam.l2, "minus", g2),
               base[1] + fc(lam.l3, "plus", g3),
@@ -420,7 +420,9 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
     tt, out_times = time_ladder(T, trace_dt, n_levels)
     data = (u0, v0, w0)
     traces = free_vertex_traces(data, tt)
-    free = [group_multi(d, out_times).levels for d in data]
+    phases = trace_phases(len(u0), u0.spacing, out_times)
+    free = [group_multi(d, out_times, phases=phases).levels for d in data]
+    del phases    # freed before the forcing classes, which set the peak
     m, gammas, fields = solve_vertex(coupling, lam, traces, trace_dt, free,
                                      u0, out_times)
 

@@ -6,7 +6,13 @@ ygraph would otherwise surface only when the traced benchmark run raises.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import ygraph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +38,65 @@ def test_traced_names_resolve():
     missing = [f"{layer}.{name}" for layer, name in names
                if not _resolves(layer, name)]
     assert not missing
+
+
+# Run in a fresh interpreter: install the tracer, then list every place in
+# ygraph that still holds an unwrapped fftconvolve or product_weights, or
+# holds trace_phases, fftconvolve or product_weights in a default argument
+# or inside an object built at import (a partial, a container, an instance).
+GUARD = """
+import functools, json, sys, types
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+import ygraph.fracops as fracops, ygraph.linops as linops
+wrapped = {fracops.fftconvolve.__wrapped__, fracops.product_weights.__wrapped__}
+held = wrapped | {linops.trace_phases}
+
+def inside(val):
+    if isinstance(val, functools.partial):
+        yield val.func
+        yield from val.args
+        yield from val.keywords.values()
+    elif isinstance(val, dict):
+        yield from val.values()
+    elif isinstance(val, (tuple, list, set, frozenset)):
+        yield from val
+    elif not isinstance(val, (type, types.ModuleType, types.FunctionType,
+                              types.BuiltinFunctionType)):
+        yield from getattr(val, "__dict__", {}).values()
+
+def functions(val):
+    if isinstance(val, types.FunctionType):
+        yield getattr(val, "__wrapped__", val)
+    elif isinstance(val, type):
+        for f in vars(val).values():
+            f = getattr(f, "__func__", f)
+            if isinstance(f, types.FunctionType):
+                yield getattr(f, "__wrapped__", f)
+
+found = list(tracer.stale_bindings())
+for name, mod in sorted(sys.modules.items()):
+    if not name.startswith("ygraph"):
+        continue
+    for attr, val in vars(mod).items():
+        where = f"{name}.{attr}"
+        if any(val is w for w in wrapped):
+            found.append(where)
+        if any(v is h for v in inside(val) for h in held):
+            found.append(f"{where} (built at import)")
+        for f in functions(val):
+            defaults = (f.__defaults__ or ()) + tuple((f.__kwdefaults__ or {}).values())
+            if any(d is h for d in defaults for h in held):
+                found.append(f"{where}: {f.__qualname__} default")
+print(json.dumps(found))
+"""
+
+
+def test_tracer_leaves_no_stale_bindings():
+    src = Path(ygraph.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD, str(TRACING.parent)], capture_output=True,
+        text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -20,7 +20,7 @@ from ygraph.fracops import TimeTrace, riemann_liouville
 from ygraph.linops import GridFunction, SpaceTimeField, frequencies, \
     trace_at_zero
 from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
-                            _filon_base, _filon_field, _sigma_field,
+                            _filon_base, _filon_field, _sigma_field, filon_tables,
                             duhamel_forcing,
                             duhamel_forcing_deriv, field_spatial_derivative,
                             forcing_class, minus_trace_factor,
@@ -461,6 +461,49 @@ def test_filon_transform_holds_few_copies_of_the_level_stack():
     # place before the batched transform, so the peak is ~340 grid rows;
     # ~544 when the scaling made two temporary stacks
     assert _filon_peak_rows(np.linspace(0.0, 1.0, 101)) <= 400
+
+
+@pytest.fixture(scope="module")
+def shared_tables(grid):
+    # stride 100 trace steps in blocks of 32: both gain tables are in use
+    return filon_tables(grid, DT, TIMES)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+@pytest.mark.parametrize("lam", [-1.4, -0.5, 0.0, 0.3])
+def test_prebuilt_filon_tables_give_the_same_class(g, grid, shared_tables, lam,
+                                                   sign, kind):
+    trace = g if kind == "real" else TimeTrace(DT, (1.0 - 0.6j) * g.samples)
+    got = forcing_class(lam, sign, trace, grid, TIMES, tables=shared_tables).levels
+    want = forcing_class(lam, sign, trace, grid, TIMES).levels
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_prebuilt_filon_tables_give_the_same_derivative_field(g, grid, shared_tables):
+    i13 = riemann_liouville(g, 1.0 / 3.0)
+    got = spectral_forcing_field(i13, grid, TIMES, deriv=2, window="smooth",
+                                 tables=shared_tables)
+    want = spectral_forcing_field(i13, grid, TIMES, deriv=2, window="smooth")
+    assert got.levels.tobytes() == want.levels.tobytes()
+
+
+def test_mismatched_filon_tables_rejected(g, grid):
+    other = GridFunction(-30.0, 0.05, np.zeros(len(grid) - 2))
+    for bad in (filon_tables(other, DT, TIMES),
+                filon_tables(GridFunction(-15.0, 0.025, np.zeros(len(grid))),
+                                  DT, TIMES),
+                filon_tables(grid, 2 * DT, TIMES),
+                filon_tables(grid, DT, TIMES[:6] / 2)):
+        for lam in (-0.5, 0.3):
+            with pytest.raises(ContractError, match="Filon tables"):
+                forcing_class(lam, "minus", g, grid, TIMES, tables=bad)
+        with pytest.raises(ContractError, match="Filon tables"):
+            spectral_forcing_field(g, grid, TIMES, tables=bad)
+    with pytest.raises(ContractError, match="spectral route"):
+        forcing_class(0.3, "minus", g, grid, TIMES, method="simpson",
+                      tables=filon_tables(grid, DT, TIMES))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,13 @@ def test_contract_errors():
         TimeTrace(1e-3, np.array([]))
 
 
+@pytest.mark.parametrize("bad", [[1.0, [2.0, 3.0]], ["a", "b"]],
+                         ids=["ragged", "text"])
+def test_ragged_or_text_trace_rejected(bad):
+    with pytest.raises(ContractError, match="rectangular array of numbers"):
+        TimeTrace(0.1, bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_trace_rejected(bad):
     vals = np.ones(10)

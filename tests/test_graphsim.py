@@ -1,11 +1,13 @@
 """Direct graph solver: stability, coupling, mass accounting, references."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline   # the reference only
 
+from ygraph import forcing, graphsim, linops
 from ygraph.errors import ContractError, DomainError, YGraphError
 from ygraph.fracops import ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided
 from ygraph.linops import GridFunction, group_multi
@@ -369,6 +371,31 @@ class TestPicard:
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
         res = picard_iterate(cfg, lam, n_iter=3, n_levels=26)
         assert res.distances[1] <= 1e-6
+
+    def test_tables_are_built_once_per_solve(self, monkeypatch):
+        # five nonlinear iterations force 20 classes and 15 Duhamel integrals
+        # on one grid and ladder; the output-ladder phase table and the Filon
+        # tables are each built once for all of them
+        built, bases = [], []
+        phases, base = linops.trace_phases, forcing._filon_base
+
+        def counting_phases(n, spacing, times):
+            built.append(np.array(times))
+            return phases(n, spacing, times)
+
+        def counting_base(omega, dt):
+            bases.append((omega.size, dt))
+            return base(omega, dt)
+        monkeypatch.setattr(linops, "trace_phases", counting_phases)
+        monkeypatch.setattr(graphsim, "trace_phases", counting_phases)
+        monkeypatch.setattr(forcing, "_filon_base", counting_base)
+        cfg = dataclasses.replace(_linear_picard_config(CB0, 20.0, 0.1),
+                                  mode="nonlinear")
+        res = picard_iterate(cfg, PICARD_LAM, n_iter=5)
+        assert len(res.distances) == 5
+        ladder = [t for t in built if t.size == res.times.size]
+        assert len(ladder) == 1 and np.array_equal(ladder[0], res.times)
+        assert bases == [(2 * cfg.n_edge + 1, cfg.dt)]
 
     @pytest.mark.parametrize("n_iter", [0, -1, 11])
     def test_iteration_count_range(self, n_iter):

@@ -68,6 +68,11 @@ def test_non_finite_grid_function_rejected(bad):
         GridFunction(x[0], h, vals)
 
 
+def test_ragged_grid_function_rejected():
+    with pytest.raises(ContractError, match="rectangular"):
+        GridFunction(0.0, 0.1, [1.0, [2.0]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_field_level_rejected(bad):
     # one bad sample at level 2 of 5 would turn every level of the batched
@@ -339,6 +344,39 @@ class TestTracePhases:
         want = trace_phases(len(phi), h, times) @ spec
         want = want if kind == "complex" else want.real
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_prebuilt_table_gives_the_same_group_and_duhamel(self, kind):
+        # one output-ladder table for several calls, as picard_iterate passes it
+        h = 0.05
+        x = np.arange(-30.0, 30.0, h)
+        prof = gaussian_profile(x, 1.0, 3.0, 1.2)
+        flux = np.outer(np.linspace(0.0, 1.0, 11), gaussian_profile(x, 0.5, -2.0, 0.8))
+        if kind == "complex":
+            prof, flux = prof * np.exp(0.7j * x), flux * (1.0 - 0.4j)
+        phi = GridFunction(x[0], h, prof)
+        w = SpaceTimeField(x[0], h, 0.02, flux)
+        phases = trace_phases(x.size, h, w.times)
+        for _ in range(2):
+            got = group_multi(phi, w.times, phases=phases).levels
+            assert np.array_equal(got, group_multi(phi, w.times).levels)
+            got = duhamel_inhomog(w, phases=phases).levels
+            assert np.array_equal(got, duhamel_inhomog(w).levels)
+            assert np.iscomplexobj(got) == (kind == "complex")
+
+    def test_mismatched_output_table_rejected(self):
+        h = 0.05
+        x = np.arange(-30.0, 30.0, h)
+        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        w = SpaceTimeField(x[0], h, 0.02, np.zeros((11, x.size)))
+        for bad in (trace_phases(x.size, h, w.times[:10]),
+                    trace_phases(x.size - 1, h, w.times),
+                    trace_phases(x.size, h, w.times).T,
+                    ladder_phases(x.size, h, w.times)):
+            with pytest.raises(ContractError, match="phase table"):
+                group_multi(phi, w.times, phases=bad)
+            with pytest.raises(ContractError, match="phase table"):
+                duhamel_inhomog(w, phases=bad)
 
     def test_mismatched_matrix_rejected(self):
         h = 0.05

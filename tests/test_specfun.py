@@ -196,6 +196,11 @@ class TestArgumentRange:
             with pytest.raises(DomainError, match="must be real numbers"):
                 f(bad)
 
+    def test_ragged_arguments_raise(self):
+        for f in (airy_scaled, airy_scaled_deriv, airy_scaled_with_deriv):
+            with pytest.raises(DomainError, match="rectangular array"):
+                f([1.0, [2.0, 3.0]])
+
     def test_decaying_side_underflows_to_exact_zero(self):
         x = CBRT3 * np.array([100.0, 110.0, 1e3, 1e300])
         a, ap = airy_scaled_with_deriv(x)
