@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -25,13 +26,12 @@ from . import __version__
 from .errors import ConfigError, ContractError, DomainError, YGraphError
 from .specfun import airy_scaled_with_deriv
 from .fracops import TimeTrace, check_order, riemann_liouville
-from .linops import GridFunction, airy_group
-from .forcing import _check_times, check_class_order, forcing_class
+from .linops import GridFunction, Ladder, airy_group, whole_steps
+from .forcing import check_class_order, forcing_class
 from .vertex import (VertexCoupling, CouplingKind, LambdaVector, build_matrix,
                      det_m, is_invertible, admissible_scan,
-                     assemble_linear_solution, time_ladder,
-                     verify_vertex_conditions, whole_steps, STARTUP_WINDOW,
-                     VERTEX_RESIDUAL_TOL)
+                     assemble_linear_solution, verify_vertex_conditions,
+                     STARTUP_WINDOW, VERTEX_RESIDUAL_TOL)
 from .graphsim import (MAX_PICARD_ITERS, InitialProfile, ScenarioConfig, evolve,
                        check_scale, energy_report, picard_iterate,
                        scaling_check, whole_line_data)
@@ -338,10 +338,11 @@ def _cmd_forcing(args):
     grid = GridFunction(-L, h, np.zeros(int(round(2 * L / h)) + 1))
     times = np.asarray(args.times, dtype=float)
     try:
-        _check_times(times, g.dt, len(g))
+        ladder = Ladder(grid, times, g.dt, len(g))
     except YGraphError as exc:
         raise ConfigError([f"--times: {exc}"])
-    fld = forcing_class(args.lam, args.sign, g, grid, times, method=args.method)
+    fld = forcing_class(args.lam, args.sign, g, grid, times, method=args.method,
+                        ladder=ladder)
     stem, suffix = os.path.splitext(args.out)
     outputs = [f"{stem}_t{_stamp(t)}{suffix or '.csv'}" for t in times]
     for m, path in enumerate(outputs):
@@ -401,16 +402,16 @@ def _cmd_vertex_construct(args):
     if not (0.0 < h < math.inf and whole_steps(cfg.L, h)):
         raise ConfigError([f"--h must be positive, finite and divide L = {cfg.L:g} "
                            f"into whole steps, got {h:g}"])
+    grid = GridFunction(-cfg.L, h, np.zeros(int(round(2 * cfg.L / h)) + 1))
     try:
-        time_ladder(cfg.T, cfg.dt, args.levels)
+        ladder = Ladder.over(grid, cfg.T, cfg.dt, args.levels)
     except ContractError:
         raise ConfigError([f"--levels must be >= 2 with --levels - 1 dividing "
                            f"the {cfg.n_steps} time steps, got {args.levels}"])
     os.makedirs(args.out, exist_ok=True)
-    grid = GridFunction(-cfg.L, h, np.zeros(int(round(2 * cfg.L / h)) + 1))
     u0, v0, w0 = whole_line_data(cfg, h, grid)
     sol = assemble_linear_solution(u0, v0, w0, cfg.coupling, LambdaVector(*args.lam),
-                                   T=cfg.T, n_levels=args.levels, trace_dt=cfg.dt)
+                                   ladder=ladder)
     rep = verify_vertex_conditions(sol)
     outputs = _write_edges(args.out, float(sol.times[-1]),
                            *(f.level(-1) for f in (sol.u, sol.v, sol.w)))
@@ -572,7 +573,10 @@ class _Parser(argparse.ArgumentParser):
                                                    re.IGNORECASE)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and building it costs ~12 ms of a short solve."""
     p = _Parser(prog="ygraph", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command")

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -42,8 +41,8 @@ from .errors import ContractError, DomainError
 from .fracops import (TimeTrace, riemann_liouville, product_weights,
                       _first_sample_correction, fftconvolve,
                       sampled_derivative, vertex_limit)
-from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, ladder_phases
+from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
+    free_vertex_traces, group_multi, group_trace_history
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
@@ -52,25 +51,6 @@ DEFAULT_PANELS = 200
 def _require_causal(g: TimeTrace, who: str):
     if not g.causal:
         raise ContractError(f"{who} requires a causal trace")
-
-
-def _check_times(times, dt_trace, n_trace):
-    """Output times must sit on the trace grid and start at 0."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ContractError("need at least two output times")
-    if not np.isfinite(times).all():
-        raise ContractError("output times must be finite")
-    idx = np.round(times / dt_trace).astype(int)
-    if times[0] != 0.0 or not np.allclose(idx * dt_trace, times,
-                                          rtol=1e-9, atol=1e-12):
-        raise ContractError("output times must start at 0 and sit on the trace grid")
-    if idx.max() >= n_trace:
-        raise DomainError("output times exceed the trace length")
-    steps = np.diff(idx)
-    if not np.all(steps == steps[0]) or steps[0] <= 0:
-        raise ContractError("output times must be uniformly spaced")
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +87,8 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
     A(k h / s_j) depends on k/j alone.  The reuse rule: each level makes one
     call of ``airy_scaled`` at (p h) / s_q for the coprime pairs (p, q) of
     :func:`_ratio_table`, which are ascending because s > 0, and gathers the
-    (n, 2P) matrix by slot before the Simpson sum.
+    (n, 2P) matrix by slot before the Simpson sum.  The caller checks ``times``.
     """
-    idx = _check_times(times, smoothed.dt, len(smoothed))
-    times = np.asarray(times, dtype=float)
     n_nodes = 2 * DEFAULT_PANELS + 1
     p, q, slot = _ratio_table(len(grid), grid.index_of_zero(), n_nodes - 1)
     ph = p * grid.spacing
@@ -184,37 +162,25 @@ def smooth_window(n: int, spacing: float) -> np.ndarray:
 SMOOTH_FIT_WINDOW = (12, 28)
 
 
-FilonTables = namedtuple("FilonTables", "key phase powers coefs")
-
-
-def filon_tables(grid: GridFunction, dt: float, times, tables=None,
-                 n_trace=math.inf) -> FilonTables:
+def filon_tables(ladder: Ladder):
     """The part of :func:`_filon_field` that the grid, the trace step dt and the
-    output ``times`` (within ``n_trace`` samples) fix: the grid phase exp(i xi x_0),
-    the powers p^q and p^r (r = s mod q) and the gain coefficients of q and r
-    cells.  Callers forcing many traces on one grid and ladder build it once;
-    given ``tables`` are returned if they fit, ContractError if not."""
-    idx = _check_times(times, dt, n_trace)
-    n, s = len(grid), int(idx[1])
-    key = n, grid.spacing, grid.origin, dt, s, min(s, math.isqrt(int(idx[-1])) + 1)
-    if tables is not None:
-        if tables.key != key:
-            raise ContractError("Filon tables do not fit this grid, trace step or ladder")
-        return tables
-    q = key[-1]
-    xi = frequencies(n, grid.spacing)
-    p, e0, e1 = _filon_base(xi ** 3, dt)
+    output times of ``ladder`` fix: the powers p^q and p^r (r = s mod q, s the
+    output stride) and the gain coefficients of q and r cells."""
+    n, s = ladder.n, ladder.stride
+    q = min(s, math.isqrt(s * (ladder.times.size - 1)) + 1)
+    xi = frequencies(n, ladder.spacing)
+    p, e0, e1 = _filon_base(xi ** 3, ladder.dt)
     pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (q, n))]), axis=0)
-    rb = pw[q - 1::-1] * (e1 / dt)          # rows p^{q-1} b .. b
-    ra = pw[q - 1::-1] * (e0 - e1 / dt)     # rows p^{q-1} a .. a
+    rb = pw[q - 1::-1] * (e1 / ladder.dt)          # rows p^{q-1} b .. b
+    ra = pw[q - 1::-1] * (e0 - e1 / ladder.dt)     # rows p^{q-1} a .. a
     coefs = [np.vstack([rb[q - c:], np.zeros(n)]) for c in (q, s % q)]
     for c, coef in zip((q, s % q), coefs):  # row i weighs sample k + i of c cells
         coef[1:] += ra[q - c:]
-    return FilonTables(key, np.exp(1j * xi * grid.origin), (pw[q], pw[s % q]), tuple(coefs))
+    return (pw[q], pw[s % q]), tuple(coefs)
 
 
-def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
-                 real: bool, tables=None) -> SpaceTimeField:
+def _filon_field(smoothed: TimeTrace, ladder: Ladder, mult,
+                 real: bool) -> SpaceTimeField:
     """Filon recurrence shared by the spectral routes.
 
     phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
@@ -226,11 +192,10 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     level is ifft(3 phi mult), ``mult`` holding the frequency filter with the
     grid phase and 1/spacing.  ``real`` keeps the real part.
     """
-    if tables is None:   # given tables were checked by the spectral entries
-        tables = filon_tables(grid, smoothed.dt, times, n_trace=len(smoothed))
-    n, s, q = len(grid), tables.key[4], tables.key[5]
+    times, n, s = ladder.times, ladder.n, ladder.stride
+    (pq, pr), (cq, cr) = filon_tables(ladder) if ladder.filon is None else ladder.filon
+    q = len(cq) - 1
     (nb, r), first = divmod(s, q), s * np.arange(len(times) - 1)
-    (pq, pr), (cq, cr) = tables.powers, tables.coefs
     cells = np.lib.stride_tricks.sliding_window_view   # c + 1 samples from each node
     blocks = (first[:, None] + q * np.arange(nb)).ravel()
     full = (cells(smoothed.samples, q + 1)[blocks] @ cq).reshape(-1, nb, n)
@@ -247,13 +212,12 @@ def _filon_field(smoothed: TimeTrace, grid: GridFunction, times, mult,
     levels = np.fft.ifft(levels, axis=1)
     if real:
         levels = levels.real
-    dt_out = float(times[1] - times[0])
-    return SpaceTimeField(grid.origin, grid.spacing, dt_out, levels)
+    return SpaceTimeField(ladder.origin, ladder.spacing, ladder.out_dt, levels)
 
 
 def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
                            deriv: int = 0, window: str | None = None,
-                           tables=None) -> SpaceTimeField:
+                           ladder=None) -> SpaceTimeField:
     """Field of 3 * int_0^t exp(-(t-t') dx^3) delta_0 f(t') dt'.
 
     ``smoothed`` is the already fractionally-smoothed trace f (for V g it is
@@ -261,16 +225,20 @@ def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
     linear interpolant of f; ``deriv`` applies (i xi)^j in frequency space.
     window="smooth" applies :func:`smooth_window`, which derivative fields
     with vertex steps need before any polynomial limit extraction.
+    ``ladder`` may hold the Filon tables (:meth:`linops.Ladder.fit`).
     """
-    tables = filon_tables(grid, smoothed.dt, times, tables, len(smoothed))
+    here = Ladder(grid, times, smoothed.dt, len(smoothed))
+    ladder = here.fit(ladder)
+    if ladder.filon is None:   # before the multiplier: after it, construct's RSS grew
+        ladder, here.filon = here, filon_tables(here)
     n = len(grid)
     xi = frequencies(n, grid.spacing)
-    mult = (1j * xi) ** deriv * tables.phase / grid.spacing
+    mult = (1j * xi) ** deriv * np.exp(1j * xi * grid.origin) / grid.spacing
     if window == "smooth":
         mult = mult * smooth_window(n, grid.spacing)
     elif window is not None:
         raise DomainError(f"unknown window {window!r}")
-    return _filon_field(smoothed, grid, times, mult, not smoothed.is_complex, tables)
+    return _filon_field(smoothed, ladder, mult, not smoothed.is_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +294,23 @@ def check_class_order(lam: float):
 
 
 def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
-                  times, method: str = "spectral", tables=None) -> SpaceTimeField:
+                  times, method: str = "spectral", ladder=None) -> SpaceTimeField:
     """The field of the generalized forcing operator of order lam.
 
     lam in (-2, 1).  Order 0 is V; negative orders follow the reduction
     d^k/dx^k of the order lam+k class applied to I_{k/3} g, so order -1 of
     the minus class is the companion V^{-1}.  The plus class carries the
     complex phase e^{i pi lam}.  The grid must have an interior node at 0.
+    ``ladder`` may hold the Filon tables (:meth:`linops.Ladder.fit`).
     """
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
     check_class_order(lam)
     if method not in ("spectral", "simpson"):
         raise DomainError(f"unknown method {method!r}")
-    if tables is not None and method != "spectral":
-        raise ContractError("Filon tables serve the spectral route only")
     _require_causal(g, "forcing_class")
     grid.index_of_zero()
+    ladder = Ladder(grid, times, g.dt, len(g)).fit(ladder)
 
     # single fractional call; the semigroup law collapses the class
     # smoothing chain into I_{-(2+lam)/3} g
@@ -355,10 +323,10 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
             # the class field decays on both sides, so the multiplier route
             # is exact where the x-space convolution would have to
             # differentiate through the vertex
-            return _spectral_class_negative(smoothed, grid, times, lam, sign, tables)
+            return _spectral_class_negative(smoothed, grid, ladder, lam, sign)
         return _convolved_class(spectral_forcing_field(smoothed, grid, times,
-                                                       tables=tables), grid, lam, sign)
-    base = _sigma_field(smoothed, grid, times)
+                                                       ladder=ladder), grid, lam, sign)
+    base = _sigma_field(smoothed, grid, ladder.times)
     if lam < 0.0:
         k = int(math.ceil(-lam))
         return field_spatial_derivative(
@@ -378,8 +346,8 @@ def _convolved_class(base: SpaceTimeField, grid: GridFunction, lam: float,
     return SpaceTimeField(base.origin, base.spacing, base.dt, levels)
 
 
-def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
-                             lam: float, sign: str, tables=None) -> SpaceTimeField:
+def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, ladder: Ladder,
+                             lam: float, sign: str) -> SpaceTimeField:
     """Negative-order class via the power-kernel Fourier multiplier.
 
     x_+^{lam-1}/Gamma(lam) has transform (i xi)^{-lam}; the reflected
@@ -395,12 +363,11 @@ def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, times,
         kernel_mult = cmath.exp(1j * math.pi * lam) * mag * \
             np.exp(1j * lam * 0.5 * math.pi * np.sign(xi))
     kernel_mult[xi == 0.0] = 0.0
-    tables = filon_tables(grid, smoothed.dt, times, tables, len(smoothed))
-    mult = kernel_mult * tables.phase / grid.spacing
+    mult = kernel_mult * np.exp(1j * xi * grid.origin) / grid.spacing
     if lam < -1.0:
         mult = mult * smooth_window(n, grid.spacing)
-    return _filon_field(smoothed, grid, times, mult,
-                        sign == "minus" and not smoothed.is_complex, tables)
+    return _filon_field(smoothed, ladder, mult,
+                        sign == "minus" and not smoothed.is_complex)
 
 
 def minus_trace_factor(lam: float) -> float:
@@ -461,8 +428,7 @@ def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
     if g.dt != h.dt or len(g) != len(h):
         raise ContractError("g and h must share one time grid")
     free = group_multi(phi, times)
-    phases = ladder_phases(len(phi), phi.spacing, g.times)
-    tr0, tr1 = (group_trace_history(phi, g.times, j, phases) for j in (0, 1))
+    (tr0,), (tr1,), _ = free_vertex_traces([phi], g.times)
     alpha = g.samples - tr0
     beta = riemann_liouville(TimeTrace(g.dt, h.samples - tr1, True), 1.0 / 3.0).samples
     h1, h2 = (TimeTrace(g.dt, row[0] * alpha + row[1] * beta, True)

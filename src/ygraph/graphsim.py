@@ -24,10 +24,10 @@ from .errors import ContractError, DomainError, YGraphError
 from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
                       sampled_derivative, vertex_limit)
 from .forcing import filon_tables
-from .linops import GridFunction, SpaceTimeField, duhamel_inhomog, group_multi, trace_phases
+from .linops import GridFunction, Ladder, SpaceTimeField, duhamel_inhomog, \
+    free_vertex_traces, group_multi, whole_steps
 from .vertex import (COMPATIBILITY_TOL, VertexCoupling, CouplingKind,
-                     LambdaVector, compatibility_deviation, free_vertex_traces,
-                     solve_vertex, time_ladder, whole_steps)
+                     LambdaVector, compatibility_deviation, solve_vertex)
 
 BLOWUP_LIMIT = 1e6
 MAX_PICARD_ITERS = 10
@@ -573,10 +573,10 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     traces and re-assembles the forcing superposition.  Vertex traces are
     sampled every config.dt: the Duhamel term's traces move from the output
     ladder to that trace ladder by one not-a-knot cubic interpolation
-    matrix.  It, the output ladder's phase table and the forcing classes'
-    Filon tables are built once per call.  The nonlinear input to the group
-    is tapered over the outer :data:`PICARD_TAPER_FRACTION` of the domain so
-    the construction's slow polynomial tails cannot seed wrap-around.
+    matrix.  It and the :class:`linops.Ladder`'s output phases, Duhamel
+    weights and Filon tables are built once per call.  The nonlinear input to
+    the group is tapered over the outer :data:`PICARD_TAPER_FRACTION` of the
+    domain so the construction's slow polynomial tails cannot seed wrap-around.
     """
     if not 1 <= n_iter <= MAX_PICARD_ITERS:
         raise DomainError(f"n_iter must lie in 1..{MAX_PICARD_ITERS}, got {n_iter}")
@@ -585,14 +585,14 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     h = config.h
     L = config.L
     grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
-    tt, out_times = time_ladder(config.T, config.dt, n_levels)
+    ladder = Ladder.over(grid, config.T, config.dt, n_levels)
+    ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
+    ladder.filon = filon_tables(ladder)
 
-    spline = _spline_matrix(out_times, tt)
-    phases = trace_phases(len(grid), h, out_times)
-    filon = filon_tables(grid, config.dt, out_times)
+    spline = _spline_matrix(ladder.times, ladder.trace)
     exts = whole_line_data(config, h, grid)
-    free_fields = [group_multi(e, out_times, 1e-5, phases).levels for e in exts]
-    free_tr = free_vertex_traces(exts, tt)
+    free_fields = [group_multi(e, ladder.times, 1e-5, ladder).levels for e in exts]
+    free_tr = free_vertex_traces(exts, ladder.trace)
 
     taper = np.ones(len(grid))
     wlen = int(PICARD_TAPER_FRACTION * len(grid))      # >= 30: h <= L/100
@@ -615,8 +615,8 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
             for lvls, free in zip(current, free_fields):
                 flux = np.real(lvls) * sampled_derivative(np.real(lvls), h, 1)
                 flux *= taper
-                wfield = SpaceTimeField(-L, h, float(out_times[1]), flux)
-                kf = -duhamel_inhomog(wfield, decay_tol=1e-3, phases=phases).levels
+                wfield = SpaceTimeField(-L, h, ladder.out_dt, flux)
+                kf = -duhamel_inhomog(wfield, decay_tol=1e-3, ladder=ladder).levels
                 base.append(free + kf)
                 for j in range(3):
                     vals = vertex_limit(kf, i0, h, "centered", j)
@@ -624,8 +624,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
             del flux, wfield, kf    # not held through the vertex solve
             traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]
 
-        _, _, new = solve_vertex(config.coupling, lam, traces, config.dt, base,
-                                 grid, out_times, filon)
+        _, _, new = solve_vertex(config.coupling, lam, traces, base, ladder)
 
         # contraction metric on the physical edges
         d = max(np.abs(np.real(nw) - np.real(cur))[edge].max()
@@ -638,7 +637,6 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
         if diverged:
             break
 
-    dt_out = float(out_times[1] - out_times[0])
-    final = tuple(SpaceTimeField(-L, h, dt_out, lv) for lv in current)
+    final = tuple(SpaceTimeField(-L, h, ladder.out_dt, lv) for lv in current)
     return PicardResult(iterates=iterates, distances=np.asarray(distances),
-                        diverged=diverged, final=final, times=np.asarray(out_times))
+                        diverged=diverged, final=final, times=ladder.times)

@@ -133,27 +133,101 @@ def airy_group(phi: GridFunction, t: float) -> GridFunction:
 
 
 def group_multi(phi: GridFunction, times, decay_tol: float = DECAY_TOL,
-                phases=None) -> SpaceTimeField:
-    """Group applied at a uniform ladder of times starting at 0; ``phases``
-    is their :func:`trace_phases` table, built here when None."""
-    times = np.asarray(times, dtype=float)
-    dt = _uniform_dt(times)
+                ladder=None) -> SpaceTimeField:
+    """Group applied at a uniform ladder of times starting at 0, with the
+    output phases of ``ladder`` (:meth:`Ladder.fit`)."""
+    ladder = Ladder(phi, times).fit(ladder)
     _check_decay(phi, decay_tol)
-    phases = _phase_table(phases, len(phi), phi.spacing, times)
     spec = np.fft.fft(phi.samples)
-    levels = np.fft.ifft(phases * spec, axis=1)
-    return SpaceTimeField(phi.origin, phi.spacing, dt,
+    levels = np.fft.ifft(ladder.output_phases() * spec, axis=1)
+    return SpaceTimeField(phi.origin, phi.spacing, ladder.out_dt,
                           levels if phi.is_complex else levels.real.copy())
 
 
-def _uniform_dt(times: np.ndarray) -> float:
-    if times.size < 2:
-        raise ContractError("need at least two time levels")
-    steps = np.diff(times)
-    dt = steps[0]
-    if times[0] != 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise ContractError("time levels must be uniform and start at 0")
-    return float(dt)
+def whole_steps(length: float, step: float) -> bool:
+    """Whether length / step is a whole number to 1e-9 relative, so a grid
+    of that step ends exactly at length; step must be positive."""
+    r = length / step
+    return math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r
+
+
+class Ladder:
+    """One grid and one time ladder, validated once, and tables built on them.
+
+    ``grid`` gives the geometry ``n``, ``spacing`` and ``origin``; ``times``
+    is the output ladder, uniform from 0.  Given ``dt``, the output times sit
+    on the ``trace`` dt * (0 .. n_trace - 1), every ``stride``-th sample.
+    The tables start as None: ``phases`` (:func:`trace_phases` of the output
+    times), ``pair`` (their :func:`ladder_phases`), ``weights``
+    (:func:`_ladder_weights`) and ``filon`` (:func:`forcing.filon_tables`).
+    The owner of a loop sets those it holds and may drop one early; a
+    consumer that finds one None builds it for that call only.
+    """
+
+    def __init__(self, grid: GridFunction, times, dt: float = None,
+                 n_trace: int = None):
+        times = np.asarray(times, dtype=float)
+        if times.size < 2 or not np.isfinite(times).all():
+            raise ContractError("need at least two output times, all finite")
+        step = times[1] - times[0] if dt is None else dt
+        if not step > 0:
+            raise ContractError("output times must increase from 0")
+        idx = np.round(times / step).astype(int)
+        strides = np.diff(idx)
+        if times[0] != 0.0 or not np.allclose(idx * step, times, rtol=1e-9, atol=1e-12) \
+                or strides[0] <= 0 or np.any(strides != strides[0]):
+            raise ContractError("output times must be uniform, start at 0 and "
+                                "sit on the trace grid")
+        if dt is not None and idx[-1] >= n_trace:
+            raise DomainError("output times exceed the trace length")
+        self.grid, self.times, self.dt, self.n_trace = grid, times, dt, n_trace
+        self.n, self.spacing, self.origin = len(grid), grid.spacing, grid.origin
+        self.out_dt, self.stride = float(times[1] - times[0]), int(strides[0])
+        self.trace = None if dt is None else dt * np.arange(n_trace)
+        self.phases = self.pair = self.weights = self.filon = None
+
+    @classmethod
+    def over(cls, grid: GridFunction, T: float, trace_dt: float, n_levels: int = None):
+        """The trace on [0, T] at step trace_dt and n_levels output times on
+        it, every k-th trace time: n_levels - 1 must divide the trace step
+        count, and None picks the largest level count up to 26 that does.
+        T / trace_dt must be a whole number."""
+        if not (trace_dt > 0 and whole_steps(T, trace_dt)):
+            raise ContractError(f"T = {T:g} must be a whole number of positive "
+                                f"trace steps, got trace_dt = {trace_dt:g}")
+        n_tr = int(round(T / trace_dt)) + 1
+        if n_levels is None:
+            n_levels = next((k + 1 for k in range(25, 1, -1) if (n_tr - 1) % k == 0), 2)
+        if n_tr < 2 or n_levels < 2 or (n_tr - 1) % (n_levels - 1):
+            raise ContractError(
+                f"n_levels - 1 must be a positive divisor of the trace step count "
+                f"and T must span at least one trace step; got n_levels={n_levels} "
+                f"and {n_tr - 1} trace steps")
+        tt = trace_dt * np.arange(n_tr)
+        return cls(grid, tt[:: (n_tr - 1) // (n_levels - 1)], trace_dt, n_tr)
+
+    def fit(self, ladder):
+        """``ladder`` if it was built for this grid and output ladder, and for
+        this trace where this one has one (ContractError if not), else this
+        ladder.  Callers build ``self`` from their own arguments."""
+        keys = [(lad.n, lad.spacing, lad.origin, lad.times.size, lad.out_dt, lad.dt,
+                 lad.n_trace) for lad in (self, ladder or self)]
+        if any(a is not None and a != b for a, b in zip(*keys)):
+            raise ContractError("the ladder was built for another grid, trace step "
+                                "or time ladder")
+        return ladder or self
+
+    def output_phases(self) -> np.ndarray:
+        return trace_phases(self.n, self.spacing, self.times) \
+            if self.phases is None else self.phases
+
+    def phase_pair(self):
+        return ladder_phases(self.n, self.spacing, self.times) \
+            if self.pair is None else self.pair
+
+    def duhamel_weights(self) -> np.ndarray:
+        return _ladder_weights(self.times.size, self.out_dt) \
+            if self.weights is None else self.weights
 
 
 def trace_phases(n: int, spacing: float, times) -> np.ndarray:
@@ -171,70 +245,71 @@ def trace_phases(n: int, spacing: float, times) -> np.ndarray:
     return phases
 
 
-def _phase_table(phases, n: int, spacing: float, times) -> np.ndarray:
-    """``phases`` if it is (times, n) (ContractError if not); a new table if None."""
-    if phases is not None and getattr(phases, "shape", None) != (len(times), n):
-        raise ContractError(f"phase table does not fit {len(times)} times x {n} points")
-    return trace_phases(n, spacing, times) if phases is None else phases
-
-
 def ladder_phases(n: int, spacing: float, times):
     """Coarse (t_0, t_s, t_2s, ...) and fine (t_0 .. t_{s-1}) rows of :func:`trace_phases`
     for a uniform ladder of M times from 0, s = ceil(sqrt(M)): exp(i t_{js+r} xi^3) =
     exp(i t_{js} xi^3) exp(i t_r xi^3), so ~2 sqrt(M) rows stand for all M."""
-    times = np.asarray(times, dtype=float)
-    _uniform_dt(times)
-    s = math.isqrt(times.size - 1) + 1
+    s = math.isqrt(len(times) - 1) + 1
     return trace_phases(n, spacing, times[::s]), trace_phases(n, spacing, times[:s])
 
 
 def group_trace_history(phi: GridFunction, times, deriv: int = 0,
-                        phases=None) -> np.ndarray:
+                        ladder=None) -> np.ndarray:
     """Trace of d^j/dx^j exp(-t d^3/dx^3) phi at x = 0 for each time.
 
     Evaluated directly in frequency space; exact up to the periodization
     already inherent in the grid representation.  Time t_{js+r} of the
     uniform ladder from 0 is entry (j, r) of one small product of the
     :func:`ladder_phases` pair, which depends only on the grid and the
-    ladder: callers tracing several functions on one grid and ladder build
-    it once and pass it as ``phases``; without it the call builds its own.
+    ladder: callers tracing several functions on one grid and ladder hold
+    it in one ``ladder`` (:meth:`Ladder.fit`).
     """
-    times = np.asarray(times, dtype=float)
-    _uniform_dt(times)
-    if phases is None:
-        phases = ladder_phases(len(phi), phi.spacing, times)
-    s = math.isqrt(times.size - 1) + 1
-    if [np.shape(t) for t in phases] != [(-(-times.size // s), len(phi)), (s, len(phi))]:
-        raise ContractError(f"phase tables do not fit {times.size} times x {len(phi)} points")
-    coarse, fine = phases
+    ladder = Ladder(phi, times).fit(ladder)
+    if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
+        raise DomainError(f"deriv must be a non-negative integer, got {deriv!r}")
+    coarse, fine = ladder.phase_pair()
     xi = frequencies(len(phi), phi.spacing)
     spec = np.fft.fft(phi.samples) / len(phi)
     spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
-    out = ((coarse * spec) @ fine.T).reshape(-1)[:times.size]
+    out = ((coarse * spec) @ fine.T).reshape(-1)[:ladder.times.size]
     if not phi.is_complex:
         out = out.real
     return out
 
 
+def free_vertex_traces(data, times):
+    """Vertex traces of the free flow of each datum and of its first two
+    x-derivatives: ``[[trace of d^j/dx^j exp(-t dx^3) d for d in data]
+    for j in (0, 1, 2)]``, the ``traces`` layout of :func:`vertex.solve_vertex`.
+
+    The data share one grid, so one pair of ladder phase tables serves all
+    the histories.
+    """
+    ladder = Ladder(data[0], times)
+    ladder.pair = ladder.phase_pair()
+    return [[group_trace_history(d, times, j, ladder) for d in data]
+            for j in (0, 1, 2)]
+
+
 def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL,
-                    phases=None) -> SpaceTimeField:
+                    ladder=None) -> SpaceTimeField:
     """Inhomogeneous Duhamel integral of a forcing field at every stored level.
 
     Level m is sum_j W_mj exp(i (t_m - t_j) xi^3) F_j: composite Simpson
     in t' over levels 0..m (3/8 closure for an odd interval count), with
     the phase split as exp(i t_m xi^3) exp(-i t_j xi^3).  One batched FFT,
     one phase matrix, one lower-triangular (M x M) @ (M x n) product and
-    one batched inverse FFT serve all levels; ``phases`` is that matrix.
+    one batched inverse FFT serve all levels; ``ladder`` may hold the phase
+    matrix and the weights (:meth:`Ladder.fit`).
     """
     levels = w.levels
-    n_t, n = levels.shape
-    if n_t > 1:
-        ends = np.maximum(np.abs(levels[:, 0]), np.abs(levels[:, -1]))
-        bad = np.flatnonzero(ends > decay_tol)
-        if bad.size:
-            _check_decay(w.level(int(bad[0])), decay_tol)
-    phases = _phase_table(phases, n, w.spacing, w.times)
-    spec = _ladder_weights(n_t, w.dt) @ (phases.conj() * np.fft.fft(levels, axis=1))
+    ladder = Ladder(w.level(0), w.times).fit(ladder)
+    ends = np.maximum(np.abs(levels[:, 0]), np.abs(levels[:, -1]))
+    bad = np.flatnonzero(ends > decay_tol)
+    if bad.size:
+        _check_decay(w.level(int(bad[0])), decay_tol)
+    phases = ladder.output_phases()
+    spec = ladder.duhamel_weights() @ (phases.conj() * np.fft.fft(levels, axis=1))
     acc = np.fft.ifft(phases * spec, axis=1)
     return SpaceTimeField(w.origin, w.spacing, w.dt,
                           acc if levels.dtype.kind == "c" else acc.real)

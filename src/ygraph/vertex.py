@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville, vertex_limit
-from .linops import GridFunction, SpaceTimeField, frequencies, group_multi, \
-    group_trace_history, ladder_phases, trace_phases
+from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
+    free_vertex_traces, group_multi
 from .forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
 
 DET_THRESHOLD = 1e-8
@@ -330,70 +330,29 @@ def compatibility_deviation(coupling: VertexCoupling, u, v, w) -> float:
     return float(np.max(np.abs(devs)))
 
 
-def whole_steps(length: float, step: float) -> bool:
-    """Whether length / step is a whole number to 1e-9 relative, so a grid
-    of that step ends exactly at length; step must be positive."""
-    r = length / step
-    return math.isfinite(r) and abs(r - round(r)) <= 1e-9 * r
-
-
-def time_ladder(T: float, trace_dt: float, n_levels: int = None):
-    """Trace times on [0, T] at spacing trace_dt and the output levels.
-
-    The n_levels output times are every k-th trace time, so n_levels - 1
-    must divide the trace step count; None picks the largest level count
-    up to 26 that tiles it.  T / trace_dt must be a whole number.
-    """
-    if not (trace_dt > 0 and whole_steps(T, trace_dt)):
-        raise ContractError(f"T = {T:g} must be a whole number of positive "
-                            f"trace steps, got trace_dt = {trace_dt:g}")
-    n_tr = int(round(T / trace_dt)) + 1
-    if n_levels is None:
-        n_levels = next((k + 1 for k in range(25, 1, -1) if (n_tr - 1) % k == 0), 2)
-    if n_tr < 2 or n_levels < 2 or (n_tr - 1) % (n_levels - 1):
-        raise ContractError(
-            f"n_levels - 1 must be a positive divisor of the trace step count "
-            f"and T must span at least one trace step; got n_levels={n_levels} "
-            f"and {n_tr - 1} trace steps")
-    tt = trace_dt * np.arange(n_tr)
-    return tt, tt[:: (n_tr - 1) // (n_levels - 1)]
-
-
-def free_vertex_traces(data, times):
-    """Vertex traces of the free flow of each datum and of its first two
-    x-derivatives: ``[[trace of d^j/dx^j exp(-t dx^3) d for d in data]
-    for j in (0, 1, 2)]``, the ``traces`` layout of :func:`solve_vertex`.
-
-    The data share one grid, so one pair of ladder phase tables serves all
-    the histories.
-    """
-    phases = ladder_phases(len(data[0]), data[0].spacing, times)
-    return [[group_trace_history(d, times, j, phases) for d in data]
-            for j in (0, 1, 2)]
-
-
-def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
-                 trace_dt: float, base, grid: GridFunction, times, filon=None):
+def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces, base,
+                 ladder: Ladder):
     """Solve for the boundary traces and add their forcing classes to ``base``.
 
     ``traces[j]`` holds the u, v, w vertex traces of the j-th spatial
-    derivative of the fields the forcing corrects, sampled every trace_dt;
-    the slope and curvature rows enter through Riemann-Liouville integrals
-    of order 1/3 and 2/3.  ``base`` holds the u, v, w levels at ``times``.
-    ``filon``: shared :func:`forcing.filon_tables` or None.  Returns the matrix,
-    the traces (gamma_1, ..., gamma_4) and the three superposed level stacks.
+    derivative of the fields the forcing corrects, sampled on the trace of
+    ``ladder``; the slope and curvature rows enter through Riemann-Liouville
+    integrals of order 1/3 and 2/3.  ``base`` holds the u, v, w levels at its
+    output times.  Returns the matrix, the traces (gamma_1, ..., gamma_4) and
+    the three superposed level stacks.
     """
     f0, d_raw, s_raw = traces
-    d0 = [riemann_liouville(TimeTrace(trace_dt, d, True), 1.0 / 3.0).samples
+    d0 = [riemann_liouville(TimeTrace(ladder.dt, d, True), 1.0 / 3.0).samples
           for d in d_raw]
-    s0 = [riemann_liouville(TimeTrace(trace_dt, q, True), 2.0 / 3.0).samples
+    s0 = [riemann_liouville(TimeTrace(ladder.dt, q, True), 2.0 / 3.0).samples
           for q in s_raw]
-    rhs = [TimeTrace(trace_dt, r, True) for r in _build_rhs(coupling, f0, d0, s0)]
+    rhs = [TimeTrace(ladder.dt, r, True) for r in _build_rhs(coupling, f0, d0, s0)]
     m = build_matrix(coupling, lam)
     gammas = g1, g2, g3, g4 = solve_gamma(m, rhs)
 
     def fc(lam_k, sign, g):
-        return forcing_class(lam_k, sign, g, grid, times, tables=filon).levels
+        return forcing_class(lam_k, sign, g, ladder.grid, ladder.times,
+                             ladder=ladder).levels
 
     fields = [base[0] + fc(lam.l1, "minus", g1) + fc(lam.l2, "minus", g2),
               base[1] + fc(lam.l3, "plus", g3),
@@ -403,31 +362,28 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces,
 
 def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
                              w0: GridFunction, coupling: VertexCoupling,
-                             lam: LambdaVector, T: float,
+                             lam: LambdaVector, T: float = None,
                              n_levels: int = 26,
-                             trace_dt: float = 1e-3) -> LinearSolution:
+                             trace_dt: float = 1e-3, ladder=None) -> LinearSolution:
     """Build the linear graph solution from whole-line extensions.
 
     The three data extensions share one grid.  Free-evolution vertex traces
     feed the matrix system; the solved boundary traces drive the four
     forcing-class fields, and the superpositions restrict to the edges.
+    The time ladder is ``ladder`` or ``Ladder.over(u0, T, trace_dt, n_levels)``.
+    Its output phases live through the free flows only, and each forcing
+    class builds and frees its own Filon tables: one table at a time.
     """
-    if not (u0.origin == v0.origin == w0.origin and
-            u0.spacing == v0.spacing == w0.spacing and
-            len(u0) == len(v0) == len(w0)):
-        raise ContractError("data extensions must share one grid")
-
-    tt, out_times = time_ladder(T, trace_dt, n_levels)
+    if ladder is None:
+        ladder = Ladder.over(u0, T, trace_dt, n_levels)
     data = (u0, v0, w0)
-    traces = free_vertex_traces(data, tt)
-    phases = trace_phases(len(u0), u0.spacing, out_times)
-    free = [group_multi(d, out_times, phases=phases).levels for d in data]
-    del phases    # freed before the forcing classes, which set the peak
-    m, gammas, fields = solve_vertex(coupling, lam, traces, trace_dt, free,
-                                     u0, out_times)
+    traces = free_vertex_traces(data, ladder.trace)
+    ladder.phases = ladder.output_phases()
+    free = [group_multi(d, ladder.times, ladder=ladder).levels for d in data]
+    ladder.phases = None    # freed before the forcing classes, which set the peak
+    m, gammas, fields = solve_vertex(coupling, lam, traces, free, ladder)
 
-    dt_out = float(out_times[1] - out_times[0])
-    fld_u, fld_v, fld_w = (SpaceTimeField(u0.origin, u0.spacing, dt_out, lv)
+    fld_u, fld_v, fld_w = (SpaceTimeField(u0.origin, u0.spacing, ladder.out_dt, lv)
                            for lv in fields)
     return LinearSolution(u=fld_u, v=fld_v, w=fld_w, gammas=gammas, matrix=m,
                           coupling=coupling)

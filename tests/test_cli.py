@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config parsing, file formats, manifests."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from ygraph.fracops import check_order, riemann_liouville
 from ygraph.graphsim import ScenarioConfig, check_scale
 from ygraph.linops import GridFunction, airy_group
 from ygraph.specfun import airy_scaled_with_deriv
-from ygraph.vertex import CouplingKind, VertexCoupling, admissible_scan
+from ygraph.vertex import CouplingKind, LambdaVector, VertexCoupling, admissible_scan
 
 MINIMAL = """
 [coupling]
@@ -633,10 +634,46 @@ class TestOtherCommands:
             raise RuntimeError("unforeseen state")
 
         monkeypatch.setattr(cli, "_cmd_vertex_det", broken)
+        # the parser is built once per process: build one that binds `broken`
+        monkeypatch.setattr(cli, "build_parser",
+                            functools.cache(cli.build_parser.__wrapped__))
         assert main(["vertex", "det", "--type", "1", "--coeffs", "1,1,0,0,1,1",
                      "--lambda", "0.1,0.1,0.1,0.1"]) == 1
         err = capsys.readouterr().err
         assert err == "error: RuntimeError: unforeseen state\n"
+
+    def test_parser_is_built_once(self, capsys):
+        from ygraph import cli
+
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["vertex", "det", "--type", "1", "--coeffs", "1,1,0,0,1,1",
+                         "--lambda", "0.1,0.1,0.1,0.1"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_options_do_not_carry_over_between_calls(self, tmp_path, monkeypatch):
+        # one parser serves both runs: picard after a construct run with
+        # --lambda still gets the default orders
+        from ygraph import cli
+
+        seen = []
+
+        def recording(real):
+            def call(*args, **kwargs):
+                seen.extend(a for a in args if isinstance(a, LambdaVector))
+                return real(*args, **kwargs)
+            return call
+        for name in ("assemble_linear_solution", "picard_iterate"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        cfgp = write(tmp_path, "scenario.cfg", SCENARIO)
+        assert main(["vertex", "construct", "--config", cfgp, "--h", "0.1",
+                     "--levels", "11", "--lambda", "0.1,0.2,0.1,0.1", "--out",
+                     str(tmp_path / "traj")]) in (0, 1)
+        assert main(["picard", "--config", cfgp, "--iters", "1",
+                     "--out", str(tmp_path / "pic")]) == 0
+        assert seen == [LambdaVector(0.1, 0.2, 0.1, 0.1),
+                        LambdaVector(0.05, 0.3, 0.05, 0.05)]
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "nonuniform.csv", "t,value\n0,1\n0.1,1\n0.3,1\n")

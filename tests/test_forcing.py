@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ygraph import forcing
 from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import TimeTrace, riemann_liouville
-from ygraph.linops import GridFunction, SpaceTimeField, frequencies, \
+from ygraph.linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     trace_at_zero
 from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
                             _filon_base, _filon_field, _sigma_field, filon_tables,
@@ -419,7 +419,8 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
     grid = GridFunction(-6.4, h, np.zeros(n))
     mult = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     times = stride * dt * np.arange(n_out)
-    got = _filon_field(TimeTrace(dt, f), grid, times, mult, not complex_trace)
+    got = _filon_field(TimeTrace(dt, f), Ladder(grid, times, dt, f.size), mult,
+                       not complex_trace)
 
     p, e0, e1 = _filon_base(frequencies(n, h) ** 3, dt)
     phi = np.zeros(n, dtype=complex)
@@ -463,47 +464,56 @@ def test_filon_transform_holds_few_copies_of_the_level_stack():
     assert _filon_peak_rows(np.linspace(0.0, 1.0, 101)) <= 400
 
 
+def _held_filon(grid, dt, times, n_trace):
+    ladder = Ladder(grid, times, dt, n_trace)
+    ladder.filon = filon_tables(ladder)
+    return ladder
+
+
 @pytest.fixture(scope="module")
-def shared_tables(grid):
+def shared_ladder(g, grid):
     # stride 100 trace steps in blocks of 32: both gain tables are in use
-    return filon_tables(grid, DT, TIMES)
+    return _held_filon(grid, DT, TIMES, len(g))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("sign", ["minus", "plus"])
 @pytest.mark.parametrize("lam", [-1.4, -0.5, 0.0, 0.3])
-def test_prebuilt_filon_tables_give_the_same_class(g, grid, shared_tables, lam,
+def test_prebuilt_filon_tables_give_the_same_class(g, grid, shared_ladder, lam,
                                                    sign, kind):
     trace = g if kind == "real" else TimeTrace(DT, (1.0 - 0.6j) * g.samples)
-    got = forcing_class(lam, sign, trace, grid, TIMES, tables=shared_tables).levels
+    got = forcing_class(lam, sign, trace, grid, TIMES, ladder=shared_ladder).levels
     want = forcing_class(lam, sign, trace, grid, TIMES).levels
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
 
-def test_prebuilt_filon_tables_give_the_same_derivative_field(g, grid, shared_tables):
+def test_prebuilt_filon_tables_give_the_same_derivative_field(g, grid, shared_ladder):
     i13 = riemann_liouville(g, 1.0 / 3.0)
     got = spectral_forcing_field(i13, grid, TIMES, deriv=2, window="smooth",
-                                 tables=shared_tables)
+                                 ladder=shared_ladder)
     want = spectral_forcing_field(i13, grid, TIMES, deriv=2, window="smooth")
     assert got.levels.tobytes() == want.levels.tobytes()
 
 
 def test_mismatched_filon_tables_rejected(g, grid):
-    other = GridFunction(-30.0, 0.05, np.zeros(len(grid) - 2))
-    for bad in (filon_tables(other, DT, TIMES),
-                filon_tables(GridFunction(-15.0, 0.025, np.zeros(len(grid))),
-                                  DT, TIMES),
-                filon_tables(grid, 2 * DT, TIMES),
-                filon_tables(grid, DT, TIMES[:6] / 2)):
-        for lam in (-0.5, 0.3):
-            with pytest.raises(ContractError, match="Filon tables"):
-                forcing_class(lam, "minus", g, grid, TIMES, tables=bad)
-        with pytest.raises(ContractError, match="Filon tables"):
-            spectral_forcing_field(g, grid, TIMES, tables=bad)
-    with pytest.raises(ContractError, match="spectral route"):
-        forcing_class(0.3, "minus", g, grid, TIMES, method="simpson",
-                      tables=filon_tables(grid, DT, TIMES))
+    # a ladder for another grid size, spacing, origin, trace step, output
+    # ladder or trace length
+    n = len(g)
+    for bad in (_held_filon(GridFunction(-30.0, 0.05, np.zeros(len(grid) - 2)),
+                            DT, TIMES, n),
+                _held_filon(GridFunction(-15.0, 0.025, np.zeros(len(grid))),
+                            DT, TIMES, n),
+                _held_filon(GridFunction(-30.05, 0.05, np.zeros(len(grid))),
+                            DT, TIMES, n),
+                _held_filon(grid, 2 * DT, TIMES, n),
+                _held_filon(grid, DT, TIMES[:6] / 2, n),
+                _held_filon(grid, DT, TIMES, n + 1)):
+        for lam, method in ((-0.5, "spectral"), (0.3, "spectral"), (0.3, "simpson")):
+            with pytest.raises(ContractError, match="ladder was built"):
+                forcing_class(lam, "minus", g, grid, TIMES, method, ladder=bad)
+        with pytest.raises(ContractError, match="ladder was built"):
+            spectral_forcing_field(g, grid, TIMES, ladder=bad)
 
 
 # ---------------------------------------------------------------------------

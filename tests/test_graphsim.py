@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline   # the reference only
 from ygraph import forcing, graphsim, linops
 from ygraph.errors import ContractError, DomainError, YGraphError
 from ygraph.fracops import ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided
-from ygraph.linops import GridFunction, group_multi
+from ygraph.linops import GridFunction, Ladder, group_multi
 from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
                            assemble_linear_solution)
 from ygraph.graphsim import (InitialProfile, ScenarioConfig, _spline_matrix,
@@ -322,6 +322,30 @@ class TestExtension:
 PICARD_LAM = LambdaVector(0.05, 0.3, 0.05, 0.05)
 
 
+def _count_tables(monkeypatch):
+    """Record each phase table's times, each Filon base's (size, dt) and each
+    Duhamel weight matrix's size as they are built."""
+    built, bases, weights = [], [], []
+    phases, base, ladder_weights = (linops.trace_phases, forcing._filon_base,
+                                    linops._ladder_weights)
+
+    def counting_phases(n, spacing, times):
+        built.append(np.array(times))
+        return phases(n, spacing, times)
+
+    def counting_base(omega, dt):
+        bases.append((omega.size, dt))
+        return base(omega, dt)
+
+    def counting_weights(n_t, dt):
+        weights.append(n_t)
+        return ladder_weights(n_t, dt)
+    monkeypatch.setattr(linops, "trace_phases", counting_phases)
+    monkeypatch.setattr(forcing, "_filon_base", counting_base)
+    monkeypatch.setattr(linops, "_ladder_weights", counting_weights)
+    return built, bases, weights
+
+
 def _linear_picard_config(coupling, L, h):
     return ScenarioConfig(
         L=L, h=h, dt=2e-3, T=0.1, coupling=coupling, mode="linear",
@@ -374,21 +398,9 @@ class TestPicard:
 
     def test_tables_are_built_once_per_solve(self, monkeypatch):
         # five nonlinear iterations force 20 classes and 15 Duhamel integrals
-        # on one grid and ladder; the output-ladder phase table and the Filon
-        # tables are each built once for all of them
-        built, bases = [], []
-        phases, base = linops.trace_phases, forcing._filon_base
-
-        def counting_phases(n, spacing, times):
-            built.append(np.array(times))
-            return phases(n, spacing, times)
-
-        def counting_base(omega, dt):
-            bases.append((omega.size, dt))
-            return base(omega, dt)
-        monkeypatch.setattr(linops, "trace_phases", counting_phases)
-        monkeypatch.setattr(graphsim, "trace_phases", counting_phases)
-        monkeypatch.setattr(forcing, "_filon_base", counting_base)
+        # on one grid and ladder; the output-ladder phase table, the Duhamel
+        # weights and the Filon tables are each built once for all of them
+        built, bases, weights = _count_tables(monkeypatch)
         cfg = dataclasses.replace(_linear_picard_config(CB0, 20.0, 0.1),
                                   mode="nonlinear")
         res = picard_iterate(cfg, PICARD_LAM, n_iter=5)
@@ -396,6 +408,23 @@ class TestPicard:
         ladder = [t for t in built if t.size == res.times.size]
         assert len(ladder) == 1 and np.array_equal(ladder[0], res.times)
         assert bases == [(2 * cfg.n_edge + 1, cfg.dt)]
+        assert weights == [res.times.size]
+
+    def test_construct_frees_its_tables_early(self, monkeypatch):
+        # the linear assembly holds the output phases through the three free
+        # flows only, and each of its four classes builds and frees its own
+        # Filon tables: sharing one set raised construct's peak memory
+        built, bases, weights = _count_tables(monkeypatch)
+        cfg = _linear_picard_config(CB0, 20.0, 0.1)
+        grid = GridFunction(-cfg.L, cfg.h, np.zeros(2 * cfg.n_edge + 1))
+        ladder = Ladder.over(grid, cfg.T, cfg.dt, 26)
+        sol = assemble_linear_solution(*whole_line_data(cfg, cfg.h, grid), CB0,
+                                       PICARD_LAM, ladder=ladder)
+        phases = [t for t in built if t.size == sol.times.size]
+        assert len(phases) == 1 and np.array_equal(phases[0], sol.times)
+        assert bases == [(len(grid), cfg.dt)] * 4
+        assert weights == []
+        assert ladder.phases is None and ladder.filon is None
 
     @pytest.mark.parametrize("n_iter", [0, -1, 11])
     def test_iteration_count_range(self, n_iter):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from ygraph import linops, vertex
 from ygraph.errors import ContractError, DomainError
-from ygraph.linops import (GridFunction, SpaceTimeField, airy_group,
+from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, airy_group,
                            duhamel_inhomog, frequencies, gaussian_profile,
                            group_multi, group_trace_history, ladder_phases,
                            sobolev_norm, trace_at_zero, trace_phases)
@@ -296,6 +296,16 @@ def test_group_trace_history_matches_field():
     assert np.abs(tr - fld.levels[:, i0]).max() <= 1e-10
 
 
+def _other_ladders(phi, times):
+    """Ladders on phi's grid and ladder but for one of the grid size, spacing
+    or origin, the time step or the number of times."""
+    n, h, x0 = len(phi), phi.spacing, phi.origin
+    return [Ladder(GridFunction(x0, h, np.zeros(n - 1)), times),
+            Ladder(GridFunction(x0, h / 2, np.zeros(n)), times),
+            Ladder(GridFunction(x0 + h, h, np.zeros(n)), times),
+            Ladder(phi, 2 * times), Ladder(phi, times[:-1])]
+
+
 class TestTracePhases:
     def test_equals_exp_form(self):
         # spacing 0.01 puts t xi^3 up to ~1.6e7: the large-argument range
@@ -333,8 +343,9 @@ class TestTracePhases:
             prof = prof * np.exp(0.7j * x)
         phi = GridFunction(x[0], h, prof)
         times = 1e-3 * np.arange(201)
-        phases = ladder_phases(len(phi), h, times)
-        got = group_trace_history(phi, times, deriv, phases)
+        ladder = Ladder(phi, times)
+        ladder.pair = ladder.phase_pair()
+        got = group_trace_history(phi, times, deriv, ladder)
         assert np.array_equal(got, group_trace_history(phi, times, deriv))
         assert np.iscomplexobj(got) == (kind == "complex")
         # the factorized history is the full phase-matrix product
@@ -347,7 +358,8 @@ class TestTracePhases:
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_prebuilt_table_gives_the_same_group_and_duhamel(self, kind):
-        # one output-ladder table for several calls, as picard_iterate passes it
+        # one ladder's phases and weights for several calls, as picard_iterate
+        # holds them
         h = 0.05
         x = np.arange(-30.0, 30.0, h)
         prof = gaussian_profile(x, 1.0, 3.0, 1.2)
@@ -356,11 +368,12 @@ class TestTracePhases:
             prof, flux = prof * np.exp(0.7j * x), flux * (1.0 - 0.4j)
         phi = GridFunction(x[0], h, prof)
         w = SpaceTimeField(x[0], h, 0.02, flux)
-        phases = trace_phases(x.size, h, w.times)
+        ladder = Ladder(phi, w.times)
+        ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
         for _ in range(2):
-            got = group_multi(phi, w.times, phases=phases).levels
+            got = group_multi(phi, w.times, ladder=ladder).levels
             assert np.array_equal(got, group_multi(phi, w.times).levels)
-            got = duhamel_inhomog(w, phases=phases).levels
+            got = duhamel_inhomog(w, ladder=ladder).levels
             assert np.array_equal(got, duhamel_inhomog(w).levels)
             assert np.iscomplexobj(got) == (kind == "complex")
 
@@ -369,27 +382,32 @@ class TestTracePhases:
         x = np.arange(-30.0, 30.0, h)
         phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
         w = SpaceTimeField(x[0], h, 0.02, np.zeros((11, x.size)))
-        for bad in (trace_phases(x.size, h, w.times[:10]),
-                    trace_phases(x.size - 1, h, w.times),
-                    trace_phases(x.size, h, w.times).T,
-                    ladder_phases(x.size, h, w.times)):
-            with pytest.raises(ContractError, match="phase table"):
-                group_multi(phi, w.times, phases=bad)
-            with pytest.raises(ContractError, match="phase table"):
-                duhamel_inhomog(w, phases=bad)
+        for bad in _other_ladders(phi, w.times):
+            bad.phases, bad.weights = bad.output_phases(), bad.duhamel_weights()
+            with pytest.raises(ContractError, match="ladder was built"):
+                group_multi(phi, w.times, ladder=bad)
+            with pytest.raises(ContractError, match="ladder was built"):
+                duhamel_inhomog(w, ladder=bad)
 
     def test_mismatched_matrix_rejected(self):
         h = 0.05
         x = np.arange(-60.0, 60.0, h)
         phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
         times = 1e-3 * np.arange(11)
-        full = trace_phases(len(phi), h, times)
-        for bad in (ladder_phases(len(phi), h, times[:8]),
-                    ladder_phases(len(phi), h, times)[::-1],
-                    ladder_phases(len(phi) - 1, h, times),
-                    full[:2], full):
-            with pytest.raises(ContractError):
+        for bad in _other_ladders(phi, times):
+            bad.pair = bad.phase_pair()
+            with pytest.raises(ContractError, match="ladder was built"):
                 group_trace_history(phi, times, 0, bad)
+
+    @pytest.mark.parametrize("deriv", [-1, 1.5, 2.0, "1"])
+    def test_derivative_order_must_be_a_whole_number(self, deriv):
+        # unchecked, -1 gives nan with a RuntimeWarning and 1.5 a fractional
+        # derivative no caller asks for
+        h = 0.05
+        x = np.arange(-60.0, 60.0, h)
+        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        with pytest.raises(DomainError, match="deriv"):
+            group_trace_history(phi, 1e-3 * np.arange(11), deriv)
 
     @pytest.mark.parametrize("times", [1e-3 * np.arange(1, 12),
                                        1e-3 * np.arange(11) ** 1.5,
@@ -400,13 +418,14 @@ class TestTracePhases:
         x = np.arange(-60.0, 60.0, h)
         phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
         with pytest.raises(ContractError):
-            ladder_phases(len(phi), h, times)
+            Ladder(phi, times)
         with pytest.raises(ContractError):
             group_trace_history(phi, times)
         if times.size > 1:
-            pair = ladder_phases(len(phi), h, 1e-3 * np.arange(times.size))
+            ladder = Ladder(phi, 1e-3 * np.arange(times.size))
+            ladder.pair = ladder.phase_pair()
             with pytest.raises(ContractError):
-                group_trace_history(phi, times, 0, pair)
+                group_trace_history(phi, times, 0, ladder)
 
     def test_assembly_builds_one_matrix(self, monkeypatch):
         # one ladder pair for all nine trace histories, and no phase table
@@ -418,13 +437,13 @@ class TestTracePhases:
             return trace_phases(*args)
 
         monkeypatch.setattr(linops, "trace_phases", counting)
-        ladders = []
+        ladders, pairs = [], linops.ladder_phases
 
         def counting_pairs(*args):
             ladders.append(args)
-            return linops.ladder_phases(*args)
+            return pairs(*args)
 
-        monkeypatch.setattr(vertex, "ladder_phases", counting_pairs)
+        monkeypatch.setattr(linops, "ladder_phases", counting_pairs)
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
         u0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.5, -8.0, 1.2))
@@ -434,7 +453,7 @@ class TestTracePhases:
             u0, v0, w0, vertex.VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0),
             vertex.LambdaVector(0.05, 0.3, 0.05, 0.05), T=0.05, n_levels=11,
             trace_dt=1e-3)
-        tt, _ = vertex.time_ladder(0.05, 1e-3, 11)
+        tt = Ladder.over(u0, 0.05, 1e-3, 11).trace
         assert len(ladders) == 1
         assert ladders[0][:2] == (len(u0), h)
         assert np.array_equal(ladders[0][2], tt)

@@ -8,12 +8,12 @@ import pytest
 
 from ygraph.errors import ContractError, DomainError, SingularMatrixError
 from ygraph.fracops import TimeTrace
-from ygraph.linops import GridFunction, gaussian_profile, group_multi
+from ygraph.linops import GridFunction, Ladder, gaussian_profile, group_multi
 from ygraph.vertex import (BoundaryMatrix, CouplingKind, LambdaVector,
                            VertexCoupling, admissible_scan, admissible_window,
                            anchor_lambda, assemble_linear_solution,
                            build_matrix, closed_form_det, compatibility_deviation,
-                           det_m, is_invertible, solve_gamma, time_ladder,
+                           det_m, is_invertible, solve_gamma,
                            verify_vertex_conditions, LinearSolution)
 
 C_UNIT = VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0)
@@ -296,8 +296,9 @@ class TestAssemble:
 
     @pytest.mark.parametrize("trace_dt", [0.0, math.nan])
     def test_time_ladder_needs_a_positive_step(self, trace_dt):
+        z = GridFunction(-20.0, 0.05, np.zeros(801))
         with pytest.raises(ContractError, match="trace step"):
-            time_ladder(0.2, trace_dt)
+            Ladder.over(z, 0.2, trace_dt)
 
     def test_residuals_do_not_depend_on_the_output_ladder(self):
         # 4 and 7 levels over T = 0.3 share t = 0, 0.1, 0.2, 0.3.  Fields and
