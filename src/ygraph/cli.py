@@ -294,12 +294,10 @@ def _cmd_airy(args):
                          (_AXIS, _VALUE, _VALUE))
         if args.out is not None:
             print(f"wrote {args.out}")
-    elif args.x is not None:
+    else:
         a, ap = _in_domain("--x", airy_scaled_with_deriv, args.x)
         print(f"A({args.x:g}) = {a:.12g}")
         print(f"A'({args.x:g}) = {ap:.12g}")
-    else:
-        raise SystemExit(2)
     return 0
 
 
@@ -582,8 +580,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command")
 
     pa = sub.add_parser("airy", help="evaluate the scaled Airy kernel")
-    pa.add_argument("--x", type=float)
-    pa.add_argument("--table", nargs=3, type=float, metavar=("A", "B", "N"))
+    where = pa.add_mutually_exclusive_group(required=True)
+    where.add_argument("--x", type=float)
+    where.add_argument("--table", nargs=3, type=float, metavar=("A", "B", "N"))
     pa.add_argument("--out")
     pa.set_defaults(func=_cmd_airy)
 

@@ -179,9 +179,9 @@ def filon_tables(ladder: Ladder):
     return (pw[q], pw[s % q]), tuple(coefs)
 
 
-def _filon_field(smoothed: TimeTrace, ladder: Ladder, mult,
+def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
                  real: bool) -> SpaceTimeField:
-    """Filon recurrence shared by the spectral routes.
+    """The one Filon recurrence of the spectral routes.
 
     phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
     for the piecewise-linear interpolant of f: phi <- p phi + b f_m + a f_{m+1}
@@ -189,11 +189,17 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, mult,
     sum_i p^{c-1-i} (b f_{k+i} + a f_{k+i+1}).  Each output stride is nb blocks
     of q ~ sqrt(M) of the M cells and one of the r left: one product per block length
     and a loop over blocks, with tables of q rows whatever the stride.  Each
-    level is ifft(3 phi mult), ``mult`` holding the frequency filter with the
-    grid phase and 1/spacing.  ``real`` keeps the real part.
+    level is ifft(3 phi mult), mult = symbol(xi) e^{i xi origin} / spacing,
+    times :func:`smooth_window` if ``window``; ``symbol`` is called only after
+    the tables are built (unless ``ladder`` holds them), the allocation order
+    construct's peak RSS was measured with.  ``real`` keeps the real part.
     """
     times, n, s = ladder.times, ladder.n, ladder.stride
     (pq, pr), (cq, cr) = filon_tables(ladder) if ladder.filon is None else ladder.filon
+    xi = frequencies(n, ladder.spacing)
+    mult = symbol(xi) * np.exp(1j * xi * ladder.origin) / ladder.spacing
+    if window:
+        mult = mult * smooth_window(n, ladder.spacing)
     q = len(cq) - 1
     (nb, r), first = divmod(s, q), s * np.arange(len(times) - 1)
     cells = np.lib.stride_tricks.sliding_window_view   # c + 1 samples from each node
@@ -227,18 +233,11 @@ def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
     with vertex steps need before any polynomial limit extraction.
     ``ladder`` may hold the Filon tables (:meth:`linops.Ladder.fit`).
     """
-    here = Ladder(grid, times, smoothed.dt, len(smoothed))
-    ladder = here.fit(ladder)
-    if ladder.filon is None:   # before the multiplier: after it, construct's RSS grew
-        ladder, here.filon = here, filon_tables(here)
-    n = len(grid)
-    xi = frequencies(n, grid.spacing)
-    mult = (1j * xi) ** deriv * np.exp(1j * xi * grid.origin) / grid.spacing
-    if window == "smooth":
-        mult = mult * smooth_window(n, grid.spacing)
-    elif window is not None:
+    if window not in (None, "smooth"):
         raise DomainError(f"unknown window {window!r}")
-    return _filon_field(smoothed, ladder, mult, not smoothed.is_complex)
+    ladder = Ladder(grid, times, smoothed.dt, len(smoothed)).fit(ladder)
+    return _filon_field(smoothed, ladder, lambda xi: (1j * xi) ** deriv,
+                        window == "smooth", not smoothed.is_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +258,6 @@ def duhamel_forcing_deriv(g: TimeTrace, grid: GridFunction, times,
     noise-free; "simpson" differentiates the sigma-route field of I_{1/3} g.
     """
     return forcing_class(-1.0, "minus", g, grid, times, method=method)
-
-
-def field_spatial_derivative(fld: SpaceTimeField, order: int) -> SpaceTimeField:
-    """Differentiate each level in x with single-pass stencils."""
-    out = sampled_derivative(fld.levels, fld.spacing, order)
-    return SpaceTimeField(fld.origin, fld.spacing, fld.dt, out)
 
 
 def _one_sided_convolve(levels: np.ndarray, spacing: float, lam: float,
@@ -316,58 +309,47 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
     # smoothing chain into I_{-(2+lam)/3} g
     smoothed = riemann_liouville(g, -(2.0 + lam) / 3.0)
 
+    if method == "spectral" and lam < 0.0:
+        # the one-sided power kernel acts as the Fourier multiplier
+        # (i xi)^{-lam}; for negative orders it vanishes at xi = 0 and the
+        # class field decays on both sides, so the multiplier route is exact
+        # where the x-space convolution would have to differentiate through
+        # the vertex
+        return _filon_field(smoothed, ladder, _class_symbol(lam, sign),
+                            lam < -1.0, sign == "minus" and not smoothed.is_complex)
     if method == "spectral":
-        if lam < 0.0:
-            # the one-sided power kernel acts as the Fourier multiplier
-            # (i xi)^{-lam}; for negative orders it vanishes at xi = 0 and
-            # the class field decays on both sides, so the multiplier route
-            # is exact where the x-space convolution would have to
-            # differentiate through the vertex
-            return _spectral_class_negative(smoothed, grid, ladder, lam, sign)
-        return _convolved_class(spectral_forcing_field(smoothed, grid, times,
-                                                       ladder=ladder), grid, lam, sign)
-    base = _sigma_field(smoothed, grid, ladder.times)
-    if lam < 0.0:
-        k = int(math.ceil(-lam))
-        return field_spatial_derivative(
-            _convolved_class(base, grid, lam + k, sign), k)
-    return _convolved_class(base, grid, lam, sign)
+        base = spectral_forcing_field(smoothed, grid, times, ladder=ladder)
+    else:
+        base = _sigma_field(smoothed, grid, ladder.times)
+    return _convolved_class(base, lam, sign)
 
 
-def _convolved_class(base: SpaceTimeField, grid: GridFunction, lam: float,
-                     sign: str) -> SpaceTimeField:
-    """Class field of order lam >= 0 from the base field; order 0 is V."""
+def _convolved_class(base: SpaceTimeField, lam: float, sign: str) -> SpaceTimeField:
+    """Class field of order lam from the base field V: the power kernel at
+    order lam + k, k = max(0, ceil(-lam)), then k x-derivatives."""
+    k = max(0, math.ceil(-lam))
     levels = base.levels.astype(complex, copy=False) if sign == "plus" else base.levels
-    if lam > 0.0:
-        levels = _one_sided_convolve(levels, grid.spacing, lam,
+    if lam + k > 0.0:
+        levels = _one_sided_convolve(levels, base.spacing, lam + k,
                                      from_left=(sign == "minus"))
         if sign == "plus":
-            levels = cmath.exp(1j * math.pi * lam) * levels
+            levels = cmath.exp(1j * math.pi * (lam + k)) * levels
+    if k:
+        levels = sampled_derivative(levels, base.spacing, k)
     return SpaceTimeField(base.origin, base.spacing, base.dt, levels)
 
 
-def _spectral_class_negative(smoothed: TimeTrace, grid: GridFunction, ladder: Ladder,
-                             lam: float, sign: str) -> SpaceTimeField:
-    """Negative-order class via the power-kernel Fourier multiplier.
+def _class_symbol(lam: float, sign: str):
+    """Fourier symbol of the power kernel of a negative-order class.
 
     x_+^{lam-1}/Gamma(lam) has transform (i xi)^{-lam}; the reflected
     complex kernel of the plus class contributes e^{i pi lam} (-i xi)^{-lam}.
     At lam = -1 both reduce to the plain derivative multiplier i xi.
     """
-    n = len(grid)
-    xi = frequencies(n, grid.spacing)
-    mag = np.abs(xi) ** (-lam)
-    if sign == "minus":
-        kernel_mult = mag * np.exp(-1j * lam * 0.5 * math.pi * np.sign(xi))
-    else:
-        kernel_mult = cmath.exp(1j * math.pi * lam) * mag * \
-            np.exp(1j * lam * 0.5 * math.pi * np.sign(xi))
-    kernel_mult[xi == 0.0] = 0.0
-    mult = kernel_mult * np.exp(1j * xi * grid.origin) / grid.spacing
-    if lam < -1.0:
-        mult = mult * smooth_window(n, grid.spacing)
-    return _filon_field(smoothed, ladder, mult,
-                        sign == "minus" and not smoothed.is_complex)
+    phase, turn = ((1.0, -1j) if sign == "minus"
+                   else (cmath.exp(1j * math.pi * lam), 1j))
+    return lambda xi: (phase * np.abs(xi) ** (-lam)
+                       * np.exp(turn * lam * 0.5 * math.pi * np.sign(xi)))
 
 
 def minus_trace_factor(lam: float) -> float:

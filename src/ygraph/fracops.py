@@ -271,9 +271,10 @@ def check_order(alpha: float):
 def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     """Apply I_alpha to a causal trace.
 
-    Orders lie in (-MAX_ORDER, MAX_ORDER].  Positive orders use product
-    integration; alpha = 0 is the identity; negative orders differentiate
-    I_{alpha+k} with centered differences (one-sided at the ends).
+    Orders lie in (-MAX_ORDER, MAX_ORDER]; alpha = 0 is the identity.  Every
+    other order integrates at alpha + k by product integration, k = 0 for
+    alpha > 0, and differentiates k times with centered differences
+    (one-sided at the ends).
     """
     if not f.causal:
         raise ContractError("riemann_liouville requires a causal trace")
@@ -281,16 +282,11 @@ def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     if alpha == 0.0:
         return TimeTrace(f.dt, f.samples.copy(), True)
 
-    if alpha > 0:
-        out = fractional_integral_samples(f.samples.astype(
-            complex if f.is_complex else float), f.dt, alpha)
-        return TimeTrace(f.dt, out, True)
-
-    k = int(math.floor(-alpha)) + 1          # smallest k with alpha + k > 0
-    shifted = alpha + k
-    vals = fractional_integral_samples(f.samples.astype(
-        complex if f.is_complex else float), f.dt, shifted)
-    if len(vals) < 5:
+    k = max(0, math.floor(-alpha) + 1)      # smallest k >= 0 with alpha + k > 0
+    if k and len(f) < 5:
         raise ContractError("negative orders need at least 5 samples")
-    vals = sampled_derivative(vals, f.dt, k)
+    vals = fractional_integral_samples(f.samples.astype(
+        complex if f.is_complex else float), f.dt, alpha + k)
+    if k:
+        vals = sampled_derivative(vals, f.dt, k)
     return TimeTrace(f.dt, vals, True)

@@ -557,20 +557,20 @@ def _spline_matrix(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PicardResult:
-    iterates: list               # list of (u, v, w) level stacks
     distances: np.ndarray        # sup distance between consecutive iterates
     diverged: bool
     final: tuple                 # (u, v, w) SpaceTimeFields on the whole line
     times: np.ndarray
 
 
-def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
-                   n_levels: int = None) -> PicardResult:
+def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
+                   n_iter: int = 6) -> PicardResult:
     """Iterate the integral-equation map on whole-line fields.
 
     Each pass recomputes the inhomogeneous Duhamel term from the previous
     iterate's nonlinearity, re-solves the vertex system for the boundary
-    traces and re-assembles the forcing superposition.  Vertex traces are
+    traces and re-assembles the forcing superposition.  The output ladder is
+    :meth:`linops.Ladder.over`'s default.  Vertex traces are
     sampled every config.dt: the Duhamel term's traces move from the output
     ladder to that trace ladder by one not-a-knot cubic interpolation
     matrix.  It and the :class:`linops.Ladder`'s output phases, Duhamel
@@ -585,7 +585,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     h = config.h
     L = config.L
     grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
-    ladder = Ladder.over(grid, config.T, config.dt, n_levels)
+    ladder = Ladder.over(grid, config.T, config.dt)
     ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
     ladder.filon = filon_tables(ladder)
 
@@ -605,7 +605,6 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
     edges = (np.s_[:, :i0 + 1], np.s_[:, i0:], np.s_[:, i0:])
     nonlinear = config.mode == "nonlinear"
     current = free_fields
-    iterates = []
     distances = []
 
     for _ in range(n_iter):
@@ -630,7 +629,6 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
         d = max(np.abs(np.real(nw) - np.real(cur))[edge].max()
                 for nw, cur, edge in zip(new, current, edges))
         distances.append(d)
-        iterates.append(new)
         current = new
         diverged = bool(len(distances) >= 2 and distances[-1] > distances[-2]
                         and distances[-1] > 1e-12)
@@ -638,5 +636,5 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector, n_iter: int = 6,
             break
 
     final = tuple(SpaceTimeField(-L, h, ladder.out_dt, lv) for lv in current)
-    return PicardResult(iterates=iterates, distances=np.asarray(distances),
-                        diverged=diverged, final=final, times=ladder.times)
+    return PicardResult(distances=np.asarray(distances), diverged=diverged,
+                        final=final, times=ladder.times)

@@ -235,9 +235,6 @@ def admissible_scan(s: float, coupling: VertexCoupling, resolution: int = 101,
     lo, hi = admissible_window(s)
     branch = "low" if s < 1.0 else "high"
     lam2 = anchor_lambda(branch, eps, s).l2
-    rows = []
-    if lo >= hi:
-        return ScanReport(s=s, window=(lo, hi), eps=eps, branch=branch, rows=rows)
     grid = np.linspace(lo, hi, resolution + 2)[1:-1]
     mats = np.array([build_matrix(coupling,
                                   LambdaVector(lam, lam2, lam, lam, s)).entries

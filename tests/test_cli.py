@@ -140,6 +140,22 @@ class TestParseConfig:
         assert main(["simulate", "--config", path,
                      "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("profile,problem", [
+        ("gaussian amplitude", "malformed profile parameter 'amplitude'"),
+        ("gaussian amplitude=big", "non-numeric profile parameter 'amplitude=big'"),
+        ("bump", "unknown profile kind 'bump'")],
+        ids=["malformed", "non-numeric", "unknown-kind"])
+    def test_profile_errors(self, tmp_path, profile, problem):
+        text = MINIMAL + f"[initial]\nu = {profile}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, "bad.cfg", text))
+        assert err.value.problems == [f"line 11: {problem}"]
+
+    def test_zero_profile(self, tmp_path):
+        text = MINIMAL + "[initial]\nu = zero\nv = gaussian amplitude=0.5 center=6\n"
+        cfg = parse_config(write(tmp_path, "zero.cfg", text))
+        assert (cfg.initial_u.kind, cfg.initial_v.kind) == ("zero", "gaussian")
+
     def test_malformed_numeric_with_line(self, tmp_path):
         text = "[grid]\nL = fifty\nh = 0.05\n" + MINIMAL
         with pytest.raises(ConfigError) as err:
@@ -217,6 +233,17 @@ class TestAiry:
         assert argv[0].split("=")[0] in cap.err
         assert cap.out == "" and not out.exists()
 
+
+    @pytest.mark.parametrize("argv,msg", [
+        ([], "one of the arguments --x --table is required"),
+        (["--x", "0", "--table", "0", "1", "2"], "not allowed with argument --x")],
+        ids=["neither", "both"])
+    def test_needs_exactly_one_of_x_and_table(self, capsys, argv, msg):
+        with pytest.raises(SystemExit) as exc:
+            main(["airy", *argv])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert msg in cap.err and cap.out == ""
 
     @pytest.mark.parametrize("argv,want", [
         (["--x", "-1e-3"], "A(-0.001) = 0.2462"),
@@ -527,9 +554,19 @@ class TestSimulate:
 class TestOtherCommands:
     def test_scaling_check(self, tmp_path, capsys):
         cfgp = write(tmp_path, "scenario.cfg", SCENARIO)
-        rc = main(["scaling-check", "--config", cfgp, "--lam", "1.0"])
+        out = tmp_path / "scaling.json"
+        rc = main(["scaling-check", "--config", cfgp, "--lam", "1.0", "--out", str(out)])
         assert rc == 0
-        assert "discrepancy u" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        man = json.loads(out.read_text())
+        assert man["command"] == "scaling-check" and man["outputs"] == [str(out)]
+        assert man["config_echo"]["coupling"]["kind"] == "TYPE1"
+        metrics = man["metrics"]
+        assert metrics["lam"] == 1.0
+        assert metrics["worst"] == max(metrics[e] for e in "uvw")
+        for edge in "uvw":
+            assert f"discrepancy {edge}: {metrics[edge]:.6e}" in printed
+        assert f"wrote {out}" in printed
 
     def test_picard(self, tmp_path, capsys):
         text = SCENARIO.replace("T = 0.2", "T = 0.2")

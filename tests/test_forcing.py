@@ -16,13 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from ygraph import forcing
 from ygraph.errors import ContractError, DomainError
-from ygraph.fracops import TimeTrace, riemann_liouville
+from ygraph.fracops import TimeTrace, riemann_liouville, sampled_derivative
 from ygraph.linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     trace_at_zero
 from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
                             _filon_base, _filon_field, _sigma_field, filon_tables,
                             duhamel_forcing,
-                            duhamel_forcing_deriv, field_spatial_derivative,
+                            duhamel_forcing_deriv,
                             forcing_class, minus_trace_factor,
                             one_sided_limits, plus_trace_factor,
                             smooth_window, spectral_forcing_field,
@@ -170,9 +170,9 @@ def test_reduction_chain(g, grid, lam, sign):
     lhs = forcing_class(lam - 1.0, sign, g, grid, TIMES)
     base = forcing_class(lam, sign, riemann_liouville(g, 1.0 / 3.0),
                          grid, TIMES)
-    rhs = field_spatial_derivative(base, 1)
+    rhs = sampled_derivative(base.levels, grid.spacing, 1)
     m = np.abs(lhs.x) <= 5.0
-    dev = np.abs(lhs.levels[:, m] - rhs.levels[:, m]).max()
+    dev = np.abs(lhs.levels[:, m] - rhs[:, m]).max()
     assert dev <= 1e-2
 
 
@@ -403,9 +403,10 @@ class TestContracts:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(stride=st.integers(1, 40), n_out=st.integers(2, 8),
        extra=st.integers(0, 5), complex_trace=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       window=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
-                                                         complex_trace, seed):
+                                                         complex_trace, window,
+                                                         seed):
     # the field advances in blocks of ~sqrt(M) cells, with a shorter last
     # block in a stride that q does not divide; the reference takes one
     # trace step at a time and keeps every stride-th state.  Phases xi^3 dt
@@ -419,16 +420,20 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
     grid = GridFunction(-6.4, h, np.zeros(n))
     mult = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     times = stride * dt * np.arange(n_out)
-    got = _filon_field(TimeTrace(dt, f), Ladder(grid, times, dt, f.size), mult,
-                       not complex_trace)
+    got = _filon_field(TimeTrace(dt, f), Ladder(grid, times, dt, f.size),
+                       lambda xi: mult, window, not complex_trace)
 
-    p, e0, e1 = _filon_base(frequencies(n, h) ** 3, dt)
+    xi = frequencies(n, h)
+    p, e0, e1 = _filon_base(xi ** 3, dt)
+    shifted = mult * np.exp(1j * xi * grid.origin) / h
+    if window:
+        shifted = shifted * smooth_window(n, h)
     phi = np.zeros(n, dtype=complex)
     want = np.zeros((n_out, n), dtype=complex)
     for m in range(n_steps):
         phi = phi * p + f[m + 1] * e0 - (f[m + 1] - f[m]) * e1 / dt
         if (m + 1) % stride == 0:
-            want[(m + 1) // stride] = np.fft.ifft(3.0 * phi * mult)
+            want[(m + 1) // stride] = np.fft.ifft(3.0 * phi * shifted)
     if not complex_trace:
         want = want.real
     assert np.iscomplexobj(got.levels) == complex_trace

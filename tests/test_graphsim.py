@@ -357,13 +357,13 @@ class TestPicard:
     @pytest.mark.parametrize("coupling", [CB0, CB2], ids=["type1", "type2"])
     def test_linear_first_iterate_is_the_construction(self, coupling):
         cfg = _linear_picard_config(coupling, 20.0, 0.1)
-        res = picard_iterate(cfg, PICARD_LAM, n_iter=1, n_levels=26)
+        res = picard_iterate(cfg, PICARD_LAM, n_iter=1)
         grid = GridFunction(-cfg.L, cfg.h, np.zeros(2 * cfg.n_edge + 1))
         u0, v0, w0 = whole_line_data(cfg, cfg.h, grid)
         sol = assemble_linear_solution(u0, v0, w0, coupling, PICARD_LAM, T=cfg.T,
                                        n_levels=26, trace_dt=cfg.dt)
-        for got, want in zip(res.iterates[0], (sol.u, sol.v, sol.w)):
-            assert np.array_equal(got, want.levels)
+        for got, want in zip(res.final, (sol.u, sol.v, sol.w)):
+            assert np.array_equal(got.levels, want.levels)
 
     def test_distance_counts_the_vertex_node(self):
         # with L = 50, h = 0.05 the node at x = 0 sits at -2.8e-12 in
@@ -375,15 +375,15 @@ class TestPicard:
         free = [group_multi(e, res.times, decay_tol=1e-5).levels
                 for e in whole_line_data(cfg, cfg.h, grid)]
         edges = (np.s_[:, :i0 + 1], np.s_[:, i0:], np.s_[:, i0:])
-        want = max(np.abs(np.real(it) - np.real(f))[e].max()
-                   for it, f, e in zip(res.iterates[0], free, edges))
+        want = max(np.abs(np.real(it.levels) - np.real(f))[e].max()
+                   for it, f, e in zip(res.final, free, edges))
         assert res.distances[0] == want
 
     def test_zero_data_fixed_at_first_iterate(self):
         cfg = ScenarioConfig(L=20.0, h=0.1, dt=2e-3, T=0.25, coupling=CB0,
                              mode="nonlinear")
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
-        res = picard_iterate(cfg, lam, n_iter=2, n_levels=26)
+        res = picard_iterate(cfg, lam, n_iter=2)
         assert res.distances[0] == 0.0
         assert not res.diverged
 
@@ -393,7 +393,7 @@ class TestPicard:
                              initial_v=InitialProfile("gaussian", amplitude=0.05,
                                                       center=6.0, width=1.0))
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
-        res = picard_iterate(cfg, lam, n_iter=3, n_levels=26)
+        res = picard_iterate(cfg, lam, n_iter=3)
         assert res.distances[1] <= 1e-6
 
     def test_tables_are_built_once_per_solve(self, monkeypatch):
