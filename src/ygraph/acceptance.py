@@ -315,8 +315,9 @@ def criterion_lipschitz_probe():
 
     def solution_distance(delta):
         # perturb the v edge by a fixed-shape bump scaled to data-distance delta
-        pert_traj = _evolve_with_added_v(cfg, (delta / bump_l2) * bump_vals)
-        fin = pert_traj.final()
+        scale = delta / bump_l2
+        pert = replace(cfg, initial_v=lambda x: cfg.initial_v(x) + scale * bump(x))
+        fin = evolve(pert, store_every=pert.n_steps).final()
         return math.sqrt(
             edge_mass(fin.u.with_samples(fin.u.samples - base.u.samples))
             + edge_mass(fin.v.with_samples(fin.v.samples - base.v.samples))
@@ -331,25 +332,6 @@ def criterion_lipschitz_probe():
                    f"distance ratios {ratios[0]:.3f}, {ratios[1]:.3f}; "
                    f"spread {spread:.2f}x (tol 2x)", t0,
                    ratios=ratios, spread=spread)
-
-
-class _AddedVProfile:
-    """Initial v profile plus a tabulated perturbation."""
-
-    def __init__(self, base_profile, grid_x, added):
-        self.base = base_profile
-        self.grid_x = grid_x
-        self.added = added
-
-    def __call__(self, x):
-        return self.base(x) + np.interp(x, self.grid_x, self.added,
-                                        left=0.0, right=0.0)
-
-
-def _evolve_with_added_v(cfg, added_vals):
-    xv = cfg.h * np.arange(cfg.n_edge + 1)
-    pert_cfg = replace(cfg, initial_v=_AddedVProfile(cfg.initial_v, xv, added_vals))
-    return evolve(pert_cfg, store_every=pert_cfg.n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -288,16 +288,18 @@ def _cmd_airy(args):
             raise ConfigError([f"--table N must be a whole number >= 1, got {n:g}"])
         xs = np.linspace(a, b, int(n))
         va, vp = _in_domain("--table", airy_scaled_with_deriv, xs)
-        with (contextlib.nullcontext(sys.stdout) if args.out is None
-              else open(args.out, "w")) as out:
-            _write_table(out, {"x": xs, "A": va, "Aprime": vp},
-                         (_AXIS, _VALUE, _VALUE))
-        if args.out is not None:
-            print(f"wrote {args.out}")
     else:
-        a, ap = _in_domain("--x", airy_scaled_with_deriv, args.x)
-        print(f"A({args.x:g}) = {a:.12g}")
-        print(f"A'({args.x:g}) = {ap:.12g}")
+        xs = np.array([args.x])
+        va, vp = _in_domain("--x", airy_scaled_with_deriv, xs)
+        if args.out is None:
+            print(f"A({args.x:g}) = {va[0]:.12g}")
+            print(f"A'({args.x:g}) = {vp[0]:.12g}")
+            return 0
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w")) as out:
+        _write_table(out, {"x": xs, "A": va, "Aprime": vp}, (_AXIS, _VALUE, _VALUE))
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -157,39 +157,61 @@ def boundary_layer_width(alpha: float) -> int:
     return int(math.ceil(3.0 + abs(alpha)))
 
 
-# One-sided stencils at the end of a sample row, coefficients for nodes
-# 0, 1, 2, ... counted inward from the end: second-order h * slope and
-# h^2 * curvature at the end node.  The solver's vertex constraints and
-# traces and the Taylor extension take their coefficients here.
-ONE_SIDED_SLOPE = (-1.5, 2.0, -0.5)              # (-3, 4, -1) / 2
-ONE_SIDED_CURVATURE = (2.0, -5.0, 4.0, -1.0)
+# Every finite-difference stencil, name -> (offsets, weights, divisor), taps
+# in summation order: dK... is h**K d^K/dx^K at node i as sum_k weights[k] *
+# v[i + offsets[k]] / divisor.  The mirror (a row's right end, a limit from the
+# left) negates the offsets and multiplies the weights by (-1)**K.  The _ext
+# entries skip node i: the cubic through nodes 1..4, and for d2 the cubic
+# through the second differences at their own stations, as one vector.
+STENCILS = {
+    "d0": ((0,), (1,), 1),
+    "d1": ((1, -1), (1, -1), 2),
+    "d1_4": ((-2, -1, 1, 2), (1, -8, 8, -1), 12),
+    "d1_end": ((0, 1, 2, 3), (-11, 18, -9, 2), 6),
+    "d1_end2": ((0, 1, 2), (-3, 4, -1), 2),
+    "d2": ((-1, 0, 1), (1, -2, 1), 1),
+    "d2_end": ((0, 1, 2, 3), (2, -5, 4, -1), 1),
+    "d3": ((-2, -1, 1, 2), (-1, 2, -2, 1), 2),
+    "d3_near": ((-1, 0, 1, 2, 3), (-3, 10, -12, 6, -1), 2),
+    "d3_end": ((0, 1, 2, 3, 4), (-5, 18, -24, 14, -3), 2),
+    "d0_ext": ((1, 2, 3, 4), (4, -6, 4, -1), 1),
+    "d1_ext": ((1, 2, 3, 4), (-26, 57, -42, 11), 6),
+    "d2_ext": ((1, 2, 3, 4, 5, 6), (10, -40, 65, -54, 23, -4), 1),
+}
 
 
-# Limits at x = 0 of a row with the vertex at node i0.  Each is one fixed
-# functional h**-deriv * sum_k weights[k] * v[i0 + offsets[k]], applied to all
-# levels at once.  Centred: nodes -1, 0, 1.  One-sided: the value and slope at
-# 0 of the cubic through nodes 1..4; the curvature through the second
-# differences at their own stations (nodes 1..6), composed into one vector.
-# Fit window (j0, j1): the least-squares quadratic over nodes j0..j1,
-# whatever h is.  A left limit mirrors the offsets and carries (-1)**deriv.
-_CENTRED = ((0.0, 1.0, 0.0), (-0.5, 0.0, 0.5), (1.0, -2.0, 1.0))
-_ONE_SIDED = ((4.0, -6.0, 4.0, -1.0),
-              (-26 / 6, 57 / 6, -42 / 6, 11 / 6),
-              (10.0, -40.0, 65.0, -54.0, 23.0, -4.0))      # (10, -20, 15, -4) * (1, -2, 1)
+def stencil_sum(name: str, v, lo: int, hi: int | None = None, mirror: bool = False):
+    """sum_k weights[k] * v[..., i + offsets[k]], without the divisor, in
+    tap order, at the nodes lo <= i < hi of the last axis, or at node lo
+    alone (negative lo counts from the end) when hi is None.  A tap of
+    weight +-1 is added or subtracted, not multiplied."""
+    offsets, weights, _ = STENCILS[name]
+    if mirror:
+        sign = (-1) ** int(name[1])
+        offsets, weights = [-o for o in offsets], [sign * w for w in weights]
+    acc = None
+    for o, w in zip(offsets, weights):
+        x = v[..., lo + o] if hi is None else v[..., lo + o:hi + o]
+        if acc is None:
+            acc = x if w == 1 else -x if w == -1 else w * x
+        else:
+            acc = acc + x if w == 1 else acc - x if w == -1 else acc + w * x
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
 def limit_weights(side: str, deriv: int = 0,
                   fit_window: tuple[int, int] | None = None):
-    """(offsets, weights): the table entry for d^deriv/dx^deriv at x = 0
-    from ``side`` ("left", "right" or "centered"), deriv in {0, 1, 2}."""
+    """(offsets, weights) of d^deriv/dx^deriv at x = 0 from ``side`` ("left",
+    "right" or "centered"), deriv in {0, 1, 2}: the ``STENCILS`` entry dK or
+    dK_ext over its divisor, or with ``fit_window=(j0, j1)`` the least-squares
+    quadratic over nodes j0..j1, whatever h is.  Left is the mirror."""
     if deriv not in (0, 1, 2) or side not in ("left", "right", "centered"):
         raise DomainError(f"no vertex limit of order {deriv!r} from side {side!r}")
-    if side == "centered":
-        offsets, weights = np.arange(-1, 2), np.array(_CENTRED[deriv])
-    elif fit_window is None:
-        weights = np.array(_ONE_SIDED[deriv])
-        offsets = np.arange(1, weights.size + 1)
+    if fit_window is None:
+        offsets, weights, divisor = STENCILS[
+            f"d{deriv}" if side == "centered" else f"d{deriv}_ext"]
+        offsets, weights = np.array(offsets), np.divide(weights, divisor)
     else:
         j0, j1 = fit_window
         if j0 < 0 or j1 - j0 < 4:
@@ -216,48 +238,24 @@ def vertex_limit(rows: np.ndarray, i0: int, h: float, side: str,
     return out / h ** deriv if deriv else out
 
 
-def one_sided(coef, nodes):
-    """sum_j coef[j] * nodes[j], accumulated in node order.
-
-    ``nodes`` is indexed by node first: a list of floats or an array whose
-    leading axis runs inward from the end.
-    """
-    acc = coef[0] * nodes[0]
-    for c, v in zip(coef[1:], nodes[1:]):
-        acc = acc + c * v
-    return acc
-
-
 def sampled_derivative(vals: np.ndarray, dt: float, k: int) -> np.ndarray:
-    """k-th derivative along the last axis in a single pass, k in {1, 2, 3}.
+    """k-th derivative along the last axis in a single pass, k in {1, 2, 3}:
+    the centred ``STENCILS`` entry dK inside, its end entries (mirrored at
+    the right end) on the nodes it cannot reach.
 
     Single-pass stencils avoid the error-constant mismatch that repeated
     first-derivative passes amplify at the ends by powers of 1/dt.
     """
-    out = np.empty_like(vals)
-    v = vals
-    if k == 1:
-        out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dt)
-        out[..., 0] = (-11 * v[..., 0] + 18 * v[..., 1] - 9 * v[..., 2] + 2 * v[..., 3]) / (6 * dt)
-        out[..., -1] = (11 * v[..., -1] - 18 * v[..., -2] + 9 * v[..., -3] - 2 * v[..., -4]) / (6 * dt)
-    elif k == 2:
-        out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / dt ** 2
-        nodes = np.moveaxis(v, -1, 0)
-        out[..., 0] = one_sided(ONE_SIDED_CURVATURE, nodes) / dt ** 2
-        out[..., -1] = one_sided(ONE_SIDED_CURVATURE, nodes[::-1]) / dt ** 2
-    elif k == 3:
-        h3 = dt ** 3
-        out[..., 2:-2] = (-v[..., :-4] + 2 * v[..., 1:-3] - 2 * v[..., 3:-1] + v[..., 4:]) / (2 * h3)
-        out[..., 0] = (-2.5 * v[..., 0] + 9 * v[..., 1] - 12 * v[..., 2]
-                       + 7 * v[..., 3] - 1.5 * v[..., 4]) / h3
-        out[..., 1] = (-3 * v[..., 0] + 10 * v[..., 1] - 12 * v[..., 2]
-                       + 6 * v[..., 3] - v[..., 4]) / (2 * h3)
-        out[..., -2] = (3 * v[..., -1] - 10 * v[..., -2] + 12 * v[..., -3]
-                        - 6 * v[..., -4] + v[..., -5]) / (2 * h3)
-        out[..., -1] = (2.5 * v[..., -1] - 9 * v[..., -2] + 12 * v[..., -3]
-                        - 7 * v[..., -4] + 1.5 * v[..., -5]) / h3
-    else:
+    names = {1: ("d1", "d1_end"), 2: ("d2", "d2_end"), 3: ("d3", "d3_end", "d3_near")}
+    if k not in names:
         raise DomainError(f"derivative order {k} not supported")
+    (inner, *ends), n, hk = names[k], vals.shape[-1], dt ** k
+    out, r = np.empty_like(vals), len(ends)
+    out[..., r:n - r] = stencil_sum(inner, vals, r, n - r) / (STENCILS[inner][2] * hk)
+    for i, name in enumerate(ends):
+        scale = STENCILS[name][2] * hk
+        out[..., i] = stencil_sum(name, vals, i) / scale
+        out[..., -1 - i] = stencil_sum(name, vals, -1 - i, mirror=True) / scale
     return out
 
 

@@ -21,8 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ContractError, DomainError, YGraphError
-from .fracops import (ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided,
-                      sampled_derivative, vertex_limit)
+from .fracops import STENCILS, sampled_derivative, stencil_sum, vertex_limit
 from .forcing import filon_tables
 from .linops import GridFunction, Ladder, SpaceTimeField, duhamel_inhomog, \
     free_vertex_traces, group_multi, whole_steps
@@ -188,19 +187,19 @@ def _edge_operators(n: int, h: float, dt: float, sigma: np.ndarray):
 
     Rows 1..n-3 advance (1 + dt sigma/2 + dt/2 D3) u_new =
     (1 - dt sigma/2 - dt/2 D3) u_old, with the left-skewed second-order
-    d^3/dx^3 stencil at node 1 and the centered stencil elsewhere.  Node 0
-    and nodes n-2, n-1 are closed by boundary or vertex relations: one
-    condition at the left (outflow) end of an edge, two at the right
-    (inflow) end, matching the characteristic count of the third-order
-    operator.
+    d^3/dx^3 stencil ``STENCILS["d3_near"]`` at node 1 and the centered
+    ``"d3"`` elsewhere.  Node 0 and nodes n-2, n-1 are closed by boundary or
+    vertex relations: one condition at the left (outflow) end of an edge, two
+    at the right (inflow) end, matching the characteristic count of the
+    third-order operator.
     """
+    (oc, wc, cc), (o1, w1, c1) = STENCILS["d3"], STENCILS["d3_near"]
     pde = np.arange(1, n - 2)
     inner = np.arange(2, n - 2)
-    rows = np.concatenate([pde, np.repeat(inner, 4), np.ones(5, dtype=int)])
-    cols = np.concatenate([pde, (inner[:, None] + [-2, -1, 1, 2]).ravel(),
-                           np.arange(5)])
-    d3 = np.concatenate([np.tile([-1.0, 2.0, -2.0, 1.0], inner.size),
-                         [-3.0, 10.0, -12.0, 6.0, -1.0]]) * (1.0 / (2.0 * h ** 3))
+    rows = np.concatenate([pde, np.repeat(inner, len(oc)), np.full(len(o1), 1)])
+    cols = np.concatenate([pde, (inner[:, None] + oc).ravel(), np.add(1, o1)])
+    d3 = np.concatenate([np.tile(np.divide(wc, cc), inner.size),
+                         np.divide(w1, c1)]) * (1.0 / h ** 3)
     a = np.concatenate([1.0 + 0.5 * dt * sigma[pde], 0.5 * dt * d3])
     b = np.concatenate([1.0 - 0.5 * dt * sigma[pde], -0.5 * dt * d3])
     return rows, cols, a, b
@@ -236,15 +235,15 @@ class GraphSystem:
         self.b = sp.coo_matrix((np.concatenate([e[3] for e in edges]),
                                 (rows, cols)), shape=(size, size)).tocsr()
 
-        # the vertex probe: row 3j + f holds the one-sided stencil of the
-        # j-th derivative of field f (u, v, w) from its vertex node, counted
-        # inward (towards -x on u); the trace is that sum times trace_sign,
-        # over trace_h, the rounding order of fracops.one_sided traces.
-        # Rows 9..12 combine the scaled stencils into the coupling relations.
+        # the vertex probe: row 3j + f holds the STENCILS entry d0, d1_end2
+        # or d2_end (j = 0, 1, 2) of field f (u, v, w) at its vertex node, the
+        # weights over the divisor, counted inward (towards -x on u); the
+        # trace is that sum times trace_sign, over trace_h.  Rows 9..12
+        # combine the scaled stencils into the coupling relations.
         firsts = ((off_u + n - 1, -1), (off_v, 1), (off_w, 1))
-        stencils = ((1.0,), ONE_SIDED_SLOPE, ONE_SIDED_CURVATURE)
-        probe = [(first + step * np.arange(len(coef)), np.array(coef))
-                 for coef in stencils for first, step in firsts]
+        probe = [(first + step * np.array(o), np.divide(w, c))
+                 for o, w, c in map(STENCILS.get, ("d0", "d1_end2", "d2_end"))
+                 for first, step in firsts]
         self.trace_sign = np.array([step ** j for j in range(3)
                                     for _, step in firsts])
         self.trace_h = np.array([h ** j for j in range(3) for _ in firsts])
@@ -288,14 +287,13 @@ class GraphSystem:
         """Conservative-form flux derivative d/dx(u^2/2), per edge.
 
         Filled on the Crank-Nicolson rows 1..n-3 only.  Fourth-order centered
-        differences on interior nodes keep the nonlinear truncation error
-        below the dispersive stencil's.
+        differences (``STENCILS["d1_4"]``) on interior nodes keep the
+        nonlinear truncation error below the dispersive stencil's.
         """
-        q, h = 0.5 * x.reshape(3, self.n) ** 2, self.config.h
+        q, h, n = 0.5 * x.reshape(3, self.n) ** 2, self.config.h, self.n
         d = np.zeros_like(q)
-        d[:, 2:-2] = (q[:, :-4] - 8.0 * q[:, 1:-3] + 8.0 * q[:, 3:-1]
-                      - q[:, 4:]) / (12.0 * h)
-        d[:, 1] = (q[:, 2] - q[:, 0]) / (2.0 * h)
+        d[:, 2:-2] = stencil_sum("d1_4", q, 2, n - 2) / (STENCILS["d1_4"][2] * h)
+        d[:, 1] = stencil_sum("d1", q, 1) / (STENCILS["d1"][2] * h)
         return d.ravel()
 
 
@@ -495,13 +493,13 @@ def whole_line_extension(edge: GridFunction, side: str,
     mask = (x > 0) if side == "left" else (x < 0)
     xm = x[mask]
 
-    # one-sided value, slope and curvature at the vertex end, from the nodes
-    # counted inward (towards -x for a datum on [-L, 0])
-    nodes, sign = (edge.samples[:-5:-1], -1) if side == "left" else \
-        (edge.samples[:4], 1)
-    f1 = sign * one_sided(ONE_SIDED_SLOPE, nodes) / edge.spacing
-    f2 = one_sided(ONE_SIDED_CURVATURE, nodes) / edge.spacing ** 2
-    poly = nodes[0] + f1 * xm + 0.5 * f2 * xm ** 2
+    # one-sided value, slope and curvature at the vertex end: the last node
+    # of a datum on [-L, 0], read by the mirrored STENCILS entries
+    end, h = (-1 if side == "left" else 0), edge.spacing
+    f0, f1, f2 = (stencil_sum(name, edge.samples, end, mirror=end < 0)
+                  / (STENCILS[name][2] * h ** j)
+                  for j, name in enumerate(("d0", "d1_end2", "d2_end")))
+    poly = f0 + f1 * xm + 0.5 * f2 * xm ** 2
     vals[mask] = poly * np.exp(-(xm ** 2) ** 2)
     return grid.with_samples(vals)
 

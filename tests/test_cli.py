@@ -213,6 +213,17 @@ class TestAiry:
         assert np.array_equal(cols["x"], [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert np.array_equal(cols["A"], a) and np.array_equal(cols["Aprime"], ap)
 
+    @pytest.mark.parametrize("x", ["1", "-7.3", "0.3"])
+    def test_point_to_file(self, tmp_path, capsys, x):
+        # --out with --x writes the one-row table --table writes
+        out = str(tmp_path / "point.csv")
+        assert main(["airy", "--x", x, "--out", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        cols = read_table(out, "x,A,Aprime", "%.12g,%.17g,%.17g")
+        a, ap = airy_scaled_with_deriv(float(x))
+        assert np.array_equal(cols["x"], [float(x)])
+        assert np.array_equal(cols["A"], [a]) and np.array_equal(cols["Aprime"], [ap])
+
     @pytest.mark.parametrize("n", ["2.5", "-1", "0", "nan", "inf"])
     def test_table_rejects_bad_count(self, tmp_path, capsys, n):
         out = tmp_path / "table.csv"

@@ -8,10 +8,11 @@ import scipy.signal          # the reference only; ygraph does not import it
 from hypothesis import given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError
-from ygraph.fracops import (TimeTrace, boundary_layer_width, fftconvolve,
-                            fractional_integral_samples, product_weights,
-                            riemann_liouville, trace_from_function,
-                            limit_weights, vertex_limit)
+from ygraph.fracops import (STENCILS, TimeTrace, boundary_layer_width,
+                            fftconvolve, fractional_integral_samples,
+                            product_weights, riemann_liouville,
+                            sampled_derivative, stencil_sum,
+                            trace_from_function, limit_weights, vertex_limit)
 
 
 @pytest.fixture
@@ -232,6 +233,54 @@ def test_fit_window_weights_match_lstsq(seed, h, j0, width):
         want = _lstsq_at_zero(sgn * j.astype(float), vals)
         scale = np.abs(limit_weights(side, 0, (j0, j0 + width))[1] * vals).sum()
         assert abs(got - want) <= 1e-14 * scale
+
+
+# the highest polynomial degree each STENCILS entry differentiates exactly
+# (d0 reads the node itself: any degree)
+STENCIL_DEGREE = {"d0": 6, "d1": 2, "d1_4": 4, "d1_end": 3, "d1_end2": 2,
+                  "d2": 3, "d2_end": 3, "d3": 4, "d3_near": 4, "d3_end": 4,
+                  "d0_ext": 3, "d1_ext": 3, "d2_ext": 3}
+
+
+def _polynomial_rows(coefs, x0, h, n):
+    """p and its rounding scale sum |c_j| |x|^j at the nodes x0 + h * (0..n-1)."""
+    p = np.polynomial.Polynomial(coefs)
+    x = x0 + h * np.arange(n)
+    return p, x, np.polynomial.Polynomial(np.abs(coefs))(np.abs(x))
+
+
+def test_stencil_degrees_cover_the_table():
+    assert set(STENCIL_DEGREE) == set(STENCILS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(STENCILS)),
+       coefs=st.lists(COEF, min_size=7, max_size=7),
+       h=st.floats(1e-2, 1.0), x0=st.floats(-1.0, 1.0))
+def test_stencils_exact_for_their_degree(name, coefs, h, x0):
+    # every node a stencil reaches, plain and mirrored; the end nodes also
+    # alone, the right one counted from the end
+    offsets, weights, divisor = STENCILS[name]
+    k, n = int(name[1]), 16
+    p, x, size = _polynomial_rows(coefs[:STENCIL_DEGREE[name] + 1], x0, h, n)
+    v, want, unit = p(x), p.deriv(k)(x), divisor * h ** k
+    for mirror, sgn in ((False, 1), (True, -1)):
+        off = [sgn * o for o in offsets]
+        lo, hi = max(0, -min(off)), n - max(0, max(off))
+        got = stencil_sum(name, v, lo, hi, mirror) / unit
+        scale = sum(abs(w) * size[lo + o:hi + o] for o, w in zip(off, weights)) / unit
+        assert np.all(np.abs(got - want[lo:hi]) <= 1e-12 * (scale + np.abs(want[lo:hi])))
+        end = hi - 1 - n if mirror else lo
+        assert stencil_sum(name, v, end, mirror=mirror) / unit == got[-1 if mirror else 0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.sampled_from([1, 2, 3]), coefs=st.lists(COEF, min_size=5, max_size=5),
+       h=st.floats(1e-2, 1.0), x0=st.floats(-1.0, 1.0), n=st.integers(5, 24))
+def test_sampled_derivative_exact_to_degree_k_plus_one(k, coefs, h, x0, n):
+    p, x, size = _polynomial_rows(coefs[:k + 2], x0, h, n)
+    got = sampled_derivative(p(x), h, k)
+    assert np.all(np.abs(got - p.deriv(k)(x)) <= 1e-12 * size.max() / h ** k)
 
 
 def test_vertex_limit_domain():

@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline   # the reference only
 
 from ygraph import forcing, graphsim, linops
 from ygraph.errors import ContractError, DomainError, YGraphError
-from ygraph.fracops import ONE_SIDED_CURVATURE, ONE_SIDED_SLOPE, one_sided
+from ygraph.fracops import STENCILS, stencil_sum
 from ygraph.linops import GridFunction, Ladder, group_multi
 from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
                            assemble_linear_solution)
@@ -95,11 +95,11 @@ def test_store_every_must_be_positive(store_every):
 
 def _vertex_traces(u, v, w, h):
     """u0, v0, w0, ux, vx, wx, uxx, vxx, wxx of edge samples by the one-sided
-    stencils from each edge's vertex node (u's nodes counted towards -x)."""
-    ends = [(u[::-1][:4], -1), (v[:4], 1), (w[:4], 1)]
-    return ([nodes[0] for nodes, _ in ends]
-            + [sign * one_sided(ONE_SIDED_SLOPE, nodes) / h for nodes, sign in ends]
-            + [one_sided(ONE_SIDED_CURVATURE, nodes) / h ** 2 for nodes, _ in ends])
+    stencils d0, d1_end2 and d2_end at each edge's vertex node (mirrored on
+    u, whose vertex is its last node)."""
+    ends = [(u, -1, True), (v, 0, False), (w, 0, False)]
+    return [stencil_sum(name, f, i, mirror=m) / (STENCILS[name][2] * h ** j)
+            for j, name in enumerate(("d0", "d1_end2", "d2_end")) for f, i, m in ends]
 
 
 def _flux_density(tr):
