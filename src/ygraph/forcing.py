@@ -168,15 +168,15 @@ def filon_tables(ladder: Ladder):
     output stride) and the gain coefficients of q and r cells."""
     n, s = ladder.n, ladder.stride
     q = min(s, math.isqrt(s * (ladder.times.size - 1)) + 1)
-    xi = frequencies(n, ladder.spacing)
-    p, e0, e1 = _filon_base(xi ** 3, ladder.dt)
-    pw = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(p, (q, n))]), axis=0)
-    rb = pw[q - 1::-1] * (e1 / ladder.dt)          # rows p^{q-1} b .. b
-    ra = pw[q - 1::-1] * (e0 - e1 / ladder.dt)     # rows p^{q-1} a .. a
-    coefs = [np.vstack([rb[q - c:], np.zeros(n)]) for c in (q, s % q)]
-    for c, coef in zip((q, s % q), coefs):  # row i weighs sample k + i of c cells
-        coef[1:] += ra[q - c:]
-    return (pw[q], pw[s % q]), tuple(coefs)
+    _, e0, e1 = _filon_base(frequencies(n, ladder.spacing) ** 3, ladder.dt)
+    pw = ladder.trace_rows(np.arange(q + 1))         # p^j = exp(i j dt xi^3)
+    coefs = []
+    for c in (q, s % q):    # row i weighs sample k + i of c cells
+        rev, coef = pw[:c][::-1], np.zeros((c + 1, n), dtype=complex)
+        coef[:c] = rev * (e1 / ladder.dt)           # rows p^{c-1} b .. b
+        coef[1:] += rev * (e0 - e1 / ladder.dt)     # rows p^{c-1} a .. a
+        coefs.append(coef)
+    return (pw[q].copy(), pw[s % q].copy()), tuple(coefs)
 
 
 def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
@@ -205,17 +205,17 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
     cells = np.lib.stride_tricks.sliding_window_view   # c + 1 samples from each node
     blocks = (first[:, None] + q * np.arange(nb)).ravel()
     full = (cells(smoothed.samples, q + 1)[blocks] @ cq).reshape(-1, nb, n)
-    rest = cells(smoothed.samples, r + 1)[first + nb * q] @ cr
+    rest = cells(smoothed.samples, r + 1)[first + nb * q] @ cr if r else None
     levels = np.zeros((len(times), n), dtype=complex)   # level 0 (t = 0) stays zero
     for k in range(len(times) - 1):
         phi = levels[k]
         for g in full[k]:
             phi = pq * phi + g
         levels[k + 1] = pr * phi + rest[k] if r else phi
-    del full, rest     # and scale in place: the transform adds only its output
+    del full, rest     # then scale and transform in place
     levels *= 3.0
     levels *= mult
-    levels = np.fft.ifft(levels, axis=1)
+    np.fft.ifft(levels, axis=1, out=levels)
     if real:
         levels = levels.real
     return SpaceTimeField(ladder.origin, ladder.spacing, ladder.out_dt, levels)
@@ -262,7 +262,8 @@ def duhamel_forcing_deriv(g: TimeTrace, grid: GridFunction, times,
 
 def _one_sided_convolve(levels: np.ndarray, spacing: float, lam: float,
                         from_left: bool) -> np.ndarray:
-    """Product integration of x_+^{lam-1}/Gamma(lam) against each level.
+    """Product integration of x_+^{lam-1}/Gamma(lam) against each level,
+    written over ``levels`` (the pass holds one transform buffer besides).
 
     from_left=True computes int_0^inf y^{lam-1} W(x - y) dy (minus class);
     otherwise int_0^inf y^{lam-1} W(x + y) dy.  The field is assumed
@@ -270,14 +271,13 @@ def _one_sided_convolve(levels: np.ndarray, spacing: float, lam: float,
     for V output by its rapid two-sided decay.
     """
     n = levels.shape[1]
-    c = product_weights(lam, n)
     corr = _first_sample_correction(lam, n)
     work = levels if from_left else levels[:, ::-1]
-    conv = fftconvolve(work, c)[:, :n]
-    conv = conv + np.outer(work[:, 0], corr)
-    if not from_left:
-        conv = conv[:, ::-1]
-    return (spacing ** lam / math.gamma(lam + 2.0)) * conv
+    conv = fftconvolve(work, product_weights(lam, n))[:, :n]   # a view of the buffer
+    for row, first in zip(conv, work[:, 0]):
+        row += first * corr
+    np.multiply(spacing ** lam / math.gamma(lam + 2.0), conv, out=work)
+    return levels
 
 
 def check_class_order(lam: float):
@@ -326,14 +326,15 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
 
 def _convolved_class(base: SpaceTimeField, lam: float, sign: str) -> SpaceTimeField:
     """Class field of order lam from the base field V: the power kernel at
-    order lam + k, k = max(0, ceil(-lam)), then k x-derivatives."""
+    order lam + k, k = max(0, ceil(-lam)), then k x-derivatives.  The
+    convolution overwrites the levels of ``base``, the caller's temporary."""
     k = max(0, math.ceil(-lam))
     levels = base.levels.astype(complex, copy=False) if sign == "plus" else base.levels
     if lam + k > 0.0:
         levels = _one_sided_convolve(levels, base.spacing, lam + k,
                                      from_left=(sign == "minus"))
         if sign == "plus":
-            levels = cmath.exp(1j * math.pi * (lam + k)) * levels
+            np.multiply(cmath.exp(1j * math.pi * (lam + k)), levels, out=levels)
     if k:
         levels = sampled_derivative(levels, base.spacing, k)
     return SpaceTimeField(base.origin, base.spacing, base.dt, levels)
@@ -410,7 +411,7 @@ def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
     if g.dt != h.dt or len(g) != len(h):
         raise ContractError("g and h must share one time grid")
     free = group_multi(phi, times)
-    (tr0,), (tr1,), _ = free_vertex_traces([phi], g.times)
+    (tr0,), (tr1,), _ = free_vertex_traces([phi], Ladder(phi, g.times))
     alpha = g.samples - tr0
     beta = riemann_liouville(TimeTrace(g.dt, h.samples - tr1, True), 1.0 / 3.0).samples
     h1, h2 = (TimeTrace(g.dt, row[0] * alpha + row[1] * beta, True)

@@ -91,17 +91,18 @@ def fftconvolve(a, b) -> np.ndarray:
     """Full linear convolution of ``a`` and ``b`` along the last axis, the
     leading axes broadcast: bitwise scipy.signal.fftconvolve(a, b, axes=-1),
     whose transform lengths (5-smooth for real operands, 11-smooth for
-    complex) it uses, without importing scipy.signal.  A length-1 operand
-    is a plain product."""
+    complex) it uses, without importing scipy.signal.  The product and, for
+    complex operands, its inverse transform overwrite the spectrum of ``a``
+    where it has the broadcast shape.  A length-1 operand is a plain product."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b
-    n = a.shape[-1] + b.shape[-1] - 1
-    if a.dtype.kind == "c" or b.dtype.kind == "c":
-        size = _fast_length(n, (3, 5, 7, 11))
-        return np.fft.ifft(_spectrum(a, size) * _spectrum(b, size))[..., :n]
-    size = _fast_length(n, (3, 5))
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
+    n, cplx = a.shape[-1] + b.shape[-1] - 1, a.dtype.kind == "c" or b.dtype.kind == "c"
+    size = _fast_length(n, (3, 5, 7, 11) if cplx else (3, 5))
+    sa, sb = (_spectrum(x, size) if cplx else np.fft.rfft(x, size) for x in (a, b))
+    prod = np.multiply(sa, sb, out=sa if sa.shape == np.broadcast_shapes(sa.shape, sb.shape)
+                       else None)
+    return (np.fft.ifft(prod, out=prod) if cplx else np.fft.irfft(prod, size))[..., :n]
 
 
 def trace_from_function(fn, dt, n):

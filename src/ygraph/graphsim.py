@@ -572,7 +572,8 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
     sampled every config.dt: the Duhamel term's traces move from the output
     ladder to that trace ladder by one not-a-knot cubic interpolation
     matrix.  It and the :class:`linops.Ladder`'s output phases, Duhamel
-    weights and Filon tables are built once per call.  The nonlinear input to
+    weights and Filon tables are built once per call, the phases and Filon
+    powers from one trace phase pair.  The nonlinear input to
     the group is tapered over the outer :data:`PICARD_TAPER_FRACTION` of the
     domain so the construction's slow polynomial tails cannot seed wrap-around.
     """
@@ -584,13 +585,15 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
     L = config.L
     grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
     ladder = Ladder.over(grid, config.T, config.dt)
+    ladder.pair = ladder.phase_pair()
     ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
     ladder.filon = filon_tables(ladder)
 
     spline = _spline_matrix(ladder.times, ladder.trace)
     exts = whole_line_data(config, h, grid)
     free_fields = [group_multi(e, ladder.times, 1e-5, ladder).levels for e in exts]
-    free_tr = free_vertex_traces(exts, ladder.trace)
+    free_tr = free_vertex_traces(exts, ladder)
+    ladder.pair = None
 
     taper = np.ones(len(grid))
     wlen = int(PICARD_TAPER_FRACTION * len(grid))      # >= 30: h <= L/100

@@ -5,8 +5,9 @@ The group is a Fourier multiplier exp(i t xi^3) applied on the periodized
 grid; inputs must decay at both ends so periodization is harmless.  The
 group over a time ladder and the Duhamel integral at every level of a
 field are each one batched pass over all levels (one FFT, one phase
-matrix, one inverse FFT), not a loop over times.  Vertex trace histories
-over M times read coarse x fine phase tables of ~2 sqrt(M) rows in all.
+matrix, one inverse FFT), not a loop over times; real data use the half
+spectrum.  Every phase table is rows of one coarse x fine pair of ~2 sqrt(M)
+rows over a trace of M times (:meth:`Ladder.trace_rows`).
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ def group_multi(phi: GridFunction, times, decay_tol: float = DECAY_TOL,
     output phases of ``ladder`` (:meth:`Ladder.fit`)."""
     ladder = Ladder(phi, times).fit(ladder)
     _check_decay(phi, decay_tol)
-    spec = np.fft.fft(phi.samples)
-    levels = np.fft.ifft(ladder.output_phases() * spec, axis=1)
-    return SpaceTimeField(phi.origin, phi.spacing, ladder.out_dt,
-                          levels if phi.is_complex else levels.real.copy())
+    if phi.is_complex:
+        levels = np.fft.ifft(ladder.output_phases() * np.fft.fft(phi.samples), axis=1)
+    else:       # the half spectrum: the rest is its conjugate
+        half = np.fft.rfft(phi.samples)
+        levels = np.fft.irfft(ladder.output_phases()[:, :half.size] * half, len(phi), axis=1)
+    return SpaceTimeField(phi.origin, phi.spacing, ladder.out_dt, levels)
 
 
 def whole_steps(length: float, step: float) -> bool:
@@ -156,12 +159,13 @@ class Ladder:
 
     ``grid`` gives the geometry ``n``, ``spacing`` and ``origin``; ``times``
     is the output ladder, uniform from 0.  Given ``dt``, the output times sit
-    on the ``trace`` dt * (0 .. n_trace - 1), every ``stride``-th sample.
-    The tables start as None: ``phases`` (:func:`trace_phases` of the output
-    times), ``pair`` (their :func:`ladder_phases`), ``weights``
-    (:func:`_ladder_weights`) and ``filon`` (:func:`forcing.filon_tables`).
-    The owner of a loop sets those it holds and may drop one early; a
-    consumer that finds one None builds it for that call only.
+    on the ``trace`` dt * (0 .. n_trace - 1), every ``stride``-th sample
+    (without dt, the trace is the output ladder).  The tables start as None:
+    ``pair`` (:func:`ladder_phases` of the trace), ``phases`` (its output
+    :meth:`trace_rows`), ``weights`` (:func:`_ladder_weights`) and ``filon``
+    (:func:`forcing.filon_tables`, its powers trace rows too).  The owner of
+    a loop sets those it holds and may drop one early; a consumer that finds
+    one None builds it for that call only.
     """
 
     def __init__(self, grid: GridFunction, times, dt: float = None,
@@ -183,7 +187,7 @@ class Ladder:
         self.grid, self.times, self.dt, self.n_trace = grid, times, dt, n_trace
         self.n, self.spacing, self.origin = len(grid), grid.spacing, grid.origin
         self.out_dt, self.stride = float(times[1] - times[0]), int(strides[0])
-        self.trace = None if dt is None else dt * np.arange(n_trace)
+        self.trace = times if dt is None else dt * np.arange(n_trace)
         self.phases = self.pair = self.weights = self.filon = None
 
     @classmethod
@@ -217,13 +221,19 @@ class Ladder:
                                 "or time ladder")
         return ladder or self
 
-    def output_phases(self) -> np.ndarray:
-        return trace_phases(self.n, self.spacing, self.times) \
-            if self.phases is None else self.phases
-
     def phase_pair(self):
-        return ladder_phases(self.n, self.spacing, self.times) \
+        return ladder_phases(self.n, self.spacing, self.trace) \
             if self.pair is None else self.pair
+
+    def trace_rows(self, k) -> np.ndarray:
+        """Rows exp(i t_k xi^3), trace indices k: pair rows k // s times k % s."""
+        coarse, fine = self.phase_pair()
+        rows = coarse[k // len(fine)]
+        return np.multiply(rows, fine[k % len(fine)], out=rows)
+
+    def output_phases(self) -> np.ndarray:
+        return self.trace_rows(self.stride * np.arange(self.times.size)) \
+            if self.phases is None else self.phases
 
     def duhamel_weights(self) -> np.ndarray:
         return _ladder_weights(self.times.size, self.out_dt) \
@@ -268,26 +278,26 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
     if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
         raise DomainError(f"deriv must be a non-negative integer, got {deriv!r}")
     coarse, fine = ladder.phase_pair()
-    xi = frequencies(len(phi), phi.spacing)
-    spec = np.fft.fft(phi.samples) / len(phi)
+    n, xi = len(phi), frequencies(len(phi), phi.spacing)
+    spec = (np.fft.fft if phi.is_complex else np.fft.rfft)(phi.samples) / n
+    if not phi.is_complex:      # the half spectrum, weight 2 for the conjugate half
+        spec[1:(n + 1) // 2] *= 2.0
+        xi, coarse, fine = xi[:spec.size], coarse[:, :spec.size], fine[:, :spec.size]
     spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
     out = ((coarse * spec) @ fine.T).reshape(-1)[:ladder.times.size]
-    if not phi.is_complex:
-        out = out.real
-    return out
+    return out if phi.is_complex else out.real
 
 
-def free_vertex_traces(data, times):
-    """Vertex traces of the free flow of each datum and of its first two
-    x-derivatives: ``[[trace of d^j/dx^j exp(-t dx^3) d for d in data]
-    for j in (0, 1, 2)]``, the ``traces`` layout of :func:`vertex.solve_vertex`.
-
-    The data share one grid, so one pair of ladder phase tables serves all
-    the histories.
+def free_vertex_traces(data, ladder: Ladder):
+    """Vertex traces over the trace of ``ladder`` of the free flow of each
+    datum and of its first two x-derivatives: ``[[trace of d^j/dx^j exp(-t dx^3)
+    d for d in data] for j in (0, 1, 2)]``, the ``traces`` layout of
+    :func:`vertex.solve_vertex`.  The data share the ladder's grid, so its
+    one phase pair serves all the histories.
     """
-    ladder = Ladder(data[0], times)
-    ladder.pair = ladder.phase_pair()
-    return [[group_trace_history(d, times, j, ladder) for d in data]
+    over = Ladder(ladder.grid, ladder.trace)
+    over.pair = ladder.phase_pair()
+    return [[group_trace_history(d, over.times, j, over) for d in data]
             for j in (0, 1, 2)]
 
 

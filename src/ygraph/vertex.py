@@ -22,7 +22,7 @@ from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville, vertex_limit
 from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     free_vertex_traces, group_multi
-from .forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
+from .forcing import SMOOTH_FIT_WINDOW, filon_tables, forcing_class, smooth_window
 
 DET_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-8
@@ -368,17 +368,21 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
     feed the matrix system; the solved boundary traces drive the four
     forcing-class fields, and the superpositions restrict to the edges.
     The time ladder is ``ladder`` or ``Ladder.over(u0, T, trace_dt, n_levels)``.
-    Its output phases live through the free flows only, and each forcing
-    class builds and frees its own Filon tables: one table at a time.
+    One phase pair over its trace gives the free traces, the output phases
+    of the free flows and the Filon powers; the four classes share one set
+    of Filon tables, and the ladder holds no table on return.
     """
     if ladder is None:
         ladder = Ladder.over(u0, T, trace_dt, n_levels)
     data = (u0, v0, w0)
-    traces = free_vertex_traces(data, ladder.trace)
+    ladder.pair = ladder.phase_pair()
+    traces = free_vertex_traces(data, ladder)
     ladder.phases = ladder.output_phases()
     free = [group_multi(d, ladder.times, ladder=ladder).levels for d in data]
-    ladder.phases = None    # freed before the forcing classes, which set the peak
+    ladder.phases = None
+    ladder.filon, ladder.pair = filon_tables(ladder), None   # the tables copy their rows
     m, gammas, fields = solve_vertex(coupling, lam, traces, free, ladder)
+    ladder.filon = None
 
     fld_u, fld_v, fld_w = (SpaceTimeField(u0.origin, u0.spacing, ladder.out_dt, lv)
                            for lv in fields)
@@ -412,21 +416,22 @@ def verify_vertex_conditions(sol: LinearSolution) -> VertexResidualReport:
 
     u contributes its limit from the incoming side (x -> 0-), v and w from
     the outgoing side (x -> 0+).  Values are the one-sided cubic
-    extrapolation.  Derivatives are synthesized spectrally, from one forward
-    FFT per field, with a smooth frequency window (the fields carry
-    integrable vertex singularities whose raw band-limited derivatives ring)
-    and read by the least-squares fit outside the window transition.  Each
-    limit covers all levels at once.
+    extrapolation.  Derivatives are spectral, with a smooth frequency window
+    (the fields carry integrable vertex singularities whose raw band-limited
+    derivatives ring), read by the least-squares fit outside the window
+    transition: a field filtered by mult is the field times the circulant
+    g[(y - x) mod n] of g = ifft(mult), so each limit is the field times the
+    fit of that circulant, over all levels at once and with no transform.
     """
     i0, h, n = sol.u.index_of_zero(), sol.u.spacing, sol.u.levels.shape[1]
-    mults = [(1j * frequencies(n, h)) ** j * smooth_window(n, h) for j in (1, 2)]
+    taps = [np.fft.ifft((1j * frequencies(n, h)) ** j * smooth_window(n, h)) for j in (1, 2)]
+    circulants = [np.lib.stride_tricks.sliding_window_view(np.tile(g, 2), n)[n:0:-1]
+                  for g in taps]
     tr = [[], [], []]
     for fld, side in ((sol.u, "left"), (sol.v, "right"), (sol.w, "right")):
         tr[0].append(vertex_limit(fld.levels, i0, h, side))
-        spec = np.fft.fft(fld.levels, axis=1)
-        for j, mult in enumerate(mults, 1):
-            lim = vertex_limit(np.fft.ifft(spec * mult, axis=1), i0, h, side, 0,
-                               SMOOTH_FIT_WINDOW)
+        for j, circ in enumerate(circulants, 1):
+            lim = fld.levels @ vertex_limit(circ, i0, h, side, 0, SMOOTH_FIT_WINDOW)
             tr[j].append(lim if np.iscomplexobj(fld.levels) else lim.real)
     scales = {j: max(np.abs(t).max() for t in tr[j]) for j in (0, 1, 2)}
     res = {label: np.abs(_combine(coefs, tr[j]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.interpolate import CubicSpline   # the reference only
 from ygraph import forcing, graphsim, linops
 from ygraph.errors import ContractError, DomainError, YGraphError
 from ygraph.fracops import STENCILS, stencil_sum
-from ygraph.linops import GridFunction, Ladder, group_multi
+from ygraph.linops import GridFunction, Ladder, gaussian_profile, group_multi
 from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
-                           assemble_linear_solution)
+                           assemble_linear_solution, verify_vertex_conditions)
 from ygraph.graphsim import (InitialProfile, ScenarioConfig, _spline_matrix,
                              edge_mass, energy_report, evolve, picard_iterate,
                              scaling_check, soliton_exact, whole_line_data,
@@ -323,15 +324,15 @@ PICARD_LAM = LambdaVector(0.05, 0.3, 0.05, 0.05)
 
 
 def _count_tables(monkeypatch):
-    """Record each phase table's times, each Filon base's (size, dt) and each
-    Duhamel weight matrix's size as they are built."""
+    """Record the times of each phase pair, each Filon base's (size, dt) and
+    each Duhamel weight matrix's size as they are built."""
     built, bases, weights = [], [], []
-    phases, base, ladder_weights = (linops.trace_phases, forcing._filon_base,
-                                    linops._ladder_weights)
+    pairs, base, ladder_weights = (linops.ladder_phases, forcing._filon_base,
+                                   linops._ladder_weights)
 
-    def counting_phases(n, spacing, times):
+    def counting_pairs(n, spacing, times):
         built.append(np.array(times))
-        return phases(n, spacing, times)
+        return pairs(n, spacing, times)
 
     def counting_base(omega, dt):
         bases.append((omega.size, dt))
@@ -340,7 +341,7 @@ def _count_tables(monkeypatch):
     def counting_weights(n_t, dt):
         weights.append(n_t)
         return ladder_weights(n_t, dt)
-    monkeypatch.setattr(linops, "trace_phases", counting_phases)
+    monkeypatch.setattr(linops, "ladder_phases", counting_pairs)
     monkeypatch.setattr(forcing, "_filon_base", counting_base)
     monkeypatch.setattr(linops, "_ladder_weights", counting_weights)
     return built, bases, weights
@@ -398,33 +399,48 @@ class TestPicard:
 
     def test_tables_are_built_once_per_solve(self, monkeypatch):
         # five nonlinear iterations force 20 classes and 15 Duhamel integrals
-        # on one grid and ladder; the output-ladder phase table, the Duhamel
-        # weights and the Filon tables are each built once for all of them
+        # on one grid and ladder; the trace phase pair (which gives the output
+        # phases and the Filon powers), the Duhamel weights and the Filon
+        # tables are each built once for all of them
         built, bases, weights = _count_tables(monkeypatch)
         cfg = dataclasses.replace(_linear_picard_config(CB0, 20.0, 0.1),
                                   mode="nonlinear")
         res = picard_iterate(cfg, PICARD_LAM, n_iter=5)
         assert len(res.distances) == 5
-        ladder = [t for t in built if t.size == res.times.size]
-        assert len(ladder) == 1 and np.array_equal(ladder[0], res.times)
+        assert len(built) == 1
+        assert np.array_equal(built[0], cfg.dt * np.arange(round(cfg.T / cfg.dt) + 1))
         assert bases == [(2 * cfg.n_edge + 1, cfg.dt)]
         assert weights == [res.times.size]
 
     def test_construct_frees_its_tables_early(self, monkeypatch):
-        # the linear assembly holds the output phases through the three free
-        # flows only, and each of its four classes builds and frees its own
-        # Filon tables: sharing one set raised construct's peak memory
+        # the construct workload's chain on a 1,600-point grid, 26 levels
+        # every 20 of 501 trace steps: one phase pair over the trace gives the
+        # free traces, the free flows' output phases and the Filon powers and
+        # is freed before the classes, the four classes share one set of
+        # Filon tables, and the ladder holds no table on return.  The traced
+        # peak, in rows of 1,600 complex values, was 234.8 for the parent
+        # design (four Filon table sets, out-of-place class convolution, six
+        # inverse transforms in the check; 240.0 on a process's first call)
+        # and is ~210 now
         built, bases, weights = _count_tables(monkeypatch)
-        cfg = _linear_picard_config(CB0, 20.0, 0.1)
-        grid = GridFunction(-cfg.L, cfg.h, np.zeros(2 * cfg.n_edge + 1))
-        ladder = Ladder.over(grid, cfg.T, cfg.dt, 26)
-        sol = assemble_linear_solution(*whole_line_data(cfg, cfg.h, grid), CB0,
-                                       PICARD_LAM, ladder=ladder)
-        phases = [t for t in built if t.size == sol.times.size]
-        assert len(phases) == 1 and np.array_equal(phases[0], sol.times)
-        assert bases == [(len(grid), cfg.dt)] * 4
+        L, h = 20.0, 0.025
+        x = -L + h * np.arange(int(round(2 * L / h)))
+        data = [GridFunction(-L, h, gaussian_profile(x, 0.75, c, w))
+                for c, w in ((-8.0, 1.2), (7.0, 1.1), (9.0, 1.3))]
+        ladder = Ladder.over(data[0], 0.5, 1e-3, 26)
+        tracemalloc.start()
+        try:
+            sol = assemble_linear_solution(*data, CB0, PICARD_LAM, ladder=ladder)
+            verify_vertex_conditions(sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 1 and np.array_equal(built[0], ladder.trace)
+        assert bases == [(x.size, 1e-3)]
         assert weights == []
-        assert ladder.phases is None and ladder.filon is None
+        assert all(table is None for table in (ladder.pair, ladder.phases,
+                                               ladder.weights, ladder.filon))
+        assert peak / (x.size * np.dtype(complex).itemsize) <= 234.8
 
     @pytest.mark.parametrize("n_iter", [0, -1, 11])
     def test_iteration_count_range(self, n_iter):

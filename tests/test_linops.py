@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from ygraph import linops, vertex
+from ygraph import forcing, linops, vertex
 from ygraph.errors import ContractError, DomainError
 from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, airy_group,
                            duhamel_inhomog, frequencies, gaussian_profile,
@@ -304,6 +305,71 @@ def _other_ladders(phi, times):
             Ladder(GridFunction(x0, h / 2, np.zeros(n)), times),
             Ladder(GridFunction(x0 + h, h, np.zeros(n)), times),
             Ladder(phi, 2 * times), Ladder(phi, times[:-1])]
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(8, 300), h=st.floats(0.01, 0.5), dt=st.floats(1e-4, 1e-2),
+       stride=st.integers(1, 40), n_out=st.integers(2, 30), extra=st.integers(0, 7))
+@example(n=64, h=0.1, dt=1e-3, stride=100, n_out=3, extra=0)   # q = s: p^q is coarse row 1
+def test_pair_rows_are_the_trace_phases(n, h, dt, stride, n_out, extra):
+    # output row m is coarse[k // s] * fine[k % s], k = stride m, and the
+    # Filon powers p^j are trace rows j.  Each form rounds its phase t xi^3
+    # to its own ulp, so they agree to a few ulps of the phase
+    grid = GridFunction(-h * (n // 2), h, np.zeros(n))
+    ladder = Ladder(grid, dt * (stride * np.arange(n_out)), dt,
+                    stride * (n_out - 1) + 1 + extra)
+    xi3 = np.abs(frequencies(n, h)) ** 3
+
+    def agree(got, t):
+        bound = 4 * EPS * (1.0 + np.outer(t, xi3))
+        assert np.all(np.abs(got - trace_phases(n, h, t)) <= bound)
+
+    agree(ladder.output_phases(), ladder.times)
+    q = min(stride, math.isqrt(stride * (n_out - 1)) + 1)
+    agree(ladder.trace_rows(np.arange(q + 1)), dt * np.arange(q + 1))
+    (pq, pr), _ = forcing.filon_tables(ladder)
+    agree(np.vstack([pq, pr]), dt * np.array([q, stride % q]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(16, 400), h=st.floats(0.02, 0.5), dt=st.floats(1e-4, 1e-2),
+       stride=st.integers(1, 20), m=st.integers(2, 12), deriv=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=64, h=0.1, dt=1e-3, stride=5, m=11, deriv=1, seed=0)
+@example(n=65, h=0.1, dt=1e-3, stride=5, m=11, deriv=1, seed=0)
+def test_half_spectrum_matches_full_spectrum(n, h, dt, stride, m, deriv, seed):
+    # real data: traces over the trace and free flows at the output times
+    # from the half spectrum (weight 2 on 0 < xi < Nyquist) against the
+    # full-spectrum route on the same phase pair.  Windowed noise keeps the
+    # Nyquist bin of even n in play.  The routes differ by FFT and summation
+    # rounding (n ulps of the data scale) and because cos and sin of large
+    # phases are not exactly even and odd: the full route's conjugate bins
+    # differ by a few ulps of the phase t xi^3
+    rng = np.random.default_rng(seed)
+    i0 = int(rng.integers(1, n - 1))
+    phi = GridFunction(-h * i0, h, np.hanning(n) * rng.standard_normal(n))
+    ladder = Ladder(phi, dt * (stride * np.arange(m)), dt, stride * (m - 1) + 1)
+    ladder.pair = ladder.phase_pair()
+    over = Ladder(phi, ladder.trace)
+    over.pair = coarse, fine = ladder.pair
+    xi, spec = frequencies(n, h), np.fft.fft(phi.samples)
+    full = spec / n * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
+    want = ((coarse * full) @ fine.T).reshape(-1)[:ladder.n_trace].real
+    got = group_trace_history(phi, ladder.trace, deriv, over)
+    phase_ulps = 4 * EPS * (1.0 + np.outer(ladder.trace, np.abs(xi) ** 3))
+    bound = (EPS * np.abs(spec).sum() * max(1.0, np.abs(xi).max()) ** deriv
+             + phase_ulps @ np.abs(full))
+    assert not np.iscomplexobj(got)
+    assert np.all(np.abs(got - want) <= bound)
+    want = np.fft.ifft(ladder.output_phases() * spec, axis=1).real
+    got = group_multi(phi, ladder.times, ladder=ladder).levels
+    phase_ulps = 4 * EPS * (1.0 + np.outer(ladder.times, np.abs(xi) ** 3))
+    bound = n * EPS * np.linalg.norm(phi.samples) + phase_ulps @ np.abs(spec) / n
+    assert got.shape == want.shape and not np.iscomplexobj(got)
+    assert np.all(np.abs(got - want).max(axis=1) <= bound)
 
 
 class TestTracePhases:

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError, SingularMatrixError
-from ygraph.fracops import TimeTrace
-from ygraph.linops import GridFunction, Ladder, gaussian_profile, group_multi
+from ygraph.forcing import SMOOTH_FIT_WINDOW, smooth_window
+from ygraph.fracops import TimeTrace, vertex_limit
+from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, frequencies,
+                           gaussian_profile, group_multi)
 from ygraph.vertex import (BoundaryMatrix, CouplingKind, LambdaVector,
                            VertexCoupling, admissible_scan, admissible_window,
                            anchor_lambda, assemble_linear_solution,
@@ -330,6 +333,46 @@ class TestAssemble:
         with pytest.raises(ContractError):
             assemble_linear_solution(z, z2, z, C_UNIT, lam, T=0.2,
                                      n_levels=11, trace_dt=1e-3)
+
+
+def _transform_route_limits(fld, side):
+    """The windowed first and second derivative limits of every level by
+    inverse transforms of the filtered field."""
+    n, h, i0 = fld.levels.shape[1], fld.spacing, fld.index_of_zero()
+    spec = np.fft.fft(fld.levels, axis=1)
+    lims = [vertex_limit(np.fft.ifft(spec * (1j * frequencies(n, h)) ** j
+                                     * smooth_window(n, h), axis=1),
+                         i0, h, side, 0, SMOOTH_FIT_WINDOW) for j in (1, 2)]
+    return lims if np.iscomplexobj(fld.levels) else [lim.real for lim in lims]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(60, 400), h=st.floats(0.005, 0.5), complex_fields=st.booleans(),
+       coupling=st.sampled_from([C_UNIT, VertexCoupling.special_type2(1.5, 0.8, 0.5, 0.3)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vertex_limits_match_the_transform_route(n, h, complex_fields, coupling, seed):
+    # verify_vertex_conditions reads each windowed derivative limit as one
+    # x-space functional of the levels; the inverse-transform route reads it
+    # from the filtered field.  The two agree to rounding on noise fields,
+    # from the left (u) and the right (v, w), for j = 1 and 2
+    rng = np.random.default_rng(seed)
+    i0 = int(rng.integers(29, n - 29))
+
+    def field():
+        lv = rng.standard_normal((5, n))
+        if complex_fields:
+            lv = lv + 1j * rng.standard_normal((5, n))
+        return SpaceTimeField(-h * i0, h, 0.01, lv)
+    sol = LinearSolution(u=field(), v=field(), w=field(), coupling=coupling)
+    rep = verify_vertex_conditions(sol)
+    tr = [[vertex_limit(f.levels, i0, h, side)] + _transform_route_limits(f, side)
+          for f, side in ((sol.u, "left"), (sol.v, "right"), (sol.w, "right"))]
+    for j in (1, 2):
+        scale = max(np.abs(lims[j]).max() for lims in tr)
+        assert abs(rep.scales[j] - scale) <= 1e-9 * scale
+    for label, j, coefs in coupling.relations():
+        want = np.abs(sum(c * lims[j] for c, lims in zip(coefs, tr) if c is not None))
+        assert np.abs(rep.residuals[label] - want).max() <= 1e-9 * rep.scales[j]
 
 
 def test_lambda_vector_admissibility():
