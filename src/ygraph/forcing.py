@@ -41,16 +41,10 @@ from .errors import ContractError, DomainError
 from .fracops import (TimeTrace, riemann_liouville, product_weights,
                       _first_sample_correction, fftconvolve,
                       sampled_derivative, vertex_limit)
-from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
-    free_vertex_traces, group_multi, group_trace_history
+from .linops import GridFunction, Ladder, SpaceTimeField, frequencies
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
-
-
-def _require_causal(g: TimeTrace, who: str):
-    if not g.causal:
-        raise ContractError(f"{who} requires a causal trace")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,8 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
     check_class_order(lam)
     if method not in ("spectral", "simpson"):
         raise DomainError(f"unknown method {method!r}")
-    _require_causal(g, "forcing_class")
+    if not g.causal:
+        raise ContractError("forcing_class requires a causal trace")
     grid.index_of_zero()
     ladder = Ladder(grid, times, g.dt, len(g)).fit(ladder)
 
@@ -379,44 +374,3 @@ def one_sided_limits(fld: SpaceTimeField, t: float,
     return tuple(vertex_limit(lev.samples, i0, lev.spacing, side, 0, window)
                  for side in ("left", "right"))
 
-
-def halfline_construct_right(phi: GridFunction, g: TimeTrace,
-                             times) -> SpaceTimeField:
-    """Solution of the right half-line linear problem with Dirichlet datum g.
-
-    v = exp(-t dx^3) phi + V(g - trace of the free flow at 0).
-    """
-    _require_causal(g, "halfline_construct_right")
-    free = group_multi(phi, times)
-    free_trace = group_trace_history(phi, g.times)
-    corr = TimeTrace(g.dt, g.samples - free_trace, True)
-    forced = duhamel_forcing(corr, phi, times)
-    return SpaceTimeField(free.origin, free.spacing, free.dt,
-                          free.levels + forced.levels)
-
-
-HALFLINE_LEFT_MATRIX = np.array([[2.0, -1.0], [-1.0, -1.0]]) / 3.0
-
-
-def halfline_construct_left(phi: GridFunction, g: TimeTrace, h: TimeTrace,
-                            times) -> SpaceTimeField:
-    """Left half-line linear problem with Dirichlet g and left Neumann h.
-
-    The boundary forcers are V h1 + V^{-1} h2 with (h1, h2) given by the
-    2x2 weight matrix applied to (g - free trace, I_{1/3}(h - free Neumann
-    trace)).
-    """
-    _require_causal(g, "halfline_construct_left")
-    _require_causal(h, "halfline_construct_left")
-    if g.dt != h.dt or len(g) != len(h):
-        raise ContractError("g and h must share one time grid")
-    free = group_multi(phi, times)
-    (tr0,), (tr1,), _ = free_vertex_traces([phi], Ladder(phi, g.times))
-    alpha = g.samples - tr0
-    beta = riemann_liouville(TimeTrace(g.dt, h.samples - tr1, True), 1.0 / 3.0).samples
-    h1, h2 = (TimeTrace(g.dt, row[0] * alpha + row[1] * beta, True)
-              for row in HALFLINE_LEFT_MATRIX)
-    v1 = duhamel_forcing(h1, free.level(0), times, method="spectral")
-    v2 = duhamel_forcing_deriv(h2, free.level(0), times)
-    return SpaceTimeField(free.origin, free.spacing, free.dt,
-                          free.levels + v1.levels + v2.levels)

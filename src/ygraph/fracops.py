@@ -105,12 +105,6 @@ def fftconvolve(a, b) -> np.ndarray:
     return (np.fft.ifft(prod, out=prod) if cplx else np.fft.irfft(prod, size))[..., :n]
 
 
-def trace_from_function(fn, dt, n):
-    """The causal trace of ``fn`` sampled at 0, dt, ..., (n-1) dt."""
-    t = dt * np.arange(n)
-    return TimeTrace(dt, np.asarray(fn(t)))
-
-
 def product_weights(alpha: float, n: int) -> np.ndarray:
     """Stationary product-integration weights c_0..c_{n-1} for order alpha > 0.
 
@@ -150,12 +144,6 @@ def fractional_integral_samples(values: np.ndarray, dt: float, alpha: float) -> 
     out = (dt ** alpha / math.gamma(alpha + 2.0)) * conv
     out[0] = 0.0
     return out
-
-
-def boundary_layer_width(alpha: float) -> int:
-    """Samples near t = 0 that carry the kernel singularity after
-    differentiation; accuracy assertions should skip them."""
-    return int(math.ceil(3.0 + abs(alpha)))
 
 
 # Every finite-difference stencil, name -> (offsets, weights, divisor), taps

@@ -159,9 +159,6 @@ class GraphState:
     v: GridFunction = field(repr=False)
     w: GridFunction = field(repr=False)
 
-    def total_mass(self) -> float:
-        return edge_mass(self.u) + edge_mass(self.v) + edge_mass(self.w)
-
 
 def edge_mass(g: GridFunction) -> float:
     """Trapezoid integral of the squared field over the edge."""

@@ -104,10 +104,6 @@ class SpaceTimeField:
         return self.level(0).index_of_zero()
 
 
-def gaussian_profile(x, amplitude=1.0, center=0.0, width=1.0):
-    return amplitude * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
-
-
 def _check_decay(phi: GridFunction, tol: float):
     lo, hi = abs(phi.samples[0]), abs(phi.samples[-1])
     if max(lo, hi) > tol:
@@ -268,11 +264,12 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
     """Trace of d^j/dx^j exp(-t d^3/dx^3) phi at x = 0 for each time.
 
     Evaluated directly in frequency space; exact up to the periodization
-    already inherent in the grid representation.  Time t_{js+r} of the
-    uniform ladder from 0 is entry (j, r) of one small product of the
+    already inherent in the grid representation.  Trace time t_{js+r} of
+    the ladder is entry (j, r) of one small product of the
     :func:`ladder_phases` pair, which depends only on the grid and the
-    ladder: callers tracing several functions on one grid and ladder hold
-    it in one ``ladder`` (:meth:`Ladder.fit`).
+    ladder, and the output times are every ``stride``-th trace time:
+    callers tracing several functions on one grid and ladder hold it in
+    one ``ladder`` (:meth:`Ladder.fit`).
     """
     ladder = Ladder(phi, times).fit(ladder)
     if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
@@ -284,7 +281,8 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
         spec[1:(n + 1) // 2] *= 2.0
         xi, coarse, fine = xi[:spec.size], coarse[:, :spec.size], fine[:, :spec.size]
     spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
-    out = ((coarse * spec) @ fine.T).reshape(-1)[:ladder.times.size]
+    s = ladder.stride
+    out = ((coarse * spec) @ fine.T).reshape(-1)[:s * ladder.times.size:s]
     return out if phi.is_complex else out.real
 
 

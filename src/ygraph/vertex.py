@@ -9,7 +9,6 @@ the assembled field satisfy the coupling relations.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -22,7 +21,8 @@ from .errors import ContractError, DomainError, SingularMatrixError
 from .fracops import TimeTrace, riemann_liouville, vertex_limit
 from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     free_vertex_traces, group_multi
-from .forcing import SMOOTH_FIT_WINDOW, filon_tables, forcing_class, smooth_window
+from .forcing import (SMOOTH_FIT_WINDOW, filon_tables, forcing_class,
+                      minus_trace_factor, plus_trace_factor, smooth_window)
 
 DET_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-8
@@ -134,29 +134,21 @@ class BoundaryMatrix:
         return float(np.prod(np.linalg.norm(self.entries, axis=1)))
 
 
-def _sin_col(lam: float):
-    """Minus-class trace factors for the value, slope and curvature."""
-    a = math.pi * lam / 3.0
-    return (2.0 * math.sin(a + math.pi / 6.0),
-            2.0 * math.sin(a - math.pi / 6.0),
-            2.0 * math.sin(a - math.pi / 2.0))
-
-
 def build_matrix(coupling: VertexCoupling, lam: LambdaVector) -> BoundaryMatrix:
     """Populate the 4x4 vertex matrix, one row per coupling relation,
     columns (g1, g3, g4, g2).
 
     The minus classes g1, g2 act on u with trace factors
-    2 sin(pi (lam - j)/3 + pi/6); the plus classes g3, g4 act on v and w
-    with e^{i pi (lam - j)}.
+    :func:`forcing.minus_trace_factor` (lam - j); the plus classes g3, g4 act
+    on v and w with :func:`forcing.plus_trace_factor` (lam - j).
     """
     l1, l2, l3, l4 = lam.as_tuple()
-    s1, s2 = _sin_col(l1), _sin_col(l2)
 
     def plus(c, lam_k, j):
-        return 0.0 if c is None else c * cmath.exp(1j * math.pi * (lam_k - j))
+        return 0.0 if c is None else c * plus_trace_factor(lam_k - j)
 
-    m = np.array([[cu * s1[j], plus(cv, l3, j), plus(cw, l4, j), cu * s2[j]]
+    m = np.array([[cu * minus_trace_factor(l1 - j), plus(cv, l3, j), plus(cw, l4, j),
+                   cu * minus_trace_factor(l2 - j)]
                   for _, j, (cu, cv, cw) in coupling.relations()], dtype=complex)
     return BoundaryMatrix(entries=m, lam=lam, coupling=coupling)
 

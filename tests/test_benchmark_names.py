@@ -4,6 +4,7 @@ perfbench/tracing.py replaces these module globals by name; a rename in
 ygraph would otherwise surface only when the traced benchmark run raises.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -26,6 +27,22 @@ def _resolves(layer, name):
     for attr in name.split("."):
         obj = getattr(obj, attr, None)
     return callable(obj)
+
+
+def test_no_unused_imports():
+    # a deletion can leave an import behind; a REBOUND name stays imported
+    # where the tracer rebinds it
+    unused = []
+    for path in sorted(Path(ygraph.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                unused += [f"{path.stem}.{name}" for name in
+                           ((a.asname or a.name).split(".")[0] for a in node.names)
+                           if name not in used and (path.stem, name) not in REBOUND]
+    assert not unused
 
 
 def test_traced_names_resolve():

@@ -19,14 +19,12 @@ from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import TimeTrace, riemann_liouville, sampled_derivative
 from ygraph.linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     trace_at_zero
-from ygraph.forcing import (HALFLINE_LEFT_MATRIX, SMOOTH_FIT_WINDOW,
-                            _filon_base, _filon_field, _sigma_field, filon_tables,
-                            duhamel_forcing,
-                            duhamel_forcing_deriv,
-                            forcing_class, minus_trace_factor,
-                            one_sided_limits, plus_trace_factor,
-                            smooth_window, spectral_forcing_field,
-                            halfline_construct_left, halfline_construct_right)
+from ygraph.forcing import (SMOOTH_FIT_WINDOW, _filon_base, _filon_field,
+                            _sigma_field, filon_tables, duhamel_forcing,
+                            duhamel_forcing_deriv, forcing_class,
+                            minus_trace_factor, one_sided_limits,
+                            plus_trace_factor, smooth_window,
+                            spectral_forcing_field)
 from ygraph.specfun import airy_scaled
 
 DT = 1e-3
@@ -288,68 +286,25 @@ class TestJumps:
             one_sided_limits(fld, 0.1, fit_window=(12, 15))
 
 
-class TestHalflineRight:
-    def test_zero_inputs(self, grid):
-        zero_g = TimeTrace(DT, np.zeros(201))
-        phi = grid.with_samples(np.zeros(len(grid)))
-        out = halfline_construct_right(phi, zero_g, np.array([0.0, 0.05, 0.1]))
-        assert np.abs(out.levels).max() == 0.0
-
-    def test_free_flow_needs_no_correction(self, grid):
-        from ygraph.linops import group_trace_history, group_multi
-        x = grid.x
-        phi = grid.with_samples(np.exp(-(x - 5.0) ** 2 / 2.0))
-        gg = TimeTrace(DT, group_trace_history(phi, DT * np.arange(501)))
-        times = np.round(np.arange(0.0, 0.5001, 0.05), 10)
-        out = halfline_construct_right(phi, gg, times)
-        free = group_multi(phi, times)
-        assert np.abs(out.levels - free.levels).max() <= 1e-8
-
-    def test_dirichlet_trace(self, grid):
-        t = DT * np.arange(1001)
-        gg = TimeTrace(DT, t ** 2 * np.exp(-t))
-        phi = grid.with_samples(np.zeros(len(grid)))
-        out = halfline_construct_right(phi, gg, TIMES)
-        got = np.array([trace_at_zero(out.level_at(s), 0, side="right")
-                        for s in TIMES[MASK]])
-        ref = np.interp(TIMES[MASK], t, gg.samples)
-        assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-2
-
-
 class TestHalflineLeft:
-    def test_zero_inputs(self, grid):
-        zero = TimeTrace(DT, np.zeros(201))
-        phi = grid.with_samples(np.zeros(len(grid)))
-        out = halfline_construct_left(phi, zero, zero, np.array([0.0, 0.05, 0.1]))
-        assert np.abs(out.levels).max() == 0.0
-
-    def test_weight_matrix_algebra(self):
-        # the 2x2 weights reproduce the displayed trace identities exactly
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            alpha, beta = rng.standard_normal(2)
-            h1, h2 = HALFLINE_LEFT_MATRIX @ np.array([alpha, beta])
-            assert h1 - h2 == pytest.approx(alpha, abs=1e-10)
-            assert -h1 - 2.0 * h2 == pytest.approx(beta, abs=1e-10)
-
     def test_dirichlet_and_neumann_traces(self):
+        # left half-line forcers V h1 + V^{-1} h2 for Dirichlet datum alpha
+        # and zero Neumann datum: h1 = 2 alpha / 3, h2 = -alpha / 3
         h = 0.025
         grid = GridFunction(-30.0, h, np.zeros(int(round(45.0 / h)) + 1))
         t = DT * np.arange(1001)
-        gg = TimeTrace(DT, np.sin(t) * t ** 2)
-        hh = TimeTrace(DT, np.zeros(t.size))
-        phi = grid.with_samples(np.zeros(len(grid)))
-        out = halfline_construct_left(phi, gg, hh, TIMES)
+        alpha = np.sin(t) * t ** 2
+        h1 = TimeTrace(DT, 2.0 * alpha / 3.0, True)
+        h2 = TimeTrace(DT, -alpha / 3.0, True)
+        out = SpaceTimeField(grid.origin, h, TIMES[1] - TIMES[0],
+                             duhamel_forcing(h1, grid, TIMES, method="spectral").levels
+                             + duhamel_forcing_deriv(h2, grid, TIMES).levels)
         got = np.array([trace_at_zero(out.level_at(s), 0, side="left")
                         for s in TIMES[MASK]])
-        ref = np.interp(TIMES[MASK], t, gg.samples)
+        ref = np.interp(TIMES[MASK], t, alpha)
         assert np.abs(got - ref).max() / np.abs(ref).max() <= 2e-2
         # left Neumann trace vanishes; assemble the derivative field
         # spectrally so the vertex step is windowed before extraction
-        alpha = gg.samples
-        beta = riemann_liouville(TimeTrace(DT, hh.samples, True), 1.0 / 3.0).samples
-        h1 = TimeTrace(DT, (2.0 * alpha - beta) / 3.0, True)
-        h2 = TimeTrace(DT, (-alpha - beta) / 3.0, True)
         vx = spectral_forcing_field(riemann_liouville(h1, -2.0 / 3.0), grid,
                                     TIMES, deriv=1, window="smooth").levels \
             + spectral_forcing_field(riemann_liouville(h2, -1.0 / 3.0), grid,

@@ -8,11 +8,10 @@ import scipy.signal          # the reference only; ygraph does not import it
 from hypothesis import given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError
-from ygraph.fracops import (STENCILS, TimeTrace, boundary_layer_width,
-                            fftconvolve, fractional_integral_samples,
-                            product_weights, riemann_liouville,
-                            sampled_derivative, stencil_sum,
-                            trace_from_function, limit_weights, vertex_limit)
+from ygraph.fracops import (STENCILS, TimeTrace, fftconvolve,
+                            fractional_integral_samples, product_weights,
+                            riemann_liouville, sampled_derivative, stencil_sum,
+                            limit_weights, vertex_limit)
 
 
 @pytest.fixture
@@ -58,7 +57,8 @@ def test_negative_one_is_derivative():
 
 @pytest.mark.parametrize("a,b", [(1 / 3, 2 / 3), (1 / 3, -1 / 3), (2 / 3, -2 / 3)])
 def test_semigroup_law(a, b):
-    f = trace_from_function(lambda t: t ** 2 * np.exp(-t), 1e-3, 1001)
+    t = 1e-3 * np.arange(1001)
+    f = TimeTrace(1e-3, t ** 2 * np.exp(-t))
     lhs = riemann_liouville(riemann_liouville(f, b), a)
     rhs = riemann_liouville(f, a + b)
     bound = 1e-5 * np.abs(f.samples).max()
@@ -117,12 +117,6 @@ def test_product_weights_match_trapezoid_at_order_one():
     assert np.allclose(c[1:], 2.0)
     vals = fractional_integral_samples(np.ones(11), 0.1, 1.0)
     assert np.abs(vals - 0.1 * np.arange(11)).max() <= 1e-14
-
-
-def test_boundary_layer_width():
-    assert boundary_layer_width(-1.0) == 4
-    assert boundary_layer_width(0.5) == 4
-    assert boundary_layer_width(-2.5) == 6
 
 
 @pytest.mark.parametrize("alpha", [-3.0, -3.5, 3.5, math.nan, math.inf, -math.inf])

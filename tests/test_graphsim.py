@@ -11,7 +11,7 @@ from scipy.interpolate import CubicSpline   # the reference only
 from ygraph import forcing, graphsim, linops
 from ygraph.errors import ContractError, DomainError, YGraphError
 from ygraph.fracops import STENCILS, stencil_sum
-from ygraph.linops import GridFunction, Ladder, gaussian_profile, group_multi
+from ygraph.linops import GridFunction, Ladder, group_multi
 from ygraph.vertex import (CouplingKind, LambdaVector, VertexCoupling,
                            assemble_linear_solution, verify_vertex_conditions)
 from ygraph.graphsim import (InitialProfile, ScenarioConfig, _spline_matrix,
@@ -85,7 +85,8 @@ class TestConfig:
 
 def test_zero_data_zero_trajectory():
     traj = evolve(small_config(), store_every=5)
-    assert all(st.total_mass() == 0.0 for st in traj.states)
+    assert all(edge_mass(st.u) + edge_mass(st.v) + edge_mass(st.w) == 0.0
+               for st in traj.states)
 
 
 @pytest.mark.parametrize("store_every", [0, -1])
@@ -161,7 +162,8 @@ class TestLinearRun:
 
     def test_energy_identity(self, linear_run):
         rep = energy_report(linear_run)
-        total0 = linear_run.states[0].total_mass()
+        st0 = linear_run.states[0]
+        total0 = edge_mass(st0.u) + edge_mass(st0.v) + edge_mass(st0.w)
         assert rep.worst_mismatch() <= 5e-3 * total0
         assert not rep.nonlinear_warning
 
@@ -425,7 +427,7 @@ class TestPicard:
         built, bases, weights = _count_tables(monkeypatch)
         L, h = 20.0, 0.025
         x = -L + h * np.arange(int(round(2 * L / h)))
-        data = [GridFunction(-L, h, gaussian_profile(x, 0.75, c, w))
+        data = [GridFunction(-L, h, InitialProfile("gaussian", 0.75, c, w)(x))
                 for c, w in ((-8.0, 1.2), (7.0, 1.1), (9.0, 1.3))]
         ladder = Ladder.over(data[0], 0.5, 1e-3, 26)
         tracemalloc.start()

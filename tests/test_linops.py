@@ -9,10 +9,11 @@ from scipy.integrate import quad
 
 from ygraph import forcing, linops, vertex
 from ygraph.errors import ContractError, DomainError
+from ygraph.graphsim import InitialProfile
 from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, airy_group,
-                           duhamel_inhomog, frequencies, gaussian_profile,
-                           group_multi, group_trace_history, ladder_phases,
-                           sobolev_norm, trace_at_zero, trace_phases)
+                           duhamel_inhomog, frequencies, group_multi,
+                           group_trace_history, ladder_phases, sobolev_norm,
+                           trace_at_zero, trace_phases)
 from ygraph.specfun import airy_scaled, airy_scaled_deriv
 
 
@@ -80,7 +81,7 @@ def test_non_finite_field_level_rejected(bad):
     # Duhamel product into NaN, the levels before it included
     h = 0.05
     x = -5.0 + h * np.arange(200)
-    lv = np.tile(gaussian_profile(x, 1.0, 0.0, 0.5), (5, 1))
+    lv = np.tile(InitialProfile("gaussian", 1.0, 0.0, 0.5)(x), (5, 1))
     lv[2, 100] = bad
     with pytest.raises(ContractError, match="finite"):
         SpaceTimeField(x[0], h, 0.05, lv)
@@ -184,7 +185,7 @@ def test_duhamel_ladder_matches_per_level_loop(kind, n_levels):
     x = np.arange(-40.0, 40.0, h)
     dt = 0.02
     rng = np.random.default_rng(n_levels)
-    lv = np.array([gaussian_profile(x, 1.0, rng.uniform(-2.0, 2.0), 1.3)
+    lv = np.array([InitialProfile("gaussian", 1.0, rng.uniform(-2.0, 2.0), 1.3)(x)
                    * np.cos(3.0 * m * dt + rng.uniform(0.0, 1.0))
                    for m in range(n_levels)])
     if kind == "complex":
@@ -201,12 +202,12 @@ def test_duhamel_ladder_matches_per_level_loop(kind, n_levels):
 def test_duhamel_decay_contract_first_failing_level():
     h = 0.1
     x = np.arange(-30.0, 30.0, h)
-    lv = np.array([gaussian_profile(x, 1.0, 0.0, 1.0) for _ in range(11)])
-    lv[5] += gaussian_profile(x, 1.0, 29.5, 1.0)    # level 5 reaches the right end
+    lv = np.array([InitialProfile("gaussian", 1.0, 0.0, 1.0)(x) for _ in range(11)])
+    lv[5] += InitialProfile("gaussian", 1.0, 29.5, 1.0)(x)   # level 5 reaches the right end
     with pytest.raises(ContractError, match="right endpoint"):
         duhamel_inhomog(SpaceTimeField(x[0], h, 0.05, lv))
     # a larger failure at a later level does not mask the first one
-    lv[8] += gaussian_profile(x, 5.0, -29.5, 1.0)
+    lv[8] += InitialProfile("gaussian", 5.0, -29.5, 1.0)(x)
     with pytest.raises(ContractError, match="right endpoint"):
         duhamel_inhomog(SpaceTimeField(x[0], h, 0.05, lv))
 
@@ -289,12 +290,40 @@ class TestSobolev:
 def test_group_trace_history_matches_field():
     h = 0.05
     x = np.arange(-120.0, 120.0, h)
-    phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+    phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
     times = np.array([0.0, 0.1, 0.2, 0.3])
     fld = group_multi(phi, times)
     i0 = fld.index_of_zero()
     tr = group_trace_history(phi, times)
     assert np.abs(tr - fld.levels[:, i0]).max() <= 1e-10
+
+
+TRACE_LADDER_ENTRIES = {
+    "trace_d0": lambda phi, times, **kw: group_trace_history(phi, times, 0, **kw),
+    "trace_d1": lambda phi, times, **kw: group_trace_history(phi, times, 1, **kw),
+    "trace_d2": lambda phi, times, **kw: group_trace_history(phi, times, 2, **kw),
+    "group": lambda phi, times, **kw: group_multi(phi, times, **kw).levels,
+    "duhamel": lambda phi, times, **kw: duhamel_inhomog(SpaceTimeField(
+        phi.origin, phi.spacing, times[1] - times[0],
+        np.outer(np.cos(times), phi.samples)), **kw).levels,
+}
+
+
+@pytest.mark.parametrize("entry", TRACE_LADDER_ENTRIES)
+def test_trace_ladder_gives_the_output_times(entry):
+    # a ladder whose output times are every 20th of 501 trace times: each
+    # entry returns its values at the output times, as it does given no
+    # ladder; the two phase pairs (over the trace, over the output times)
+    # round differently, far below the bound
+    h = 0.05
+    x = np.arange(-20.0, 20.0 + h / 2, h)
+    phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
+    ladder = Ladder.over(phi, 0.5, 1e-3, 26)
+    call = TRACE_LADDER_ENTRIES[entry]
+    want = call(phi, ladder.times)
+    got = call(phi, ladder.times, ladder=ladder)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _other_ladders(phi, times):
@@ -404,7 +433,7 @@ class TestTracePhases:
     def test_prebuilt_matrix_gives_the_same_history(self, kind, deriv):
         h = 0.05
         x = np.arange(-60.0, 60.0, h)
-        prof = gaussian_profile(x, 1.0, 3.0, 1.2)
+        prof = InitialProfile("gaussian", 1.0, 3.0, 1.2)(x)
         if kind == "complex":
             prof = prof * np.exp(0.7j * x)
         phi = GridFunction(x[0], h, prof)
@@ -428,8 +457,9 @@ class TestTracePhases:
         # holds them
         h = 0.05
         x = np.arange(-30.0, 30.0, h)
-        prof = gaussian_profile(x, 1.0, 3.0, 1.2)
-        flux = np.outer(np.linspace(0.0, 1.0, 11), gaussian_profile(x, 0.5, -2.0, 0.8))
+        prof = InitialProfile("gaussian", 1.0, 3.0, 1.2)(x)
+        flux = np.outer(np.linspace(0.0, 1.0, 11),
+                        InitialProfile("gaussian", 0.5, -2.0, 0.8)(x))
         if kind == "complex":
             prof, flux = prof * np.exp(0.7j * x), flux * (1.0 - 0.4j)
         phi = GridFunction(x[0], h, prof)
@@ -446,7 +476,7 @@ class TestTracePhases:
     def test_mismatched_output_table_rejected(self):
         h = 0.05
         x = np.arange(-30.0, 30.0, h)
-        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
         w = SpaceTimeField(x[0], h, 0.02, np.zeros((11, x.size)))
         for bad in _other_ladders(phi, w.times):
             bad.phases, bad.weights = bad.output_phases(), bad.duhamel_weights()
@@ -458,7 +488,7 @@ class TestTracePhases:
     def test_mismatched_matrix_rejected(self):
         h = 0.05
         x = np.arange(-60.0, 60.0, h)
-        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
         times = 1e-3 * np.arange(11)
         for bad in _other_ladders(phi, times):
             bad.pair = bad.phase_pair()
@@ -471,7 +501,7 @@ class TestTracePhases:
         # derivative no caller asks for
         h = 0.05
         x = np.arange(-60.0, 60.0, h)
-        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
         with pytest.raises(DomainError, match="deriv"):
             group_trace_history(phi, 1e-3 * np.arange(11), deriv)
 
@@ -482,7 +512,7 @@ class TestTracePhases:
     def test_ladder_must_be_uniform_from_zero(self, times):
         h = 0.05
         x = np.arange(-60.0, 60.0, h)
-        phi = GridFunction(x[0], h, gaussian_profile(x, 1.0, 3.0, 1.2))
+        phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
         with pytest.raises(ContractError):
             Ladder(phi, times)
         with pytest.raises(ContractError):
@@ -512,9 +542,9 @@ class TestTracePhases:
         monkeypatch.setattr(linops, "ladder_phases", counting_pairs)
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
-        u0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.5, -8.0, 1.2))
-        v0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.4, 7.0, 1.1))
-        w0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.3, 9.0, 1.3))
+        u0 = GridFunction(gx[0], h, InitialProfile("gaussian", 0.5, -8.0, 1.2)(gx))
+        v0 = GridFunction(gx[0], h, InitialProfile("gaussian", 0.4, 7.0, 1.1)(gx))
+        w0 = GridFunction(gx[0], h, InitialProfile("gaussian", 0.3, 9.0, 1.3)(gx))
         vertex.assemble_linear_solution(
             u0, v0, w0, vertex.VertexCoupling.special_type1(1.0, 1.0, 0.0, 0.0),
             vertex.LambdaVector(0.05, 0.3, 0.05, 0.05), T=0.05, n_levels=11,

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ygraph.errors import ContractError, DomainError, SingularMatrixError
 from ygraph.forcing import SMOOTH_FIT_WINDOW, smooth_window
 from ygraph.fracops import TimeTrace, vertex_limit
+from ygraph.graphsim import InitialProfile
 from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, frequencies,
-                           gaussian_profile, group_multi)
+                           group_multi)
 from ygraph.vertex import (BoundaryMatrix, CouplingKind, LambdaVector,
                            VertexCoupling, admissible_scan, admissible_window,
                            anchor_lambda, assemble_linear_solution,
@@ -192,9 +193,9 @@ class TestSolveGamma:
 def assembled():
     h = 0.025
     gx = np.arange(-40.0, 40.0, h)
-    u0 = GridFunction(gx[0], h, gaussian_profile(gx, 1.0, -8.0, 1.2))
-    v0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.7, 7.0, 1.1))
-    w0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.5, 9.0, 1.3))
+    u0 = GridFunction(gx[0], h, InitialProfile("gaussian", 1.0, -8.0, 1.2)(gx))
+    v0 = GridFunction(gx[0], h, InitialProfile("gaussian", 0.7, 7.0, 1.1)(gx))
+    w0 = GridFunction(gx[0], h, InitialProfile("gaussian", 0.5, 9.0, 1.3)(gx))
     lam = LambdaVector(0.05, 0.3, 0.05, 0.05, s=0.0)
     sol = assemble_linear_solution(u0, v0, w0, C_UNIT, lam, T=0.5,
                                    n_levels=26, trace_dt=1e-3)
@@ -216,7 +217,7 @@ class TestAssemble:
         # solution matches the free evolution
         h = 0.025
         gx = np.arange(-40.0, 40.0, h)
-        u0 = GridFunction(gx[0], h, gaussian_profile(gx, 1.0, -15.0, 1.0))
+        u0 = GridFunction(gx[0], h, InitialProfile("gaussian", 1.0, -15.0, 1.0)(gx))
         z = GridFunction(gx[0], h, np.zeros(gx.size))
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
         sol = assemble_linear_solution(u0, z, z, C_UNIT, lam, T=0.5,
@@ -246,8 +247,8 @@ class TestAssemble:
         # free evolutions glued with no boundary forcing violate coupling
         h = 0.025
         gx = np.arange(-40.0, 40.0, h)
-        u0 = GridFunction(gx[0], h, gaussian_profile(gx, 1.0, -8.0, 1.2))
-        v0 = GridFunction(gx[0], h, gaussian_profile(gx, 0.7, 7.0, 1.1))
+        u0 = GridFunction(gx[0], h, InitialProfile("gaussian", 1.0, -8.0, 1.2)(gx))
+        v0 = GridFunction(gx[0], h, InitialProfile("gaussian", 0.7, 7.0, 1.1)(gx))
         times = assembled.times
         fake = LinearSolution(
             u=group_multi(u0, times), v=group_multi(v0, times),
@@ -259,7 +260,7 @@ class TestAssemble:
     def test_compatibility_gate(self):
         h = 0.05
         gx = np.arange(-20.0, 20.0, h)
-        u0 = GridFunction(gx[0], h, gaussian_profile(gx, 1.0, 0.0, 2.0))
+        u0 = GridFunction(gx[0], h, InitialProfile("gaussian", 1.0, 0.0, 2.0)(gx))
         u_vertex = u0.samples[u0.index_of_zero()]
         assert compatibility_deviation(C_UNIT, u_vertex, 0.0, 0.0) == \
             pytest.approx(1.0)
@@ -310,7 +311,7 @@ class TestAssemble:
         # the stored levels (curvature scale 0.0097 against 0.031 here).
         h = 0.0125
         gx = np.arange(-20.0, 20.0, h)
-        data = [GridFunction(gx[0], h, gaussian_profile(gx, a, c, wd))
+        data = [GridFunction(gx[0], h, InitialProfile("gaussian", a, c, wd)(gx))
                 for a, c, wd in ((1.0, -8.0, 1.2), (0.7, 7.0, 1.1), (0.5, 9.0, 1.3))]
         lam = LambdaVector(0.05, 0.3, 0.05, 0.05)
         sols = [assemble_linear_solution(*data, C_UNIT, lam, T=0.3, n_levels=n,
