@@ -45,6 +45,7 @@ from .linops import GridFunction, Ladder, SpaceTimeField, frequencies
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
+_SIMPSON_ROWS = 32    # kernel-matrix rows gathered per Simpson sum
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,8 @@ def _ratio_table(n, i0, n_sig):
     Entry (i, j - 1) is A(k h / sigma_j) with k = i - i0 and j = 1..n_sig,
     which equals the entry of the reduced pair (k/g, j/g), g = gcd(k, j).
     Returns the coprime pairs (p, q) in ascending order of p/q and, for
-    every entry, the slot of its reduced pair among them.
+    every entry, the slot of its reduced pair among them; q and the slots
+    are ``np.intp``, the index type gathers are fastest with.
     """
     itype = np.int32 if n * n_sig < 2 ** 31 else np.int64
     k = np.arange(-i0, n - i0, dtype=itype)[:, None]
@@ -67,9 +69,9 @@ def _ratio_table(n, i0, n_sig):
     coprime = g == 1
     p, q = (np.broadcast_to(a, g.shape)[coprime] for a in (k, j))
     order = np.argsort(p / q)
-    p, q = p[order], q[order]
-    slot = np.empty(n * n_sig, dtype=itype)
-    slot[(p + i0) * n_sig + (q - 1)] = np.arange(p.size, dtype=itype)
+    p, q = p[order], q[order].astype(np.intp)
+    slot = np.empty(n * n_sig, dtype=np.intp)
+    slot[(p + i0) * n_sig + (q - 1)] = np.arange(p.size)
     return p, q, slot[reduced]
 
 
@@ -80,8 +82,10 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
     x is measured from the zero node, x = k h, so the kernel matrix entry
     A(k h / s_j) depends on k/j alone.  The reuse rule: each level makes one
     call of ``airy_scaled`` at (p h) / s_q for the coprime pairs (p, q) of
-    :func:`_ratio_table`, which are ascending because s > 0, and gathers the
-    (n, 2P) matrix by slot before the Simpson sum.  The caller checks ``times``.
+    :func:`_ratio_table`, which are ascending because s > 0.  The Simpson
+    sum runs ``_SIMPSON_ROWS`` rows at a time, each block of the (n, 2P)
+    matrix gathered by slot; a row's sum does not depend on its block, so
+    the whole matrix is never built.  The caller checks ``times``.
     """
     n_nodes = 2 * DEFAULT_PANELS + 1
     p, q, slot = _ratio_table(len(grid), grid.index_of_zero(), n_nodes - 1)
@@ -104,8 +108,11 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
         fvals = np.interp(t - sig[1:] ** 3, tf, fs.real)
         if is_c:
             fvals = fvals + 1j * np.interp(t - sig[1:] ** 3, tf, fs.imag)
-        kmat = airy_scaled(ph / sig[q])[slot]
-        levels[m] = 9.0 * (kmat * (sig[1:] * w[1:] * fvals)).sum(axis=1)
+        kernel = airy_scaled(ph / sig[q])
+        vec = sig[1:] * w[1:] * fvals
+        for first in range(0, len(grid), _SIMPSON_ROWS):
+            rows = slice(first, first + _SIMPSON_ROWS)
+            levels[m, rows] = 9.0 * (kernel[slot[rows]] * vec).sum(axis=1)
     dt_out = times[1] - times[0]
     return SpaceTimeField(grid.origin, grid.spacing, dt_out, levels)
 

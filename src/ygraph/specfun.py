@@ -28,7 +28,11 @@ decaying regions are consecutive slices, found by ``searchsorted``, and each
 band of zeta is a contiguous run within its region.  Unordered input is
 argsorted once and the values are scattered back; every element takes the
 same operations wherever it sits, so its value does not depend on the order
-or shape of the input.
+or shape of the input.  Each region is evaluated in consecutive blocks of
+``_BLOCK`` arguments, so the dozen temporaries of a pass stay in a 2 MB L2
+cache instead of streaming from L3.  A block is itself ascending, so its
+band cuts are found by ``searchsorted`` within it; by the rule above, the
+block length changes no value, bitwise.
 
 Against mpmath over |x| <= 30 the worst absolute errors are ~3e-12 for A
 and ~6e-12 for A', both near z = 6.6, where the Maclaurin seeds cancel.  No
@@ -62,6 +66,10 @@ _N_CELLS = math.ceil(_Z_SWITCH * _CELLS_PER_UNIT)
 # The oscillation phase zeta = (2/3)|z|**1.5 carries no digits from 2**53 on.
 _ZETA_MAX = 2.0 ** 53
 X_MIN = -_CBRT3 * (1.5 * _ZETA_MAX) ** (2.0 / 3.0)
+# Arguments per block: each region is evaluated in consecutive blocks of this
+# many, so the temporaries of one pass stay in a 2 MB L2 cache (chosen by a
+# sweep of 4,096 to 65,536 on the forcing_quadrature arguments).
+_BLOCK = 16384
 # exp(-zeta) underflows to 0 from zeta ~ 745.1 (z ~ 107.7) on; arguments are
 # clipped here before zeta is formed so that it never overflows.
 _Z_DEAD = 1e3
@@ -224,8 +232,9 @@ def _ai(z, deriv):
     """Ai(z) and, if deriv, Ai'(z) (else None) on an array of finite z >= X_MIN / 3**(1/3).
 
     The oscillatory, Taylor and decaying regions are consecutive slices of
-    the ascending arguments; unordered input is argsorted once and its values
-    are scattered back, so each value is the same whatever its position.
+    the ascending arguments, each evaluated ``_BLOCK`` arguments at a time;
+    unordered input is argsorted once and its values are scattered back, so
+    each value is the same whatever its position.
     """
     flat = z.reshape(-1)
     order = None
@@ -236,9 +245,10 @@ def _ai(z, deriv):
     hi = np.searchsorted(flat, _Z_SWITCH, side="right")
     ai = np.empty_like(flat)
     aip = np.empty_like(flat) if deriv else None
-    for part, cut in ((_ai_oscillatory, slice(0, lo)), (_ai_taylor, slice(lo, hi)),
-                      (_ai_decaying, slice(hi, flat.size))):
-        if cut.stop > cut.start:
+    for part, start, stop in ((_ai_oscillatory, 0, lo), (_ai_taylor, lo, hi),
+                              (_ai_decaying, hi, flat.size)):
+        for first in range(start, stop, _BLOCK):
+            cut = slice(first, min(first + _BLOCK, stop))
             at = cut if order is None else order[cut]
             a, ap = part(flat[cut], deriv)
             ai[at] = a

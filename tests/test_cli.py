@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ygraph
+from ygraph import cli
 from ygraph.cli import main, parse_config, read_field_csv, read_trace_csv
 from ygraph.errors import ConfigError, DomainError
 from ygraph.forcing import check_class_order, forcing_class
@@ -729,6 +730,56 @@ class TestOtherCommands:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), nrows=st.integers(0, 12),
+       kinds=st.lists(st.sampled_from(["int", "bool", "axis", "value", "complex"]),
+                      min_size=1, max_size=5),
+       rows_per_format=st.sampled_from([1, 5, cli._ROWS_PER_FORMAT]))
+def test_table_writer_matches_one_format_per_row(data, nrows, kinds, rows_per_format):
+    # the writer formats a block of rows with one %; formatting each row
+    # alone must give the same bytes, for %d columns, signed zeros,
+    # subnormals, extreme magnitudes and the re/im columns of a complex
+    # field, whatever the block length
+    def per_row(columns, formats):
+        row = ",".join(formats) + "\n"
+        rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+        return ",".join(columns) + "\n" + "".join(row % r for r in rows)
+
+    def column(elements):
+        return data.draw(st.lists(elements, min_size=nrows, max_size=nrows))
+
+    columns, formats = {}, []
+    for i, kind in enumerate(kinds):
+        if kind == "int":
+            columns[f"n{i}"], fmt = column(st.integers(-2 ** 63, 2 ** 63 - 1)), "%d"
+        elif kind == "bool":
+            columns[f"b{i}"], fmt = np.array(column(st.booleans()), dtype=bool), "%d"
+        elif kind == "complex":
+            z = np.array(column(CSV_FLOATS)) + 1j * np.array(column(CSV_FLOATS))
+            columns[f"re{i}"], columns[f"im{i}"], fmt = z.real, z.imag, cli._VALUE
+            formats.append(fmt)
+        else:
+            columns[f"{kind}{i}"] = np.array(column(CSV_FLOATS), dtype=float)
+            fmt = cli._AXIS if kind == "axis" else cli._VALUE
+        formats.append(fmt)
+    coords = np.array(column(CSV_FLOATS), dtype=float)
+    samples = np.array(column(CSV_FLOATS)) + 1j * np.array(column(CSV_FLOATS))
+    want = per_row({"x": coords, "re": samples.real, "im": samples.imag},
+                   (cli._AXIS, cli._VALUE, cli._VALUE))
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(cli, "_ROWS_PER_FORMAT", rows_per_format)
+        out = io.StringIO()
+        cli._write_table(out, columns, formats)
+        assert out.getvalue() == per_row(columns, formats)
+        path = Path(tmp) / "field.csv"
+        cli._write_csv(path, "x", coords, samples)
+        assert path.read_text() == want
 
 
 def test_import_leaves_out_heavy_scipy_modules():

@@ -295,3 +295,29 @@ class TestGamma:
     def test_non_finite(self):
         with pytest.raises(DomainError):
             gamma_fn(float("nan"))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.sampled_from(list(SEAMS)),
+                                 st.floats(-60.0, 60.0),
+                                 st.floats(X_MIN, 1e300)),
+                       max_size=40),
+       block=st.sampled_from([1, 3, 7]), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocks_do_not_change_any_value(values, block, seed):
+    # each region is evaluated in blocks of specfun._BLOCK ascending
+    # arguments; every block length must give the one-block values bitwise,
+    # on input that crosses the seams and all three regions, in any order
+    # and shape
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([values, [-30.0, 0.0, 30.0],
+                        rng.choice(SEAMS, 9 + -len(values) % 3)])
+    for arg in (x, np.sort(x), x.reshape(3, -1), np.sort(x).reshape(-1, 3).T):
+        for f in KERNELS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(specfun, "_BLOCK", arg.size)
+                whole = _outputs(f, arg)
+                mp.setattr(specfun, "_BLOCK", block)
+                blocked = _outputs(f, arg)
+            for got, want in zip(blocked, whole):
+                assert got.shape == arg.shape
+                assert got.tobytes() == want.tobytes()
