@@ -23,11 +23,15 @@ Two evaluation routes are provided and cross-checked by the test suite:
   extraction and residual checks meaningful.
 
 The generalized classes convolve V output with one-sided power kernels
-x_+^{lambda-1}/Gamma(lambda) (minus class) or their reflected complex
-counterparts (plus class) by product integration, reusing the fractional
-integration weights.  :func:`forcing_class` is the one entry point: V is
-the lambda = 0 minus class and its companion V^{-1} the lambda = -1 minus
-class.
+x_+^{lambda-1}/Gamma(lambda) (minus class) or their reflections (plus class)
+by product integration, reusing the fractional integration weights.  Each
+class is built by one phase-free core, :func:`phase_free_class`: every
+operator in it is real, so its field has the dtype of the trace, and a real
+trace runs the half spectrum and the real convolution.
+:func:`forcing_class` is the one public class: the core for the minus
+class, the core times the phase e^{i pi lambda} (:func:`plus_trace_factor`)
+for the plus class.  V is the lambda = 0 minus class and its companion
+V^{-1} the lambda = -1 minus class.
 """
 
 from __future__ import annotations
@@ -180,8 +184,8 @@ def filon_tables(ladder: Ladder):
     return (pw[q].copy(), pw[s % q].copy()), tuple(coefs)
 
 
-def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
-                 real: bool) -> SpaceTimeField:
+def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol,
+                 window: bool) -> SpaceTimeField:
     """The one Filon recurrence of the spectral routes.
 
     phi(t) = int_0^t exp(i (t-t') xi^3) f(t') dt' advances exactly per cell
@@ -193,7 +197,9 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
     level is ifft(3 phi mult), mult = symbol(xi) e^{i xi origin} / spacing,
     times :func:`smooth_window` if ``window``; ``symbol`` is called only after
     the tables are built (unless ``ladder`` holds them), the allocation order
-    construct's peak RSS was measured with.  ``real`` keeps the real part.
+    construct's peak RSS was measured with.  Every symbol of the chain is
+    Hermitian, so a real trace gives a real field: it runs on the half
+    spectrum, and ``irfft`` returns a float64 stack that owns its data.
     """
     times, n, s = ladder.times, ladder.n, ladder.stride
     (pq, pr), (cq, cr) = filon_tables(ladder) if ladder.filon is None else ladder.filon
@@ -201,13 +207,17 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
     mult = symbol(xi) * np.exp(1j * xi * ladder.origin) / ladder.spacing
     if window:
         mult = mult * smooth_window(n, ladder.spacing)
+    real = not smoothed.is_complex
+    if real:    # the half spectrum: the rest is its conjugate
+        half = np.s_[:n // 2 + 1]
+        pq, pr, cq, cr, mult = pq[half], pr[half], cq[:, half], cr[:, half], mult[half]
     q = len(cq) - 1
     (nb, r), first = divmod(s, q), s * np.arange(len(times) - 1)
     cells = np.lib.stride_tricks.sliding_window_view   # c + 1 samples from each node
     blocks = (first[:, None] + q * np.arange(nb)).ravel()
-    full = (cells(smoothed.samples, q + 1)[blocks] @ cq).reshape(-1, nb, n)
+    full = (cells(smoothed.samples, q + 1)[blocks] @ cq).reshape(-1, nb, mult.size)
     rest = cells(smoothed.samples, r + 1)[first + nb * q] @ cr if r else None
-    levels = np.zeros((len(times), n), dtype=complex)   # level 0 (t = 0) stays zero
+    levels = np.zeros((len(times), mult.size), dtype=complex)   # level 0 (t = 0) stays zero
     for k in range(len(times) - 1):
         phi = levels[k]
         for g in full[k]:
@@ -216,9 +226,10 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol, window: bool,
     del full, rest     # then scale and transform in place
     levels *= 3.0
     levels *= mult
-    np.fft.ifft(levels, axis=1, out=levels)
     if real:
-        levels = levels.real
+        levels = np.fft.irfft(levels, n, axis=1)
+    else:
+        np.fft.ifft(levels, axis=1, out=levels)
     return SpaceTimeField(ladder.origin, ladder.spacing, ladder.out_dt, levels)
 
 
@@ -238,7 +249,7 @@ def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
         raise DomainError(f"unknown window {window!r}")
     ladder = Ladder(grid, times, smoothed.dt, len(smoothed)).fit(ladder)
     return _filon_field(smoothed, ladder, lambda xi: (1j * xi) ** deriv,
-                        window == "smooth", not smoothed.is_complex)
+                        window == "smooth")
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +304,28 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
 
     lam in (-2, 1).  Order 0 is V; negative orders follow the reduction
     d^k/dx^k of the order lam+k class applied to I_{k/3} g, so order -1 of
-    the minus class is the companion V^{-1}.  The plus class carries the
-    complex phase e^{i pi lam}.  The grid must have an interior node at 0.
-    ``ladder`` may hold the Filon tables (:meth:`linops.Ladder.fit`).
+    the minus class is the companion V^{-1}.  The minus class is
+    :func:`phase_free_class`; the plus class is that field times its complex
+    phase :func:`plus_trace_factor` (lam).  The grid must have an interior
+    node at 0.  ``ladder`` may hold the Filon tables (:meth:`linops.Ladder.fit`).
+    """
+    fld = phase_free_class(lam, sign, g, grid, times, method, ladder)
+    if sign == "minus":
+        return fld
+    return SpaceTimeField(fld.origin, fld.spacing, fld.dt,
+                          plus_trace_factor(lam) * fld.levels)
+
+
+def phase_free_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
+                     times, method: str = "spectral", ladder=None) -> SpaceTimeField:
+    """:func:`forcing_class` without the plus-class phase e^{i pi lam}.
+
+    Every operator here is real -- the fractional smoothing, the Filon field
+    of a Hermitian symbol, the one-sided convolution and the x-derivatives --
+    so the field has the dtype of ``g``: a real trace gives a float64 field
+    and runs the half spectrum and the real convolution.  Its plus-class
+    vertex value is g(t) itself; :func:`vertex.solve_vertex` solves for
+    e^{i pi lam} gamma and forces the plus edges through this field.
     """
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
@@ -317,8 +347,7 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
         # class field decays on both sides, so the multiplier route is exact
         # where the x-space convolution would have to differentiate through
         # the vertex
-        return _filon_field(smoothed, ladder, _class_symbol(lam, sign),
-                            lam < -1.0, sign == "minus" and not smoothed.is_complex)
+        return _filon_field(smoothed, ladder, _class_symbol(lam, sign), lam < -1.0)
     if method == "spectral":
         base = spectral_forcing_field(smoothed, grid, times, ladder=ladder)
     else:
@@ -327,32 +356,32 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
 
 
 def _convolved_class(base: SpaceTimeField, lam: float, sign: str) -> SpaceTimeField:
-    """Class field of order lam from the base field V: the power kernel at
-    order lam + k, k = max(0, ceil(-lam)), then k x-derivatives.  The
-    convolution overwrites the levels of ``base``, the caller's temporary."""
+    """Phase-free class field of order lam from the base field V: the power
+    kernel at order lam + k, k = max(0, ceil(-lam)), then k x-derivatives,
+    negated for the plus class when k is odd (its phase e^{i pi (lam + k)}
+    is e^{i pi lam} (-1)^k).  The convolution overwrites the levels of
+    ``base``, the caller's temporary."""
     k = max(0, math.ceil(-lam))
-    levels = base.levels.astype(complex, copy=False) if sign == "plus" else base.levels
+    levels = base.levels
     if lam + k > 0.0:
         levels = _one_sided_convolve(levels, base.spacing, lam + k,
                                      from_left=(sign == "minus"))
-        if sign == "plus":
-            np.multiply(cmath.exp(1j * math.pi * (lam + k)), levels, out=levels)
     if k:
         levels = sampled_derivative(levels, base.spacing, k)
+        if sign == "plus" and k % 2:
+            np.negative(levels, out=levels)
     return SpaceTimeField(base.origin, base.spacing, base.dt, levels)
 
 
 def _class_symbol(lam: float, sign: str):
     """Fourier symbol of the power kernel of a negative-order class.
 
-    x_+^{lam-1}/Gamma(lam) has transform (i xi)^{-lam}; the reflected
-    complex kernel of the plus class contributes e^{i pi lam} (-i xi)^{-lam}.
-    At lam = -1 both reduce to the plain derivative multiplier i xi.
+    x_+^{lam-1}/Gamma(lam) has transform (i xi)^{-lam}; the reflected kernel
+    of the plus class, without its phase e^{i pi lam}, has (-i xi)^{-lam}.
+    Both are Hermitian.  At lam = -1 they are i xi and -i xi.
     """
-    phase, turn = ((1.0, -1j) if sign == "minus"
-                   else (cmath.exp(1j * math.pi * lam), 1j))
-    return lambda xi: (phase * np.abs(xi) ** (-lam)
-                       * np.exp(turn * lam * 0.5 * math.pi * np.sign(xi)))
+    turn = -1j if sign == "minus" else 1j
+    return lambda xi: np.abs(xi) ** (-lam) * np.exp(turn * lam * 0.5 * math.pi * np.sign(xi))
 
 
 def minus_trace_factor(lam: float) -> float:

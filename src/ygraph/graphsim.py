@@ -126,14 +126,15 @@ class ScenarioConfig:
             problems.append("sponge_fraction must lie in [0, 0.3]")
         if not 0.0 <= self.sponge_strength < math.inf:
             problems.append("sponge_strength must be finite and >= 0")
-        if self.coupling is not None and \
-                self.coupling.kind is CouplingKind.TYPE1:
+        if self.coupling is not None:
             dev = compatibility_deviation(
                 self.coupling, float(self.initial_u(0.0)),
                 float(self.initial_v(0.0)), float(self.initial_w(0.0)))
+            law = ("u0(0) = a2 v0(0) = a3 w0(0)" if self.coupling.kind is CouplingKind.TYPE1
+                   else "u0(0) = a2 v0(0) + a3 w0(0)")
             if not dev <= COMPATIBILITY_TOL:
                 problems.append(
-                    f"type-1 initial data violate u0(0) = a2 v0(0) = a3 w0(0) "
+                    f"type-{self.coupling.kind.value} initial data violate {law} "
                     f"by {dev:.2e} (tolerance {COMPATIBILITY_TOL:.0e})")
         return problems
 

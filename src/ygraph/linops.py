@@ -307,8 +307,9 @@ def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL,
     in t' over levels 0..m (3/8 closure for an odd interval count), with
     the phase split as exp(i t_m xi^3) exp(-i t_j xi^3).  One batched FFT,
     one phase matrix, one lower-triangular (M x M) @ (M x n) product and
-    one batched inverse FFT serve all levels; ``ladder`` may hold the phase
-    matrix and the weights (:meth:`Ladder.fit`).
+    one batched inverse FFT serve all levels, on the half spectrum for real
+    levels; ``ladder`` may hold the phase matrix and the weights
+    (:meth:`Ladder.fit`).
     """
     levels = w.levels
     ladder = Ladder(w.level(0), w.times).fit(ladder)
@@ -316,11 +317,13 @@ def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL,
     bad = np.flatnonzero(ends > decay_tol)
     if bad.size:
         _check_decay(w.level(int(bad[0])), decay_tol)
-    phases = ladder.output_phases()
-    spec = ladder.duhamel_weights() @ (phases.conj() * np.fft.fft(levels, axis=1))
-    acc = np.fft.ifft(phases * spec, axis=1)
-    return SpaceTimeField(w.origin, w.spacing, w.dt,
-                          acc if levels.dtype.kind == "c" else acc.real)
+    real = levels.dtype.kind != "c"     # real levels: the half spectrum
+    spec = (np.fft.rfft if real else np.fft.fft)(levels, axis=1)
+    phases = ladder.output_phases()[:, :spec.shape[1]]
+    spec = ladder.duhamel_weights() @ (phases.conj() * spec)
+    spec *= phases
+    acc = np.fft.irfft(spec, levels.shape[1], axis=1) if real else np.fft.ifft(spec, axis=1)
+    return SpaceTimeField(w.origin, w.spacing, w.dt, acc)
 
 
 def _ladder_weights(n_t: int, dt: float) -> np.ndarray:

@@ -4,7 +4,10 @@ from boundary forcing classes.
 The 4x4 matrix collects the vertex trace coefficients of the four forcing
 terms (columns ordered gamma_1, gamma_3, gamma_4, gamma_2); inverting it
 against the free-evolution trace data yields the boundary forcers that make
-the assembled field satisfy the coupling relations.
+the assembled field satisfy the coupling relations.  The only complex number
+in it is the plus-class phase e^{i pi lambda}; the solve folds it into the
+plus unknowns, so the system, the traces and the assembled fields of real
+data are real.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .fracops import TimeTrace, riemann_liouville, vertex_limit
 from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     free_vertex_traces, group_multi
 from .forcing import (SMOOTH_FIT_WINDOW, filon_tables, forcing_class,
-                      minus_trace_factor, plus_trace_factor, smooth_window)
+                      minus_trace_factor, phase_free_class, plus_trace_factor,
+                      smooth_window)
 
 DET_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-8
@@ -244,7 +248,8 @@ def solve_gamma(m: BoundaryMatrix, rhs) -> tuple:
 
     ``rhs`` is the four right-hand-side TimeTraces in row order; returns the
     four boundary traces in physical order (gamma_1, gamma_2, gamma_3,
-    gamma_4), undoing the paper-ordered solution columns.
+    gamma_4), undoing the paper-ordered solution columns.  The solve runs in
+    the dtype of the matrix and the right-hand side: real for both real.
     """
     r1, r2, r3, r4 = rhs
     if not (len(r1) == len(r2) == len(r3) == len(r4)) or \
@@ -255,7 +260,7 @@ def solve_gamma(m: BoundaryMatrix, rhs) -> tuple:
         raise SingularMatrixError(
             f"vertex matrix numerically singular, |det| = {abs(d):.3e}", det=d)
     stacked = np.stack([r1.samples, r2.samples, r3.samples, r4.samples])
-    sol = np.linalg.solve(m.entries, stacked.astype(complex))
+    sol = np.linalg.solve(m.entries, stacked)
     resid = np.abs(m.entries @ sol - stacked).max()
     scale = max(np.abs(stacked).max(), 1e-300)
     if resid > 1e-9 * scale:
@@ -289,8 +294,9 @@ class LinearSolution:
     def imag_residual(self) -> float:
         """Largest imaginary part across the assembled fields.
 
-        Real data should produce essentially real solutions; the complex
-        plus-class kernels make this a diagnostic rather than a certainty.
+        Exactly 0.0 for real data: the plus-class phase is folded into the
+        boundary traces, so real data assemble float64 fields.  Complex data
+        give the largest imaginary part of their complex fields.
         """
         return float(max(np.abs(f.levels.imag).max() if
                          np.iscomplexobj(f.levels) else 0.0
@@ -319,6 +325,16 @@ def compatibility_deviation(coupling: VertexCoupling, u, v, w) -> float:
     return float(np.max(np.abs(devs)))
 
 
+def _fold_plus_phases(m: BoundaryMatrix) -> BoundaryMatrix:
+    """``m`` for the unknowns (g1, e^{i pi lam_3} g3, e^{i pi lam_4} g4, g2):
+    the plus columns divided by :func:`forcing.plus_trace_factor` of their
+    orders.  Their entries become c plus_trace_factor(lam - j) /
+    plus_trace_factor(lam) = c (-1)^j, so the matrix is real; the division
+    leaves |det| and the row norms as they were."""
+    unit = np.array([1.0, plus_trace_factor(m.lam.l3), plus_trace_factor(m.lam.l4), 1.0])
+    return BoundaryMatrix(entries=(m.entries / unit).real, lam=m.lam, coupling=m.coupling)
+
+
 def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces, base,
                  ladder: Ladder):
     """Solve for the boundary traces and add their forcing classes to ``base``.
@@ -327,8 +343,14 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces, base,
     derivative of the fields the forcing corrects, sampled on the trace of
     ``ladder``; the slope and curvature rows enter through Riemann-Liouville
     integrals of order 1/3 and 2/3.  ``base`` holds the u, v, w levels at its
-    output times.  Returns the matrix, the traces (gamma_1, ..., gamma_4) and
-    the three superposed level stacks.
+    output times.  The plus-class phase e^{i pi lam_k} is folded into the
+    unknown, p_k = e^{i pi lam_k} gamma_k (:func:`_fold_plus_phases`), so the
+    plus edges take the phase-free class of p_k
+    (:func:`forcing.phase_free_class`) and every step runs in the dtype of the
+    traces: real data give real boundary traces and float64 fields.  Returns
+    the matrix of :func:`build_matrix`, the physical traces (gamma_1, ...,
+    gamma_4), gamma_k = p_k e^{-i pi lam_k} on the plus edges, and the three
+    superposed level stacks.
     """
     f0, d_raw, s_raw = traces
     d0 = [riemann_liouville(TimeTrace(ladder.dt, d, True), 1.0 / 3.0).samples
@@ -337,15 +359,17 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces, base,
           for q in s_raw]
     rhs = [TimeTrace(ladder.dt, r, True) for r in _build_rhs(coupling, f0, d0, s0)]
     m = build_matrix(coupling, lam)
-    gammas = g1, g2, g3, g4 = solve_gamma(m, rhs)
+    g1, g2, p3, p4 = solve_gamma(_fold_plus_phases(m), rhs)
 
-    def fc(lam_k, sign, g):
-        return forcing_class(lam_k, sign, g, ladder.grid, ladder.times,
-                             ladder=ladder).levels
+    def fc(cls, lam_k, sign, g):
+        return cls(lam_k, sign, g, ladder.grid, ladder.times, ladder=ladder).levels
 
-    fields = [base[0] + fc(lam.l1, "minus", g1) + fc(lam.l2, "minus", g2),
-              base[1] + fc(lam.l3, "plus", g3),
-              base[2] + fc(lam.l4, "plus", g4)]
+    fields = [base[0] + fc(forcing_class, lam.l1, "minus", g1)
+              + fc(forcing_class, lam.l2, "minus", g2),
+              base[1] + fc(phase_free_class, lam.l3, "plus", p3),
+              base[2] + fc(phase_free_class, lam.l4, "plus", p4)]
+    gammas = (g1, g2, *(TimeTrace(p.dt, p.samples / plus_trace_factor(lam_k), True)
+                        for p, lam_k in ((p3, lam.l3), (p4, lam.l4))))
     return m, gammas, fields
 
 

@@ -117,3 +117,39 @@ def test_tracer_leaves_no_stale_bindings():
         [sys.executable, "-c", GUARD, str(TRACING.parent)], capture_output=True,
         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# Run in a fresh interpreter: install the tracer, run the tiny construct and
+# picard workloads once each, and list every name of their expected_spans
+# that recorded no call in that solve.
+SPANS = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from workloads import WORKLOADS
+
+def calls():
+    return {name: s["calls"] for name, s in tracer.span_stats()[0].items()}
+
+missing = {}
+for name in ("construct", "picard"):
+    wl, before = WORKLOADS[name]("tiny"), calls()
+    with tempfile.TemporaryDirectory() as tmp:
+        wl.solve(wl.prepare(wl.draw(0.5, 0), tmp))
+    after = calls()
+    missing[name] = [s for s in wl.expected_spans
+                     if after.get(s, 0) <= before.get(s, 0)]
+print(json.dumps(missing))
+"""
+
+
+def test_traced_chain_records_every_expected_span():
+    # a refactor that routes the chain around a traced entry fails here in
+    # seconds, not only in the perfbench self-tests
+    src = Path(ygraph.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SPANS, str(TRACING.parent)], capture_output=True,
+        text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"construct": [], "picard": []}

@@ -487,25 +487,40 @@ class TestSimulate:
         assert residual[1:].max() == summary["metrics"]["max_coupling_residual"]
         assert residual[0] == summary["metrics"]["data_coupling_residual"]
 
-    def test_data_residual_reported_apart(self, tmp_path):
-        # type-2 data off the type-2 Dirichlet relation u = a2 v + a3 w: the
-        # t = 0 row carries the data's backward error |u0(0)| / (|row| |x|)
-        # with |row| = |(1, -2, -2)| = 3; every solved step meets the relations
+    @staticmethod
+    def _type2_scenario(tmp_path, u_center):
+        # type 2 with a2 = a3 = 2, only u nonzero: the data are off the
+        # Dirichlet relation u = a2 v + a3 w by u0(0)
         text = SCENARIO.replace("type = 1", "type = 2").replace(
             "a2 = 1.0\na3 = 1.0", "a2 = 2.0\na3 = 2.0").replace(
             "dt = 0.02", "dt = 0.01").replace(
             "v = gaussian amplitude=0.5 center=6 width=0.9",
-            "u = gaussian amplitude=0.8 center=-3")
-        cfgp = write(tmp_path, "scenario.cfg", text)
+            f"u = gaussian amplitude=0.5 center={u_center}")
+        return write(tmp_path, "scenario.cfg", text)
+
+    def test_data_residual_reported_apart(self, tmp_path):
+        # u0(0) = 0.5 e^{-18} = 7.6e-9 passes the 1e-8 compatibility gate; the
+        # t = 0 row carries the data's backward error |u0(0)| / (|row| |x|)
+        # with |row| = |(1, -2, -2)| = 3; every solved step meets the relations
+        cfgp = self._type2_scenario(tmp_path, -6)
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", cfgp, "--out", out,
                      "--snapshots", "1"]) == 0
         metrics = json.loads(Path(out, "summary.json").read_text())["metrics"]
         assert metrics["max_coupling_residual"] <= 1e-10
-        u0 = 0.8 * np.exp(-((np.linspace(-20.0, 0.0, 201) + 3.0) ** 2) / 2.0)
+        u0 = 0.5 * np.exp(-((np.linspace(-20.0, 0.0, 201) + 6.0) ** 2) / 2.0)
         want = u0[-1] / (3.0 * np.linalg.norm(u0))
         assert metrics["data_coupling_residual"] == pytest.approx(want, rel=1e-9)
-        assert metrics["data_coupling_residual"] == pytest.approx(8.8e-4, rel=1e-2)
+        assert metrics["data_coupling_residual"] == pytest.approx(1.2e-9, rel=2e-2)
+
+    def test_type2_incompatible_data_exit_2(self, tmp_path, capsys):
+        # u0(0) = 0.5 e^{-4.5} = 5.6e-3 is refused before any step runs
+        cfgp = self._type2_scenario(tmp_path, -3)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "type-2 initial data violate u0(0) = a2 v0(0) + a3 w0(0) by 5.55e-03" in err
+        assert not out.exists()
 
     def test_determinism(self, tmp_path):
         cfgp = write(tmp_path, "scenario.cfg", SCENARIO)

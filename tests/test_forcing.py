@@ -16,14 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from ygraph import forcing
 from ygraph.errors import ContractError, DomainError
-from ygraph.fracops import TimeTrace, riemann_liouville, sampled_derivative
+from ygraph.fracops import (TimeTrace, riemann_liouville, sampled_derivative,
+                            vertex_limit)
 from ygraph.linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
     trace_at_zero
 from ygraph.forcing import (SMOOTH_FIT_WINDOW, _filon_base, _filon_field,
                             _sigma_field, filon_tables, duhamel_forcing,
                             duhamel_forcing_deriv, forcing_class,
                             minus_trace_factor, one_sided_limits,
-                            plus_trace_factor, smooth_window,
+                            phase_free_class, plus_trace_factor, smooth_window,
                             spectral_forcing_field)
 from ygraph.specfun import airy_scaled
 
@@ -131,6 +132,35 @@ def test_class_trace_laws(g, grid, lam):
     assert em <= 5e-3
     assert ep <= 5e-3
     assert np.iscomplexobj(fp.levels)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(lam=st.floats(-2.0, 1.0, exclude_min=True, exclude_max=True),
+       method=st.sampled_from(["spectral", "simpson"]), complex_trace=st.booleans())
+def test_plus_class_carries_its_phase(lam, method, complex_trace):
+    # the plus class is plus_trace_factor(lam) times a real field for a real
+    # trace, over the whole order range; the complex path gives the same
+    # field for a complex multiple of that trace; and where the vertex law
+    # resolves on this grid (lam >= -1.25: 5e-2 at worst), its vertex value
+    # is plus_trace_factor(lam) g, not its negative.  An odd grid has no
+    # Nyquist bin, whose imaginary part a complex field would keep
+    h, t = 0.05, DT * np.arange(501)
+    grid = GridFunction(-10.0, h, np.zeros(401))
+    times = np.round(np.arange(0.0, 0.5001, 0.1), 10)
+    g = TimeTrace(DT, t ** 2 * np.exp(-t))
+    fld = forcing_class(lam, "plus", g, grid, times, method=method)
+    z = fld.levels / plus_trace_factor(lam)
+    assert np.abs(z.imag).max() <= 1e-13 * np.abs(z).max()
+    if complex_trace:
+        a = 1.0 - 0.6j
+        got = forcing_class(lam, "plus", TimeTrace(DT, a * g.samples), grid, times,
+                            method=method).levels
+        assert np.abs(got - a * fld.levels).max() <= 1e-12 * np.abs(got).max()
+    if lam >= -1.25:
+        i0, ref = grid.index_of_zero(), g_at(g, times[1:])
+        mid = 0.5 * sum(vertex_limit(fld.levels[1:], i0, h, side)
+                        for side in ("left", "right"))
+        assert np.abs(mid - plus_trace_factor(lam) * ref).max() <= 0.25 * np.abs(ref).max()
 
 
 def test_class_order_zero_reduces_to_base(g, grid):
@@ -373,10 +403,13 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
     if complex_trace:
         f = f + 1j * rng.standard_normal(f.size)
     grid = GridFunction(-6.4, h, np.zeros(n))
-    mult = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # a real trace runs the half spectrum, which reads a Hermitian symbol:
+    # there, take the transform of a real sequence
+    mult = (rng.standard_normal(n) + 1j * rng.standard_normal(n) if complex_trace
+            else np.fft.fft(rng.standard_normal(n)))
     times = stride * dt * np.arange(n_out)
     got = _filon_field(TimeTrace(dt, f), Ladder(grid, times, dt, f.size),
-                       lambda xi: mult, window, not complex_trace)
+                       lambda xi: mult, window)
 
     xi = frequencies(n, h)
     p, e0, e1 = _filon_base(xi ** 3, dt)
@@ -393,6 +426,21 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
         want = want.real
     assert np.iscomplexobj(got.levels) == complex_trace
     assert np.abs(got.levels - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lam", [-1.4, -0.5, 0.3])
+def test_real_spectral_fields_own_a_float_stack(g, grid, lam):
+    # the half-spectrum inverse transform returns a fresh float64 stack; a
+    # ``.real`` view of a complex one would keep twice its bytes alive
+    fields = [forcing_class(lam, "minus", g, grid, TIMES),
+              phase_free_class(lam, "plus", g, grid, TIMES)]
+    if lam >= 0.0:
+        fields.append(spectral_forcing_field(riemann_liouville(g, -2.0 / 3.0),
+                                             grid, TIMES))
+    for fld in fields:
+        lv = fld.levels
+        assert lv.dtype == np.float64 and lv.flags.c_contiguous
+        assert lv.base is None and lv.nbytes == len(TIMES) * len(grid) * 8
 
 
 def _filon_peak_rows(times):

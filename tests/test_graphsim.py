@@ -60,6 +60,18 @@ class TestConfig:
             small_config(initial_u=InitialProfile("gaussian", amplitude=1.0,
                                                   center=0.0, width=2.0))
 
+    def test_type2_compatibility_gate(self):
+        # u0(0) = 0.5 e^{-4.5} against v0(0) + w0(0) = 0: off by 5.6e-3
+        with pytest.raises(ContractError, match=r"type-2 .* u0\(0\) = a2 v0\(0\) \+ a3 w0\(0\)"):
+            small_config(coupling=CB2, initial_u=InitialProfile(
+                "gaussian", amplitude=0.5, center=-3.0, width=1.0))
+        # the same u with a mirrored v meets it, and so does nearly-zero data
+        small_config(coupling=CB2,
+                     initial_u=InitialProfile("gaussian", amplitude=0.5, center=-3.0),
+                     initial_v=InitialProfile("gaussian", amplitude=0.5, center=3.0))
+        small_config(coupling=CB2,
+                     initial_u=InitialProfile("gaussian", amplitude=0.5, center=-6.0))
+
     def test_profile_kinds(self):
         x = np.array([-1.0, 0.0, 1.0])
         assert np.all(InitialProfile("zero")(x) == 0.0)
@@ -114,9 +126,10 @@ def test_step_diagnostics_match_stored_states(store_every):
     cfg = ScenarioConfig(
         L=20.0, h=0.1, dt=0.01, T=0.5, coupling=CB2, mode="nonlinear",
         sponge_fraction=0.2, sponge_strength=3.0,
+        # type-2 data must meet u0(0) = v0(0) + w0(0): u and v mirror each other
         initial_u=InitialProfile("gaussian", amplitude=0.5, center=-3.0, width=1.0),
-        initial_v=InitialProfile("gaussian", amplitude=0.4, center=4.0, width=1.0),
-        initial_w=InitialProfile("gaussian", amplitude=0.3, center=5.0, width=1.0))
+        initial_v=InitialProfile("gaussian", amplitude=0.5, center=3.0, width=1.0),
+        initial_w=InitialProfile("gaussian", amplitude=0.3, center=7.0, width=1.0))
     traj = evolve(cfg, store_every=store_every)
     d = traj.diagnostics
     # stored at every store_every-th step and at T: 50 % 7 != 0 adds step 50
@@ -422,8 +435,9 @@ class TestPicard:
         # Filon tables, and the ladder holds no table on return.  The traced
         # peak, in rows of 1,600 complex values, was 234.8 for the parent
         # design (four Filon table sets, out-of-place class convolution, six
-        # inverse transforms in the check; 240.0 on a process's first call)
-        # and is ~210 now
+        # inverse transforms in the check; 240.0 on a process's first call),
+        # ~210 with complex classes, and is ~163 now that real data run
+        # real classes
         built, bases, weights = _count_tables(monkeypatch)
         L, h = 20.0, 0.025
         x = -L + h * np.arange(int(round(2 * L / h)))
