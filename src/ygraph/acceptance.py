@@ -291,9 +291,9 @@ def criterion_picard_contraction():
     tot = math.sqrt(sum(np.linalg.norm(g.samples) ** 2
                         for g in (fin.u, fin.v, fin.w)))
     dev = max(
-        float(np.linalg.norm(np.real(u_f.levels[-1][iu]) - fin.u.samples)) / tot,
-        float(np.linalg.norm(np.real(v_f.levels[-1][iv]) - fin.v.samples)) / tot,
-        float(np.linalg.norm(np.real(w_f.levels[-1][iv]) - fin.w.samples)) / tot)
+        float(np.linalg.norm(u_f.levels[-1][iu] - fin.u.samples)) / tot,
+        float(np.linalg.norm(v_f.levels[-1][iv] - fin.v.samples)) / tot,
+        float(np.linalg.norm(w_f.levels[-1][iv] - fin.w.samples)) / tot)
     ok = worst_ratio <= 0.5 and dev <= 5e-2 and not res.diverged
     return _result("10 fixed-point contraction", ok,
                    f"worst contraction ratio {worst_ratio:.3f} (tol 0.5); "

@@ -500,9 +500,8 @@ def _cmd_picard(args):
     with open(hist, "w") as fh:
         _write_table(fh, {"iterate": range(1, len(res.distances) + 1),
                           "distance": res.distances}, ("%d", _VALUE))
-    outputs = [hist] + _write_edges(
-        args.out, float(res.times[-1]),
-        *(GridFunction(f.origin, f.spacing, np.real(f.levels[-1])) for f in res.final))
+    outputs = [hist] + _write_edges(args.out, float(res.times[-1]),
+                                    *(f.level(-1) for f in res.final))
     man = RunManifest(command="picard", config_echo=_config_echo(cfg),
                       outputs=outputs,
                       metrics={"iterations": len(res.distances),

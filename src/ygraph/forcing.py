@@ -26,12 +26,14 @@ The generalized classes convolve V output with one-sided power kernels
 x_+^{lambda-1}/Gamma(lambda) (minus class) or their reflections (plus class)
 by product integration, reusing the fractional integration weights.  Each
 class is built by one phase-free core, :func:`phase_free_class`: every
-operator in it is real, so its field has the dtype of the trace, and a real
-trace runs the half spectrum and the real convolution.
+operator in it is real, so it takes a real trace and runs the half spectrum
+and the real convolution (ContractError on a complex trace).
 :func:`forcing_class` is the one public class: the core for the minus
 class, the core times the phase e^{i pi lambda} (:func:`plus_trace_factor`)
-for the plus class.  V is the lambda = 0 minus class and its companion
-V^{-1} the lambda = -1 minus class.
+for the plus class.  It is the one entry that takes a complex trace: every
+class is linear in g, so it runs the real and imaginary parts as two real
+classes.  V is the lambda = 0 minus class and its companion V^{-1} the
+lambda = -1 minus class.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .fracops import (TimeTrace, riemann_liouville, product_weights,
-                      _first_sample_correction, fftconvolve,
+                      _first_sample_correction, fftconvolve, real_only,
                       sampled_derivative, vertex_limit)
-from .linops import GridFunction, Ladder, SpaceTimeField, frequencies
+from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, half_frequencies
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
@@ -73,10 +75,10 @@ def _ratio_table(n, i0, n_sig):
     coprime = g == 1
     p, q = (np.broadcast_to(a, g.shape)[coprime] for a in (k, j))
     order = np.argsort(p / q)
-    p, q = p[order], q[order].astype(np.intp)
+    p, q = p[order], q[order]
     slot = np.empty(n * n_sig, dtype=np.intp)
     slot[(p + i0) * n_sig + (q - 1)] = np.arange(p.size)
-    return p, q, slot[reduced]
+    return p, q.astype(np.intp), slot[reduced]
 
 
 def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
@@ -95,9 +97,8 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
     p, q, slot = _ratio_table(len(grid), grid.index_of_zero(), n_nodes - 1)
     ph = p * grid.spacing
     tf = smoothed.times
-    fs = smoothed.samples
-    is_c = smoothed.is_complex
-    levels = np.zeros((times.size, len(grid)), dtype=complex if is_c else float)
+    fs = real_only(smoothed.samples, "_sigma_field")
+    levels = np.zeros((times.size, len(grid)))
     for m, t in enumerate(times):
         if t == 0.0:
             continue
@@ -109,9 +110,7 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w *= hstep / 3.0
-        fvals = np.interp(t - sig[1:] ** 3, tf, fs.real)
-        if is_c:
-            fvals = fvals + 1j * np.interp(t - sig[1:] ** 3, tf, fs.imag)
+        fvals = np.interp(t - sig[1:] ** 3, tf, fs)
         kernel = airy_scaled(ph / sig[q])
         vec = sig[1:] * w[1:] * fvals
         for first in range(0, len(grid), _SIMPSON_ROWS):
@@ -170,14 +169,15 @@ SMOOTH_FIT_WINDOW = (12, 28)
 def filon_tables(ladder: Ladder):
     """The part of :func:`_filon_field` that the grid, the trace step dt and the
     output times of ``ladder`` fix: the powers p^q and p^r (r = s mod q, s the
-    output stride) and the gain coefficients of q and r cells."""
-    n, s = ladder.n, ladder.stride
+    output stride) and the gain coefficients of q and r cells, over the
+    half spectrum."""
+    s = ladder.stride
     q = min(s, math.isqrt(s * (ladder.times.size - 1)) + 1)
-    _, e0, e1 = _filon_base(frequencies(n, ladder.spacing) ** 3, ladder.dt)
+    _, e0, e1 = _filon_base(half_frequencies(ladder.n, ladder.spacing) ** 3, ladder.dt)
     pw = ladder.trace_rows(np.arange(q + 1))         # p^j = exp(i j dt xi^3)
     coefs = []
     for c in (q, s % q):    # row i weighs sample k + i of c cells
-        rev, coef = pw[:c][::-1], np.zeros((c + 1, n), dtype=complex)
+        rev, coef = pw[:c][::-1], np.zeros((c + 1, e0.size), dtype=complex)
         coef[:c] = rev * (e1 / ladder.dt)           # rows p^{c-1} b .. b
         coef[1:] += rev * (e0 - e1 / ladder.dt)     # rows p^{c-1} a .. a
         coefs.append(coef)
@@ -198,19 +198,16 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol,
     times :func:`smooth_window` if ``window``; ``symbol`` is called only after
     the tables are built (unless ``ladder`` holds them), the allocation order
     construct's peak RSS was measured with.  Every symbol of the chain is
-    Hermitian, so a real trace gives a real field: it runs on the half
-    spectrum, and ``irfft`` returns a float64 stack that owns its data.
+    Hermitian and the trace is real, so the field is real: it runs on the
+    half spectrum, and ``irfft`` returns a float64 stack that owns its data.
     """
+    real_only(smoothed.samples, "_filon_field")
     times, n, s = ladder.times, ladder.n, ladder.stride
     (pq, pr), (cq, cr) = filon_tables(ladder) if ladder.filon is None else ladder.filon
-    xi = frequencies(n, ladder.spacing)
+    xi = half_frequencies(n, ladder.spacing)
     mult = symbol(xi) * np.exp(1j * xi * ladder.origin) / ladder.spacing
     if window:
-        mult = mult * smooth_window(n, ladder.spacing)
-    real = not smoothed.is_complex
-    if real:    # the half spectrum: the rest is its conjugate
-        half = np.s_[:n // 2 + 1]
-        pq, pr, cq, cr, mult = pq[half], pr[half], cq[:, half], cr[:, half], mult[half]
+        mult = mult * smooth_window(n, ladder.spacing)[:xi.size]
     q = len(cq) - 1
     (nb, r), first = divmod(s, q), s * np.arange(len(times) - 1)
     cells = np.lib.stride_tricks.sliding_window_view   # c + 1 samples from each node
@@ -223,14 +220,11 @@ def _filon_field(smoothed: TimeTrace, ladder: Ladder, symbol,
         for g in full[k]:
             phi = pq * phi + g
         levels[k + 1] = pr * phi + rest[k] if r else phi
-    del full, rest     # then scale and transform in place
+    del full, rest     # then scale in place and transform
     levels *= 3.0
     levels *= mult
-    if real:
-        levels = np.fft.irfft(levels, n, axis=1)
-    else:
-        np.fft.ifft(levels, axis=1, out=levels)
-    return SpaceTimeField(ladder.origin, ladder.spacing, ladder.out_dt, levels)
+    return SpaceTimeField(ladder.origin, ladder.spacing, ladder.out_dt,
+                          np.fft.irfft(levels, n, axis=1))
 
 
 def spectral_forcing_field(smoothed: TimeTrace, grid: GridFunction, times,
@@ -306,9 +300,15 @@ def forcing_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
     d^k/dx^k of the order lam+k class applied to I_{k/3} g, so order -1 of
     the minus class is the companion V^{-1}.  The minus class is
     :func:`phase_free_class`; the plus class is that field times its complex
-    phase :func:`plus_trace_factor` (lam).  The grid must have an interior
-    node at 0.  ``ladder`` may hold the Filon tables (:meth:`linops.Ladder.fit`).
+    phase :func:`plus_trace_factor` (lam).  A complex trace runs its real
+    and imaginary parts as two real classes, since the class is linear in g.
+    The grid must have an interior node at 0.  ``ladder`` may hold the Filon
+    tables (:meth:`linops.Ladder.fit`).
     """
+    if g.samples.dtype.kind == "c":
+        re, im = (forcing_class(lam, sign, TimeTrace(g.dt, part, g.causal), grid, times,
+                                method, ladder) for part in (g.samples.real, g.samples.imag))
+        return SpaceTimeField(re.origin, re.spacing, re.dt, re.levels + 1j * im.levels)
     fld = phase_free_class(lam, sign, g, grid, times, method, ladder)
     if sign == "minus":
         return fld
@@ -322,8 +322,8 @@ def phase_free_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
 
     Every operator here is real -- the fractional smoothing, the Filon field
     of a Hermitian symbol, the one-sided convolution and the x-derivatives --
-    so the field has the dtype of ``g``: a real trace gives a float64 field
-    and runs the half spectrum and the real convolution.  Its plus-class
+    so it takes a real trace (ContractError on a complex one), runs the half
+    spectrum and the real convolution and gives a float64 field.  Its plus-class
     vertex value is g(t) itself; :func:`vertex.solve_vertex` solves for
     e^{i pi lam} gamma and forces the plus edges through this field.
     """
@@ -334,6 +334,7 @@ def phase_free_class(lam: float, sign: str, g: TimeTrace, grid: GridFunction,
         raise DomainError(f"unknown method {method!r}")
     if not g.causal:
         raise ContractError("forcing_class requires a causal trace")
+    real_only(g.samples, "phase_free_class")
     grid.index_of_zero()
     ladder = Ladder(grid, times, g.dt, len(g)).fit(ladder)
 

@@ -36,6 +36,14 @@ def checked_samples(samples, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def real_only(samples: np.ndarray, entry: str) -> np.ndarray:
+    """``samples`` unless complex; ContractError naming ``entry`` if so.
+    The numeric kernels run real transforms only."""
+    if samples.dtype.kind == "c":
+        raise ContractError(f"{entry} takes real samples, got {samples.dtype}")
+    return samples
+
+
 @dataclass(frozen=True)
 class TimeTrace:
     """Uniform samples of a function of t >= 0.
@@ -61,48 +69,29 @@ class TimeTrace:
     def times(self):
         return self.dt * np.arange(self.samples.size)
 
-    @property
-    def is_complex(self):
-        return self.samples.dtype.kind == "c"
-
 
 @functools.lru_cache(maxsize=None)
-def _fast_length(n: int, primes) -> int:
-    """The smallest m >= n that is 2**k times a product of ``primes``."""
-    odd = {1}
-    for p in primes:
-        for m in list(odd):
-            while m * p < 2 * n:
-                m *= p
-                odd.add(m)
-    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
-
-
-def _spectrum(x, size):
-    """The DFT of ``x`` zero-padded to ``size``; for real ``x`` the Hermitian
-    completion of its rfft, as scipy.fft computes it."""
-    if x.dtype.kind == "c":
-        return np.fft.fft(x, size)
-    half = np.fft.rfft(x, size)
-    return np.concatenate([half, half[..., (size + 1) // 2 - 1:0:-1].conj()], axis=-1)
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth m >= n: 2**k times an odd 3**i 5**j < 2 n."""
+    odd = (3 ** i * 5 ** j for i in range(n.bit_length()) for j in range(n.bit_length()))
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd if m < 2 * n)
 
 
 def fftconvolve(a, b) -> np.ndarray:
-    """Full linear convolution of ``a`` and ``b`` along the last axis, the
-    leading axes broadcast: bitwise scipy.signal.fftconvolve(a, b, axes=-1),
-    whose transform lengths (5-smooth for real operands, 11-smooth for
-    complex) it uses, without importing scipy.signal.  The product and, for
-    complex operands, its inverse transform overwrite the spectrum of ``a``
-    where it has the broadcast shape.  A length-1 operand is a plain product."""
-    a, b = np.asarray(a), np.asarray(b)
+    """Full linear convolution of real ``a`` and ``b`` along the last axis,
+    the leading axes broadcast: bitwise scipy.signal.fftconvolve(a, b,
+    axes=-1), whose 5-smooth transform lengths it uses, without importing
+    scipy.signal.  The product overwrites the spectrum of ``a`` where it has
+    the broadcast shape.  A length-1 operand is a plain product."""
+    a, b = (real_only(np.asarray(x), "fftconvolve") for x in (a, b))
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b
-    n, cplx = a.shape[-1] + b.shape[-1] - 1, a.dtype.kind == "c" or b.dtype.kind == "c"
-    size = _fast_length(n, (3, 5, 7, 11) if cplx else (3, 5))
-    sa, sb = (_spectrum(x, size) if cplx else np.fft.rfft(x, size) for x in (a, b))
+    n = a.shape[-1] + b.shape[-1] - 1
+    size = _fast_length(n)
+    sa, sb = np.fft.rfft(a, size), np.fft.rfft(b, size)
     prod = np.multiply(sa, sb, out=sa if sa.shape == np.broadcast_shapes(sa.shape, sb.shape)
                        else None)
-    return (np.fft.ifft(prod, out=prod) if cplx else np.fft.irfft(prod, size))[..., :n]
+    return np.fft.irfft(prod, size)[..., :n]
 
 
 def product_weights(alpha: float, n: int) -> np.ndarray:
@@ -256,7 +245,7 @@ def check_order(alpha: float):
 
 
 def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
-    """Apply I_alpha to a causal trace.
+    """Apply I_alpha to a real causal trace.
 
     Orders lie in (-MAX_ORDER, MAX_ORDER]; alpha = 0 is the identity.  Every
     other order integrates at alpha + k by product integration, k = 0 for
@@ -265,6 +254,7 @@ def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     """
     if not f.causal:
         raise ContractError("riemann_liouville requires a causal trace")
+    real_only(f.samples, "riemann_liouville")
     check_order(alpha)
     if alpha == 0.0:
         return TimeTrace(f.dt, f.samples.copy(), True)
@@ -272,8 +262,7 @@ def riemann_liouville(f: TimeTrace, alpha: float) -> TimeTrace:
     k = max(0, math.floor(-alpha) + 1)      # smallest k >= 0 with alpha + k > 0
     if k and len(f) < 5:
         raise ContractError("negative orders need at least 5 samples")
-    vals = fractional_integral_samples(f.samples.astype(
-        complex if f.is_complex else float), f.dt, alpha + k)
+    vals = fractional_integral_samples(f.samples.astype(float), f.dt, alpha + k)
     if k:
         vals = sampled_derivative(vals, f.dt, k)
     return TimeTrace(f.dt, vals, True)

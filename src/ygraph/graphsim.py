@@ -611,21 +611,21 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
         if nonlinear:
             base, k_tr = [], [[], [], []]
             for lvls, free in zip(current, free_fields):
-                flux = np.real(lvls) * sampled_derivative(np.real(lvls), h, 1)
+                flux = lvls * sampled_derivative(lvls, h, 1)
                 flux *= taper
                 wfield = SpaceTimeField(-L, h, ladder.out_dt, flux)
                 kf = -duhamel_inhomog(wfield, decay_tol=1e-3, ladder=ladder).levels
                 base.append(free + kf)
                 for j in range(3):
                     vals = vertex_limit(kf, i0, h, "centered", j)
-                    k_tr[j].append(spline @ np.real(vals))
+                    k_tr[j].append(spline @ vals)
             del flux, wfield, kf    # not held through the vertex solve
             traces = [[f + k for f, k in zip(fj, kj)] for fj, kj in zip(free_tr, k_tr)]
 
         _, _, new = solve_vertex(config.coupling, lam, traces, base, ladder)
 
         # contraction metric on the physical edges
-        d = max(np.abs(np.real(nw) - np.real(cur))[edge].max()
+        d = max(np.abs(nw - cur)[edge].max()
                 for nw, cur, edge in zip(new, current, edges))
         distances.append(d)
         current = new

@@ -2,12 +2,14 @@
 Duhamel operator, vertex trace extraction and discrete Sobolev norms.
 
 The group is a Fourier multiplier exp(i t xi^3) applied on the periodized
-grid; inputs must decay at both ends so periodization is harmless.  The
-group over a time ladder and the Duhamel integral at every level of a
-field are each one batched pass over all levels (one FFT, one phase
-matrix, one inverse FFT), not a loop over times; real data use the half
-spectrum.  Every phase table is rows of one coarse x fine pair of ~2 sqrt(M)
-rows over a trace of M times (:meth:`Ladder.trace_rows`).
+grid; inputs must decay at both ends so periodization is harmless.  Data
+are real, so every transform is real (``rfft``/``irfft``) and every phase
+table holds the half spectrum, the first n // 2 + 1 DFT frequencies; the
+kernels raise ContractError on complex samples.  The group over a time
+ladder and the Duhamel integral at every level of a field are each one
+batched pass over all levels (one FFT, one phase matrix, one inverse FFT),
+not a loop over times.  Every phase table is rows of one coarse x fine pair
+of ~2 sqrt(M) rows over a trace of M times (:meth:`Ladder.trace_rows`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .fracops import TimeTrace, checked_samples, vertex_limit
+from .fracops import TimeTrace, checked_samples, real_only, vertex_limit
 
 DECAY_TOL = 1e-8
 
@@ -43,10 +45,6 @@ class GridFunction:
     @property
     def x(self):
         return self.origin + self.spacing * np.arange(self.samples.size)
-
-    @property
-    def is_complex(self):
-        return self.samples.dtype.kind == "c"
 
     def with_samples(self, samples):
         return GridFunction(self.origin, self.spacing, samples)
@@ -119,27 +117,32 @@ def frequencies(n: int, spacing: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(n, d=spacing)
 
 
+def half_frequencies(n: int, spacing: float) -> np.ndarray:
+    """The first n // 2 + 1 :func:`frequencies`, the bins of ``rfft``; for
+    even n the last one is the negative Nyquist frequency, as in the full
+    spectrum (``rfftfreq`` would give it the other sign)."""
+    return frequencies(n, spacing)[:n // 2 + 1]
+
+
 def airy_group(phi: GridFunction, t: float) -> GridFunction:
     """Apply the linear group at time t via the multiplier exp(i t xi^3)."""
     if not math.isfinite(t):
         raise DomainError("airy_group requires finite t")
+    real_only(phi.samples, "airy_group")
     _check_decay(phi, DECAY_TOL)
-    xi = frequencies(len(phi), phi.spacing)
-    out = np.fft.ifft(np.exp(1j * t * xi ** 3) * np.fft.fft(phi.samples))
-    return phi.with_samples(out if phi.is_complex else out.real)
+    xi = half_frequencies(len(phi), phi.spacing)
+    return phi.with_samples(np.fft.irfft(np.exp(1j * t * xi ** 3) * np.fft.rfft(phi.samples),
+                                         len(phi)))
 
 
 def group_multi(phi: GridFunction, times, decay_tol: float = DECAY_TOL,
                 ladder=None) -> SpaceTimeField:
     """Group applied at a uniform ladder of times starting at 0, with the
     output phases of ``ladder`` (:meth:`Ladder.fit`)."""
+    real_only(phi.samples, "group_multi")
     ladder = Ladder(phi, times).fit(ladder)
     _check_decay(phi, decay_tol)
-    if phi.is_complex:
-        levels = np.fft.ifft(ladder.output_phases() * np.fft.fft(phi.samples), axis=1)
-    else:       # the half spectrum: the rest is its conjugate
-        half = np.fft.rfft(phi.samples)
-        levels = np.fft.irfft(ladder.output_phases()[:, :half.size] * half, len(phi), axis=1)
+    levels = np.fft.irfft(ladder.output_phases() * np.fft.rfft(phi.samples), len(phi), axis=1)
     return SpaceTimeField(phi.origin, phi.spacing, ladder.out_dt, levels)
 
 
@@ -237,14 +240,14 @@ class Ladder:
 
 
 def trace_phases(n: int, spacing: float, times) -> np.ndarray:
-    """Phase matrix exp(i t_m xi_k^3) over a time ladder and the DFT
-    frequencies of an n-point grid of the given spacing.
+    """Phase matrix exp(i t_m xi_k^3) over a time ladder and the
+    :func:`half_frequencies` of an n-point grid of the given spacing.
 
     cos and sin are written into the real and imaginary parts of one array:
     the same bits as np.exp(1j * np.outer(times, xi**3)) (a test checks
     this) without its two full-size complex temporaries.
     """
-    arg = np.outer(np.asarray(times, dtype=float), frequencies(n, spacing) ** 3)
+    arg = np.outer(np.asarray(times, dtype=float), half_frequencies(n, spacing) ** 3)
     phases = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=phases.real)
     np.sin(arg, out=phases.imag)
@@ -271,19 +274,17 @@ def group_trace_history(phi: GridFunction, times, deriv: int = 0,
     callers tracing several functions on one grid and ladder hold it in
     one ``ladder`` (:meth:`Ladder.fit`).
     """
+    real_only(phi.samples, "group_trace_history")
     ladder = Ladder(phi, times).fit(ladder)
     if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
         raise DomainError(f"deriv must be a non-negative integer, got {deriv!r}")
     coarse, fine = ladder.phase_pair()
-    n, xi = len(phi), frequencies(len(phi), phi.spacing)
-    spec = (np.fft.fft if phi.is_complex else np.fft.rfft)(phi.samples) / n
-    if not phi.is_complex:      # the half spectrum, weight 2 for the conjugate half
-        spec[1:(n + 1) // 2] *= 2.0
-        xi, coarse, fine = xi[:spec.size], coarse[:, :spec.size], fine[:, :spec.size]
+    n, xi = len(phi), half_frequencies(len(phi), phi.spacing)
+    spec = np.fft.rfft(phi.samples) / n
+    spec[1:(n + 1) // 2] *= 2.0     # the weight of the conjugate half
     spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
     s = ladder.stride
-    out = ((coarse * spec) @ fine.T).reshape(-1)[:s * ladder.times.size:s]
-    return out if phi.is_complex else out.real
+    return ((coarse * spec) @ fine.T).reshape(-1)[:s * ladder.times.size:s].real
 
 
 def free_vertex_traces(data, ladder: Ladder):
@@ -307,22 +308,19 @@ def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL,
     in t' over levels 0..m (3/8 closure for an odd interval count), with
     the phase split as exp(i t_m xi^3) exp(-i t_j xi^3).  One batched FFT,
     one phase matrix, one lower-triangular (M x M) @ (M x n) product and
-    one batched inverse FFT serve all levels, on the half spectrum for real
-    levels; ``ladder`` may hold the phase matrix and the weights
-    (:meth:`Ladder.fit`).
+    one batched inverse FFT serve all levels, on the half spectrum;
+    ``ladder`` may hold the phase matrix and the weights (:meth:`Ladder.fit`).
     """
-    levels = w.levels
+    levels = real_only(w.levels, "duhamel_inhomog")
     ladder = Ladder(w.level(0), w.times).fit(ladder)
     ends = np.maximum(np.abs(levels[:, 0]), np.abs(levels[:, -1]))
     bad = np.flatnonzero(ends > decay_tol)
     if bad.size:
         _check_decay(w.level(int(bad[0])), decay_tol)
-    real = levels.dtype.kind != "c"     # real levels: the half spectrum
-    spec = (np.fft.rfft if real else np.fft.fft)(levels, axis=1)
-    phases = ladder.output_phases()[:, :spec.shape[1]]
-    spec = ladder.duhamel_weights() @ (phases.conj() * spec)
+    phases = ladder.output_phases()
+    spec = ladder.duhamel_weights() @ (phases.conj() * np.fft.rfft(levels, axis=1))
     spec *= phases
-    acc = np.fft.irfft(spec, levels.shape[1], axis=1) if real else np.fft.ifft(spec, axis=1)
+    acc = np.fft.irfft(spec, levels.shape[1], axis=1)
     return SpaceTimeField(w.origin, w.spacing, w.dt, acc)
 
 

@@ -6,8 +6,8 @@ terms (columns ordered gamma_1, gamma_3, gamma_4, gamma_2); inverting it
 against the free-evolution trace data yields the boundary forcers that make
 the assembled field satisfy the coupling relations.  The only complex number
 in it is the plus-class phase e^{i pi lambda}; the solve folds it into the
-plus unknowns, so the system, the traces and the assembled fields of real
-data are real.
+plus unknowns, so the system, the traces and the assembled fields are real.
+The data must be real: the kernels raise ContractError on complex samples.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularMatrixError
-from .fracops import TimeTrace, riemann_liouville, vertex_limit
-from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
+from .fracops import TimeTrace, real_only, riemann_liouville, vertex_limit
+from .linops import GridFunction, Ladder, SpaceTimeField, half_frequencies, \
     free_vertex_traces, group_multi
 from .forcing import (SMOOTH_FIT_WINDOW, filon_tables, forcing_class,
                       minus_trace_factor, phase_free_class, plus_trace_factor,
@@ -249,7 +249,8 @@ def solve_gamma(m: BoundaryMatrix, rhs) -> tuple:
     ``rhs`` is the four right-hand-side TimeTraces in row order; returns the
     four boundary traces in physical order (gamma_1, gamma_2, gamma_3,
     gamma_4), undoing the paper-ordered solution columns.  The solve runs in
-    the dtype of the matrix and the right-hand side: real for both real.
+    the dtype of the matrix and the right-hand side: real for both real, as
+    :func:`solve_vertex` passes them.
     """
     r1, r2, r3, r4 = rhs
     if not (len(r1) == len(r2) == len(r3) == len(r4)) or \
@@ -292,15 +293,10 @@ class LinearSolution:
         return self.u.times
 
     def imag_residual(self) -> float:
-        """Largest imaginary part across the assembled fields.
-
-        Exactly 0.0 for real data: the plus-class phase is folded into the
-        boundary traces, so real data assemble float64 fields.  Complex data
-        give the largest imaginary part of their complex fields.
-        """
-        return float(max(np.abs(f.levels.imag).max() if
-                         np.iscomplexobj(f.levels) else 0.0
-                         for f in (self.u, self.v, self.w)))
+        """Largest imaginary part across the assembled fields: exactly 0.0,
+        as the plus-class phase is folded into the boundary traces and the
+        data are real, so the fields are float64."""
+        return float(max(np.abs(np.imag(f.levels)).max() for f in (self.u, self.v, self.w)))
 
 
 def _build_rhs(coupling, f0, d0, s0):
@@ -346,8 +342,8 @@ def solve_vertex(coupling: VertexCoupling, lam: LambdaVector, traces, base,
     output times.  The plus-class phase e^{i pi lam_k} is folded into the
     unknown, p_k = e^{i pi lam_k} gamma_k (:func:`_fold_plus_phases`), so the
     plus edges take the phase-free class of p_k
-    (:func:`forcing.phase_free_class`) and every step runs in the dtype of the
-    traces: real data give real boundary traces and float64 fields.  Returns
+    (:func:`forcing.phase_free_class`) and every step is real: the traces
+    give real boundary traces and float64 fields.  Returns
     the matrix of :func:`build_matrix`, the physical traces (gamma_1, ...,
     gamma_4), gamma_k = p_k e^{-i pi lam_k} on the plus edges, and the three
     superposed level stacks.
@@ -435,20 +431,24 @@ def verify_vertex_conditions(sol: LinearSolution) -> VertexResidualReport:
     extrapolation.  Derivatives are spectral, with a smooth frequency window
     (the fields carry integrable vertex singularities whose raw band-limited
     derivatives ring), read by the least-squares fit outside the window
-    transition: a field filtered by mult is the field times the circulant
-    g[(y - x) mod n] of g = ifft(mult), so each limit is the field times the
-    fit of that circulant, over all levels at once and with no transform.
+    transition: a real field filtered by mult is the field times the real
+    circulant g[(y - x) mod n] of g = irfft(mult), so each limit is the field
+    times the fit of that circulant, over all levels at once and with no
+    transform.  The fields must be real (ContractError otherwise): ``irfft``
+    drops the imaginary part of the Nyquist bin of an even n, which for a
+    real field touches only the imaginary part of the filtered field.
     """
     i0, h, n = sol.u.index_of_zero(), sol.u.spacing, sol.u.levels.shape[1]
-    taps = [np.fft.ifft((1j * frequencies(n, h)) ** j * smooth_window(n, h)) for j in (1, 2)]
+    xi = half_frequencies(n, h)
+    taps = [np.fft.irfft((1j * xi) ** j * smooth_window(n, h)[:xi.size], n) for j in (1, 2)]
     circulants = [np.lib.stride_tricks.sliding_window_view(np.tile(g, 2), n)[n:0:-1]
                   for g in taps]
     tr = [[], [], []]
     for fld, side in ((sol.u, "left"), (sol.v, "right"), (sol.w, "right")):
+        real_only(fld.levels, "verify_vertex_conditions")
         tr[0].append(vertex_limit(fld.levels, i0, h, side))
         for j, circ in enumerate(circulants, 1):
-            lim = fld.levels @ vertex_limit(circ, i0, h, side, 0, SMOOTH_FIT_WINDOW)
-            tr[j].append(lim if np.iscomplexobj(fld.levels) else lim.real)
+            tr[j].append(fld.levels @ vertex_limit(circ, i0, h, side, 0, SMOOTH_FIT_WINDOW))
     scales = {j: max(np.abs(t).max() for t in tr[j]) for j in (0, 1, 2)}
     res = {label: np.abs(_combine(coefs, tr[j]))
            for label, j, coefs in sol.coupling.relations()}

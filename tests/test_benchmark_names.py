@@ -20,6 +20,9 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # module globals the tracer rebinds besides its TRACED spans
 REBOUND = [("graphsim", "splu"), ("fracops", "fftconvolve"),
            ("forcing", "fftconvolve"), ("cli", "_stamp")]
+# names the workloads' checks call directly: construct's oracle reads
+# imag_residual, which is 0.0 on every real construction
+CALLED = [("vertex", "LinearSolution.imag_residual")]
 
 
 def _resolves(layer, name):
@@ -50,8 +53,8 @@ def test_traced_names_resolve():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     names = [(layer, func) for layer, funcs in tracing.TRACED.items()
-             for func in funcs] + REBOUND
-    assert len(names) > len(REBOUND)
+             for func in funcs] + REBOUND + CALLED
+    assert len(names) > len(REBOUND) + len(CALLED)
     missing = [f"{layer}.{name}" for layer, name in names
                if not _resolves(layer, name)]
     assert not missing

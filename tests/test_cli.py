@@ -21,7 +21,7 @@ from ygraph import cli
 from ygraph.cli import main, parse_config, read_field_csv, read_trace_csv
 from ygraph.errors import ConfigError, DomainError
 from ygraph.forcing import check_class_order, forcing_class
-from ygraph.fracops import check_order, riemann_liouville
+from ygraph.fracops import TimeTrace, check_order, riemann_liouville
 from ygraph.graphsim import ScenarioConfig, check_scale
 from ygraph.linops import GridFunction, airy_group
 from ygraph.specfun import airy_scaled_with_deriv
@@ -316,17 +316,27 @@ class TestRoundTrips:
         assert len(made) == 3
         times = np.array([0.0, 0.15, 0.3])
         grid = GridFunction(-10.0, 0.05, np.zeros(401))
-        for sign, header in (("minus", "x,value"), ("plus", "x,re,im")):
-            out = str(tmp_path / f"{sign}.csv")
+        # a t,re,im trace runs as two real classes: the run on its real part
+        # plus i times the run on its imaginary part, written as x,re,im
+        im = np.sin(5.0 * t) * t
+        cpath = write(tmp_path, "gc.csv",
+                      "t,re,im\n" + "\n".join(f"{tt:.12g},{a:.17g},{b:.17g}" for tt, a, b
+                                               in zip(t, t ** 2 * np.exp(-t), im)))
+        for sign, trace, header in (("minus", path, "x,value"), ("plus", path, "x,re,im"),
+                                    ("minus", cpath, "x,re,im"), ("plus", cpath, "x,re,im")):
+            stem = f"{sign}_{os.path.basename(trace)[:-4]}"
             assert main(["forcing", "--lambda", "0.25", "--sign", sign,
-                         "--g", path, "--grid", "10,0.05",
-                         "--times", "0,0.15,0.3", "--out", out]) == 0
-            want = forcing_class(0.25, sign, read_trace_csv(path), grid, times)
+                         "--g", trace, "--grid", "10,0.05",
+                         "--times", "0,0.15,0.3", "--out", str(tmp_path / stem)]) == 0
+            want = forcing_class(0.25, sign, read_trace_csv(path), grid, times).levels
+            if trace == cpath:
+                want = want + 1j * forcing_class(0.25, sign, TimeTrace(dt, im), grid,
+                                                 times).levels
             for m, stamp in enumerate(("0", "0p15", "0p3")):
-                cols = read_table(tmp_path / f"{sign}_t{stamp}.csv", header,
+                cols = read_table(tmp_path / f"{stem}_t{stamp}.csv", header,
                                   "%.12g" + ",%.17g" * header.count(","))
-                got = cols["value"] if sign == "minus" else cols["re"] + 1j * cols["im"]
-                assert np.array_equal(got, want.levels[m])
+                got = cols["value"] if header == "x,value" else cols["re"] + 1j * cols["im"]
+                assert np.array_equal(got, want[m])
         # no suffix: the levels take .csv, beside a dot in a directory name
         outdir = tmp_path / "run.v1"
         outdir.mkdir()

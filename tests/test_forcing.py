@@ -139,11 +139,10 @@ def test_class_trace_laws(g, grid, lam):
        method=st.sampled_from(["spectral", "simpson"]), complex_trace=st.booleans())
 def test_plus_class_carries_its_phase(lam, method, complex_trace):
     # the plus class is plus_trace_factor(lam) times a real field for a real
-    # trace, over the whole order range; the complex path gives the same
-    # field for a complex multiple of that trace; and where the vertex law
-    # resolves on this grid (lam >= -1.25: 5e-2 at worst), its vertex value
-    # is plus_trace_factor(lam) g, not its negative.  An odd grid has no
-    # Nyquist bin, whose imaginary part a complex field would keep
+    # trace, over the whole order range; a complex multiple of that trace,
+    # run as two real classes, gives the same multiple of the field; and
+    # where the vertex law resolves on this grid (lam >= -1.25: 5e-2 at
+    # worst), its vertex value is plus_trace_factor(lam) g, not its negative
     h, t = 0.05, DT * np.arange(501)
     grid = GridFunction(-10.0, h, np.zeros(401))
     times = np.round(np.arange(0.0, 0.5001, 0.1), 10)
@@ -387,11 +386,10 @@ class TestContracts:
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(stride=st.integers(1, 40), n_out=st.integers(2, 8),
-       extra=st.integers(0, 5), complex_trace=st.booleans(),
-       window=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       extra=st.integers(0, 5), window=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
-                                                         complex_trace, window,
-                                                         seed):
+                                                         window, seed):
     # the field advances in blocks of ~sqrt(M) cells, with a shorter last
     # block in a stride that q does not divide; the reference takes one
     # trace step at a time and keeps every stride-th state.  Phases xi^3 dt
@@ -400,16 +398,13 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
     n, h, dt = 128, 0.1, 1e-3
     n_steps = stride * (n_out - 1)
     f = rng.standard_normal(n_steps + 1 + extra)
-    if complex_trace:
-        f = f + 1j * rng.standard_normal(f.size)
     grid = GridFunction(-6.4, h, np.zeros(n))
-    # a real trace runs the half spectrum, which reads a Hermitian symbol:
-    # there, take the transform of a real sequence
-    mult = (rng.standard_normal(n) + 1j * rng.standard_normal(n) if complex_trace
-            else np.fft.fft(rng.standard_normal(n)))
+    # the trace is real and the route runs the half spectrum, which reads a
+    # Hermitian symbol: take the transform of a real sequence
+    mult = np.fft.fft(rng.standard_normal(n))
     times = stride * dt * np.arange(n_out)
     got = _filon_field(TimeTrace(dt, f), Ladder(grid, times, dt, f.size),
-                       lambda xi: mult, window)
+                       lambda xi: mult[:xi.size], window)
 
     xi = frequencies(n, h)
     p, e0, e1 = _filon_base(xi ** 3, dt)
@@ -422,9 +417,8 @@ def test_level_stride_filon_matches_per_step_recurrence(stride, n_out, extra,
         phi = phi * p + f[m + 1] * e0 - (f[m + 1] - f[m]) * e1 / dt
         if (m + 1) % stride == 0:
             want[(m + 1) // stride] = np.fft.ifft(3.0 * phi * shifted)
-    if not complex_trace:
-        want = want.real
-    assert np.iscomplexobj(got.levels) == complex_trace
+    want = want.real
+    assert not np.iscomplexobj(got.levels)
     assert np.abs(got.levels - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -538,11 +532,17 @@ SIGMA_TIMES = np.array([0.0, 0.1, 0.2, 0.3])
 
 
 def _sigma_trace(kind):
+    """The trace g of the sigma tests, before smoothing; a plus-class trace
+    carries a complex phase."""
     t = DT * np.arange(301)
     g = t ** 2 * np.exp(-t)
-    if kind == "complex":   # a plus-class trace carries a complex phase
+    if kind == "complex":
         g = plus_trace_factor(0.3) * g + 0.5j * t * np.sin(5.0 * t)
-    return riemann_liouville(TimeTrace(DT, g, True), -2.0 / 3.0)
+    return TimeTrace(DT, g, True)
+
+
+def _smoothed(g):
+    return riemann_liouville(g, -2.0 / 3.0)
 
 
 def _sigma_brute_force(smoothed, grid, times):
@@ -550,7 +550,7 @@ def _sigma_brute_force(smoothed, grid, times):
     n_sig = 2 * forcing.DEFAULT_PANELS
     kh = (np.arange(len(grid)) - grid.index_of_zero()) * grid.spacing
     fs = smoothed.samples
-    levels = np.zeros((len(times), len(grid)), dtype=fs.dtype)
+    levels = np.zeros((len(times), len(grid)))
     for m, t in enumerate(times[1:], 1):
         top = t ** (1.0 / 3.0)
         sig = np.linspace(0.0, top, n_sig + 1)
@@ -558,9 +558,7 @@ def _sigma_brute_force(smoothed, grid, times):
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w *= top / n_sig / 3.0
-        fvals = np.interp(t - sig[1:] ** 3, smoothed.times, fs.real)
-        if smoothed.is_complex:
-            fvals = fvals + 1j * np.interp(t - sig[1:] ** 3, smoothed.times, fs.imag)
+        fvals = np.interp(t - sig[1:] ** 3, smoothed.times, fs)
         kmat = airy_scaled(kh[:, None] / sig[None, 1:])
         levels[m] = 9.0 * (kmat * (sig[1:] * w[1:] * fvals)).sum(axis=1)
     return levels
@@ -569,13 +567,21 @@ def _sigma_brute_force(smoothed, grid, times):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("name", list(SIGMA_GRIDS))
 def test_sigma_field_matches_whole_kernel_matrix(name, kind):
-    grid, smoothed = SIGMA_GRIDS[name], _sigma_trace(kind)
-    got = _sigma_field(smoothed, grid, SIGMA_TIMES).levels
-    want = _sigma_brute_force(smoothed, grid, SIGMA_TIMES)
-    assert got.dtype == want.dtype
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    i0 = grid.index_of_zero()
-    assert got[:, i0].tobytes() == want[:, i0].tobytes()
+    # the route is real: a complex trace is refused and runs as its real
+    # and imaginary parts
+    grid, g = SIGMA_GRIDS[name], _sigma_trace(kind)
+    parts = [g]
+    if kind == "complex":
+        with pytest.raises(ContractError, match="_sigma_field"):
+            _sigma_field(g, grid, SIGMA_TIMES)
+        parts = [TimeTrace(DT, part, True) for part in (g.samples.real, g.samples.imag)]
+    for smoothed in map(_smoothed, parts):
+        got = _sigma_field(smoothed, grid, SIGMA_TIMES).levels
+        want = _sigma_brute_force(smoothed, grid, SIGMA_TIMES)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        i0 = grid.index_of_zero()
+        assert got[:, i0].tobytes() == want[:, i0].tobytes()
 
 
 @pytest.mark.parametrize("name", list(SIGMA_GRIDS))
@@ -589,7 +595,7 @@ def test_sigma_field_evaluates_each_reduced_ratio_once(name, monkeypatch):
         calls.append(np.array(x))
         return airy_scaled(x)
     monkeypatch.setattr(forcing, "airy_scaled", counted)
-    _sigma_field(_sigma_trace("real"), grid, SIGMA_TIMES)
+    _sigma_field(_smoothed(_sigma_trace("real")), grid, SIGMA_TIMES)
     i0, n_sig = grid.index_of_zero(), 2 * forcing.DEFAULT_PANELS
     pairs = sum(math.gcd(k, j) == 1 for k in range(-i0, len(grid) - i0)
                 for j in range(1, n_sig + 1))
@@ -604,7 +610,7 @@ def test_sigma_field_peak_memory():
     # margin, and gathering the whole matrix per level reads ~7.0
     n = 1201
     grid = GridFunction(-30.0, 0.05, np.zeros(n))
-    smoothed = _sigma_trace("real")
+    smoothed = _smoothed(_sigma_trace("real"))
     tracemalloc.start()
     try:
         _sigma_field(smoothed, grid, SIGMA_TIMES)

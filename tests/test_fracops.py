@@ -99,13 +99,18 @@ def test_support_preservation_negative_order():
 
 
 def test_linearity_complex():
+    # the operator is real: a complex combination is refused, and runs as
+    # its real and imaginary parts
     dt = 1e-3
     t = dt * np.arange(600)
     f = TimeTrace(dt, t ** 2)
     g = TimeTrace(dt, np.sin(3 * t) * t ** 2)
     a, b = 0.7, -1.3 + 0.4j
-    combo = TimeTrace(dt, a * f.samples + b * g.samples)
-    lhs = riemann_liouville(combo, 0.5).samples
+    combo = a * f.samples + b * g.samples
+    with pytest.raises(ContractError, match="riemann_liouville"):
+        riemann_liouville(TimeTrace(dt, combo), 0.5)
+    lhs = riemann_liouville(TimeTrace(dt, combo.real), 0.5).samples \
+        + 1j * riemann_liouville(TimeTrace(dt, combo.imag), 0.5).samples
     rhs = a * riemann_liouville(f, 0.5).samples + b * riemann_liouville(g, 0.5).samples
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
@@ -305,8 +310,17 @@ def test_fftconvolve_matches_scipy(shape_a, n_b, kind):
         b = b + 1j * rng.standard_normal(n_b)
     want = scipy.signal.fftconvolve(a, b[None, :], axes=1) if a.ndim == 2 \
         else scipy.signal.fftconvolve(a, b)
-    got = fftconvolve(a, b)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    # scipy's transform lengths and spectra: bitwise, complex included, so
-    # the forcing classes stay bitwise what they were with scipy.signal
-    assert np.array_equal(got, want)
+    if kind == "real":
+        got = fftconvolve(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # scipy's transform lengths and spectra: bitwise, so the forcing
+        # classes stay bitwise what they were with scipy.signal
+        assert np.array_equal(got, want)
+        return
+    # complex operands are refused; their convolution is that of the parts
+    with pytest.raises(ContractError, match="fftconvolve"):
+        fftconvolve(a, b)
+    got = fftconvolve(a.real, b.real) - fftconvolve(a.imag, b.imag) \
+        + 1j * (fftconvolve(a.real, b.imag) + fftconvolve(a.imag, b.real))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -424,7 +424,7 @@ class TestPicard:
         assert len(res.distances) == 5
         assert len(built) == 1
         assert np.array_equal(built[0], cfg.dt * np.arange(round(cfg.T / cfg.dt) + 1))
-        assert bases == [(2 * cfg.n_edge + 1, cfg.dt)]
+        assert bases == [((2 * cfg.n_edge + 1) // 2 + 1, cfg.dt)]
         assert weights == [res.times.size]
 
     def test_construct_frees_its_tables_early(self, monkeypatch):
@@ -436,8 +436,8 @@ class TestPicard:
         # peak, in rows of 1,600 complex values, was 234.8 for the parent
         # design (four Filon table sets, out-of-place class convolution, six
         # inverse transforms in the check; 240.0 on a process's first call),
-        # ~210 with complex classes, and is ~163 now that real data run
-        # real classes
+        # ~210 with complex classes, ~163 with real classes, and is ~150 now
+        # that the phase pair and Filon tables hold the half spectrum only
         built, bases, weights = _count_tables(monkeypatch)
         L, h = 20.0, 0.025
         x = -L + h * np.arange(int(round(2 * L / h)))
@@ -452,7 +452,7 @@ class TestPicard:
         finally:
             tracemalloc.stop()
         assert len(built) == 1 and np.array_equal(built[0], ladder.trace)
-        assert bases == [(x.size, 1e-3)]
+        assert bases == [(x.size // 2 + 1, 1e-3)]
         assert weights == []
         assert all(table is None for table in (ladder.pair, ladder.phases,
                                                ladder.weights, ladder.filon))

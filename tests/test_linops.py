@@ -191,11 +191,15 @@ def test_duhamel_ladder_matches_per_level_loop(kind, n_levels):
     if kind == "complex":
         lv = lv * np.exp(0.6j * x)
     w = SpaceTimeField(x[0], h, dt, lv)
-    got = duhamel_inhomog(w).levels
     want = np.array([_duhamel_one_level(w, m) for m in range(n_levels)])
-    assert np.iscomplexobj(got) == (kind == "complex")
     if kind == "real":
-        want = want.real
+        got, want = duhamel_inhomog(w).levels, want.real
+    else:   # the operator is real: a complex forcing runs as its two parts
+        with pytest.raises(ContractError, match="duhamel_inhomog"):
+            duhamel_inhomog(w)
+        re, im = (duhamel_inhomog(SpaceTimeField(x[0], h, dt, part)).levels
+                  for part in (lv.real, lv.imag))
+        got = re + 1j * im
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -345,12 +349,13 @@ EPS = np.finfo(float).eps
 @example(n=64, h=0.1, dt=1e-3, stride=100, n_out=3, extra=0)   # q = s: p^q is coarse row 1
 def test_pair_rows_are_the_trace_phases(n, h, dt, stride, n_out, extra):
     # output row m is coarse[k // s] * fine[k % s], k = stride m, and the
-    # Filon powers p^j are trace rows j.  Each form rounds its phase t xi^3
-    # to its own ulp, so they agree to a few ulps of the phase
+    # Filon powers p^j are trace rows j, all n // 2 + 1 wide.  Each form
+    # rounds its phase t xi^3 to its own ulp, so they agree to a few ulps of
+    # the phase
     grid = GridFunction(-h * (n // 2), h, np.zeros(n))
     ladder = Ladder(grid, dt * (stride * np.arange(n_out)), dt,
                     stride * (n_out - 1) + 1 + extra)
-    xi3 = np.abs(frequencies(n, h)) ** 3
+    xi3 = np.abs(frequencies(n, h)[:n // 2 + 1]) ** 3
 
     def agree(got, t):
         bound = 4 * EPS * (1.0 + np.outer(t, xi3))
@@ -372,19 +377,23 @@ def test_pair_rows_are_the_trace_phases(n, h, dt, stride, n_out, extra):
 def test_half_spectrum_matches_full_spectrum(n, h, dt, stride, m, deriv, seed):
     # real data: traces over the trace and free flows at the output times
     # from the half spectrum (weight 2 on 0 < xi < Nyquist) against the
-    # full-spectrum route on the same phase pair.  Windowed noise keeps the
-    # Nyquist bin of even n in play.  The routes differ by FFT and summation
-    # rounding (n ulps of the data scale) and because cos and sin of large
-    # phases are not exactly even and odd: the full route's conjugate bins
-    # differ by a few ulps of the phase t xi^3
+    # full-spectrum route on a full-width pair of the same ladder, in the
+    # exp form (the bits of the half-width tables, test_equals_exp_form).
+    # Windowed noise keeps the Nyquist bin of even n in play.  The routes
+    # differ by FFT and summation rounding (n ulps of the data scale) and
+    # because cos and sin of large phases are not exactly even and odd: the
+    # full route's conjugate bins differ by a few ulps of the phase t xi^3
     rng = np.random.default_rng(seed)
     i0 = int(rng.integers(1, n - 1))
     phi = GridFunction(-h * i0, h, np.hanning(n) * rng.standard_normal(n))
     ladder = Ladder(phi, dt * (stride * np.arange(m)), dt, stride * (m - 1) + 1)
     ladder.pair = ladder.phase_pair()
     over = Ladder(phi, ladder.trace)
-    over.pair = coarse, fine = ladder.pair
+    over.pair = ladder.pair
     xi, spec = frequencies(n, h), np.fft.fft(phi.samples)
+    s = math.isqrt(ladder.n_trace - 1) + 1
+    coarse, fine = (np.exp(1j * np.outer(t, xi ** 3))
+                    for t in (ladder.trace[::s], ladder.trace[:s]))
     full = spec / n * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
     want = ((coarse * full) @ fine.T).reshape(-1)[:ladder.n_trace].real
     got = group_trace_history(phi, ladder.trace, deriv, over)
@@ -393,7 +402,8 @@ def test_half_spectrum_matches_full_spectrum(n, h, dt, stride, m, deriv, seed):
              + phase_ulps @ np.abs(full))
     assert not np.iscomplexobj(got)
     assert np.all(np.abs(got - want) <= bound)
-    want = np.fft.ifft(ladder.output_phases() * spec, axis=1).real
+    k = stride * np.arange(m)
+    want = np.fft.ifft(coarse[k // s] * fine[k % s] * spec, axis=1).real
     got = group_multi(phi, ladder.times, ladder=ladder).levels
     phase_ulps = 4 * EPS * (1.0 + np.outer(ladder.times, np.abs(xi) ** 3))
     bound = n * EPS * np.linalg.norm(phi.samples) + phase_ulps @ np.abs(spec) / n
@@ -407,7 +417,7 @@ class TestTracePhases:
         # of cos and sin as well as the small one near t = 0
         n, h = 2048, 0.01
         times = 5e-3 * np.arange(101)
-        want = np.exp(1j * np.outer(times, frequencies(n, h) ** 3))
+        want = np.exp(1j * np.outer(times, frequencies(n, h)[:n // 2 + 1] ** 3))
         assert np.array_equal(trace_phases(n, h, times), want)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 26, 101, 501])
@@ -420,11 +430,12 @@ class TestTracePhases:
         s = math.ceil(math.sqrt(m))
         for n, h, tol in ((64, 0.5, 1e-13), (2048, 0.01, None)):
             coarse, fine = ladder_phases(n, h, times)
-            assert coarse.shape == (math.ceil(m / s), n) and fine.shape == (s, n)
-            full = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, n)[:m]
+            half = n // 2 + 1
+            assert coarse.shape == (math.ceil(m / s), half) and fine.shape == (s, half)
+            full = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, half)[:m]
             err = np.abs(full - trace_phases(n, h, times))
             if tol is None:
-                phase = np.abs(np.outer(times, frequencies(n, h) ** 3))
+                phase = np.abs(np.outer(times, frequencies(n, h)[:half] ** 3))
                 tol = 4 * np.finfo(float).eps * (1.0 + phase)
             assert np.all(err <= tol)
 
@@ -436,18 +447,22 @@ class TestTracePhases:
         prof = InitialProfile("gaussian", 1.0, 3.0, 1.2)(x)
         if kind == "complex":
             prof = prof * np.exp(0.7j * x)
-        phi = GridFunction(x[0], h, prof)
         times = 1e-3 * np.arange(201)
-        ladder = Ladder(phi, times)
+        ladder = Ladder(GridFunction(x[0], h, prof.real), times)
         ladder.pair = ladder.phase_pair()
-        got = group_trace_history(phi, times, deriv, ladder)
-        assert np.array_equal(got, group_trace_history(phi, times, deriv))
-        assert np.iscomplexobj(got) == (kind == "complex")
+        # the history is real: complex data run as their two real parts
+        got = []
+        for part in (prof.real, prof.imag) if kind == "complex" else (prof,):
+            phi = GridFunction(x[0], h, part)
+            got.append(group_trace_history(phi, times, deriv, ladder))
+            assert np.array_equal(got[-1], group_trace_history(phi, times, deriv))
+            assert not np.iscomplexobj(got[-1])
+        got = got[0] + 1j * got[1] if kind == "complex" else got[0]
         # the factorized history is the full phase-matrix product
-        spec = np.fft.fft(phi.samples) / len(phi)
-        xi = frequencies(len(phi), h)
-        spec = spec * np.exp(-1j * xi * phi.origin) * (1j * xi) ** deriv
-        want = trace_phases(len(phi), h, times) @ spec
+        spec = np.fft.fft(prof) / x.size
+        xi = frequencies(x.size, h)
+        spec = spec * np.exp(-1j * xi * x[0]) * (1j * xi) ** deriv
+        want = np.exp(1j * np.outer(times, xi ** 3)) @ spec
         want = want if kind == "complex" else want.real
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -462,16 +477,18 @@ class TestTracePhases:
                         InitialProfile("gaussian", 0.5, -2.0, 0.8)(x))
         if kind == "complex":
             prof, flux = prof * np.exp(0.7j * x), flux * (1.0 - 0.4j)
-        phi = GridFunction(x[0], h, prof)
-        w = SpaceTimeField(x[0], h, 0.02, flux)
-        ladder = Ladder(phi, w.times)
+        ladder = Ladder(GridFunction(x[0], h, prof.real), 0.02 * np.arange(11))
         ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
-        for _ in range(2):
+        # both are real: complex data run as their two real parts
+        parts = ((prof.real, flux.real), (prof.imag, flux.imag)) if kind == "complex" \
+            else ((prof, flux),)
+        for p, f in parts * 2:
+            phi, w = GridFunction(x[0], h, p), SpaceTimeField(x[0], h, 0.02, f)
             got = group_multi(phi, w.times, ladder=ladder).levels
             assert np.array_equal(got, group_multi(phi, w.times).levels)
             got = duhamel_inhomog(w, ladder=ladder).levels
             assert np.array_equal(got, duhamel_inhomog(w).levels)
-            assert np.iscomplexobj(got) == (kind == "complex")
+            assert not np.iscomplexobj(got)
 
     def test_mismatched_output_table_rejected(self):
         h = 0.05

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ygraph.errors import ContractError, DomainError, SingularMatrixError
-from ygraph.forcing import SMOOTH_FIT_WINDOW, forcing_class, smooth_window
-from ygraph.fracops import TimeTrace, riemann_liouville, vertex_limit
+from ygraph.forcing import (SMOOTH_FIT_WINDOW, forcing_class, phase_free_class,
+                            smooth_window)
+from ygraph.fracops import TimeTrace, fftconvolve, riemann_liouville, vertex_limit
 from ygraph.graphsim import InitialProfile
-from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, frequencies,
-                           free_vertex_traces, group_multi)
+from ygraph.linops import (GridFunction, Ladder, SpaceTimeField, airy_group,
+                           duhamel_inhomog, frequencies, free_vertex_traces,
+                           group_multi, group_trace_history)
 from ygraph.vertex import (BoundaryMatrix, CouplingKind, LambdaVector,
                            VertexCoupling, _build_rhs, admissible_scan,
                            admissible_window, anchor_lambda,
@@ -339,20 +341,19 @@ class TestAssemble:
 
 def _transform_route_limits(fld, side):
     """The windowed first and second derivative limits of every level by
-    inverse transforms of the filtered field."""
+    full-spectrum inverse transforms of the filtered field, real parts."""
     n, h, i0 = fld.levels.shape[1], fld.spacing, fld.index_of_zero()
     spec = np.fft.fft(fld.levels, axis=1)
-    lims = [vertex_limit(np.fft.ifft(spec * (1j * frequencies(n, h)) ** j
-                                     * smooth_window(n, h), axis=1),
+    return [vertex_limit(np.fft.ifft(spec * (1j * frequencies(n, h)) ** j
+                                     * smooth_window(n, h), axis=1).real,
                          i0, h, side, 0, SMOOTH_FIT_WINDOW) for j in (1, 2)]
-    return lims if np.iscomplexobj(fld.levels) else [lim.real for lim in lims]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(60, 400), h=st.floats(0.005, 0.5), complex_fields=st.booleans(),
+@given(n=st.integers(60, 400), h=st.floats(0.005, 0.5),
        coupling=st.sampled_from([C_UNIT, VertexCoupling.special_type2(1.5, 0.8, 0.5, 0.3)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_vertex_limits_match_the_transform_route(n, h, complex_fields, coupling, seed):
+def test_vertex_limits_match_the_transform_route(n, h, coupling, seed):
     # verify_vertex_conditions reads each windowed derivative limit as one
     # x-space functional of the levels; the inverse-transform route reads it
     # from the filtered field.  The two agree to rounding on noise fields,
@@ -361,10 +362,7 @@ def test_vertex_limits_match_the_transform_route(n, h, complex_fields, coupling,
     i0 = int(rng.integers(29, n - 29))
 
     def field():
-        lv = rng.standard_normal((5, n))
-        if complex_fields:
-            lv = lv + 1j * rng.standard_normal((5, n))
-        return SpaceTimeField(-h * i0, h, 0.01, lv)
+        return SpaceTimeField(-h * i0, h, 0.01, rng.standard_normal((5, n)))
     sol = LinearSolution(u=field(), v=field(), w=field(), coupling=coupling)
     rep = verify_vertex_conditions(sol)
     tr = [[vertex_limit(f.levels, i0, h, side)] + _transform_route_limits(f, side)
@@ -418,13 +416,11 @@ def _unfolded_solution(data, coupling, lam, ladder):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_real_data_construct_real_fields(lams, special, coefs, seed):
     # the plus-class phase sits in the boundary traces: real data run real
-    # classes and assemble float64 fields with no imaginary part at all; the
-    # same data as complex128 run the complex path, and both match the
-    # physical complex system with the phase in the classes.  Complex
-    # arithmetic leaves an imaginary part of rounding, which the fractional
-    # time derivative of the classes amplifies (to ~2e-9 of the field
-    # maximum here, what the all-complex construction gave real data): the
-    # complex fields are compared by their real parts
+    # classes and assemble float64 fields with no imaginary part at all,
+    # which match the physical complex system with the phase in the classes.
+    # Its complex arithmetic leaves an imaginary part of rounding, which the
+    # fractional time derivative of the classes amplifies (to ~2e-9 of the
+    # field maximum here): the fields are compared with its real parts
     coupling, lam = special(*coefs), LambdaVector(*lams)
     assume(is_invertible(build_matrix(coupling, lam)))
     rng = np.random.default_rng(seed)
@@ -434,27 +430,46 @@ def test_real_data_construct_real_fields(lams, special, coefs, seed):
         "gaussian", rng.uniform(0.5, 1.0), c * rng.uniform(5.0, 9.0),
         rng.uniform(0.8, 1.3))(gx)) for c in (-1.0, 1.0, 1.0)]
     ladder = Ladder.over(data[0], 0.2, 1e-3, 11)
-    sols = [assemble_linear_solution(*(d.with_samples(d.samples.astype(dtype))
-                                       for d in data), coupling, lam, T=0.2,
-                                     n_levels=11, trace_dt=1e-3)
-            for dtype in (float, complex)]
-    real, cplx = sols
+    real = assemble_linear_solution(*data, coupling, lam, T=0.2, n_levels=11,
+                                    trace_dt=1e-3)
     assert all(f.levels.dtype == np.float64 for f in (real.u, real.v, real.w))
     assert real.imag_residual() == 0.0
-    assert all(f.levels.dtype == np.complex128 for f in (cplx.u, cplx.v, cplx.w))
     ref_gammas, ref = _unfolded_solution(data, coupling, lam, ladder)
     gmax = max(np.abs(g.samples).max() for g in ref_gammas)
     for got, want in zip(real.gammas, ref_gammas):
         assert np.abs(got.samples - want.samples).max() <= 1e-12 * gmax
-    for sol in sols:
-        for got, want in zip((sol.u, sol.v, sol.w), ref):
-            assert np.abs(got.levels.real - want.real).max() <= 1e-12 * np.abs(want).max()
-    # the vertex residuals of the complex fields hold their imaginary
-    # rounding too: ~1e-6 of the trace scale, as the data have barely
-    # reached the vertex; those of their real parts match the real fields'
-    parts = LinearSolution(*(SpaceTimeField(f.origin, f.spacing, f.dt, f.levels.real)
-                             for f in (cplx.u, cplx.v, cplx.w)), coupling=coupling)
-    reps = [verify_vertex_conditions(sol) for sol in (real, parts)]
-    for label, j, _ in coupling.relations():
-        assert np.abs(reps[0].residuals[label] - reps[1].residuals[label]).max() \
-            <= 1e-9 * reps[1].scales[j]
+    for got, want in zip((real.u, real.v, real.w), ref):
+        assert np.abs(got.levels - want.real).max() <= 1e-12 * np.abs(want).max()
+
+
+def _complex_call(entry):
+    """Call ``entry`` with complex samples where it takes its data."""
+    h, n, times = 0.05, 201, 1e-3 * np.arange(11)
+    rng = np.random.default_rng(7)
+    z = np.hanning(n) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    phi = GridFunction(-h * (n // 2), h, z)
+    fld = SpaceTimeField(phi.origin, h, 1e-3, np.outer(np.cos(times), z))
+    trace = TimeTrace(1e-3, times * (1.0 - 0.5j))
+    calls = {
+        "airy_group": lambda: airy_group(phi, 0.1),
+        "group_multi": lambda: group_multi(phi, times),
+        "group_trace_history": lambda: group_trace_history(phi, times),
+        "duhamel_inhomog": lambda: duhamel_inhomog(fld),
+        "riemann_liouville": lambda: riemann_liouville(trace, 0.5),
+        "fftconvolve": lambda: fftconvolve(z, np.ones(5)),
+        "phase_free_class": lambda: phase_free_class(0.3, "plus", trace, phi.with_samples(
+            np.zeros(n)), times),
+        "verify_vertex_conditions": lambda: verify_vertex_conditions(
+            LinearSolution(fld, fld, fld, coupling=C_UNIT)),
+    }
+    return calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["airy_group", "group_multi", "group_trace_history",
+                                   "duhamel_inhomog", "riemann_liouville", "fftconvolve",
+                                   "phase_free_class", "verify_vertex_conditions"])
+def test_real_only_entries_refuse_complex_samples(entry):
+    # the numeric kernels run real transforms only; forcing_class is the one
+    # entry that takes a complex trace, as two real classes
+    with pytest.raises(ContractError, match=rf"^{entry} takes real samples"):
+        _complex_call(entry)
