@@ -47,7 +47,8 @@ from .errors import ContractError, DomainError
 from .fracops import (TimeTrace, riemann_liouville, product_weights,
                       _first_sample_correction, fftconvolve, real_only,
                       sampled_derivative, vertex_limit)
-from .linops import GridFunction, Ladder, SpaceTimeField, frequencies, half_frequencies
+from .linops import (GridFunction, Ladder, SpaceTimeField, _filon_base, frequencies,
+                     half_frequencies)
 from .specfun import airy_scaled
 
 DEFAULT_PANELS = 200
@@ -123,23 +124,6 @@ def _sigma_field(smoothed: TimeTrace, grid: GridFunction, times):
 # ---------------------------------------------------------------------------
 # spectral (Filon) route
 # ---------------------------------------------------------------------------
-
-def _filon_base(omega, dt):
-    """E0 = int_0^dt e^{i w tau} dtau and E1 = int_0^dt tau e^{i w tau} dtau."""
-    wd = omega * dt
-    small = np.abs(wd) < 1e-2
-    iw = 1j * omega
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.exp(1j * wd)
-        e0 = (p - 1.0) / iw
-        e1 = dt * p / iw - e0 / iw
-    z = 1j * wd
-    s0 = dt * (1 + z / 2 + z ** 2 / 6 + z ** 3 / 24 + z ** 4 / 120)
-    s1 = dt ** 2 * (0.5 + z / 3 + z ** 2 / 8 + z ** 3 / 30 + z ** 4 / 144)
-    e0 = np.where(small, s0, e0)
-    e1 = np.where(small, s1, e1)
-    return p, e0, e1
-
 
 SMOOTH_PASSBAND, SMOOTH_ROLL = 0.35, 0.2   # of the band edge: smooth_window
 

@@ -569,9 +569,11 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
     :meth:`linops.Ladder.over`'s default.  Vertex traces are
     sampled every config.dt: the Duhamel term's traces move from the output
     ladder to that trace ladder by one not-a-knot cubic interpolation
-    matrix.  It and the :class:`linops.Ladder`'s output phases, Duhamel
-    weights and Filon tables are built once per call, the phases and Filon
-    powers from one trace phase pair.  The nonlinear input to
+    matrix.  It and the :class:`linops.Ladder`'s Filon tables are built once
+    per call, the free flows' output phases and the Filon powers from one
+    trace phase pair; the Duhamel term integrates each output step exactly
+    for the flux linear in time (:func:`linops.duhamel_inhomog`), the cell
+    rule of the Filon tables at the output step.  The nonlinear input to
     the group is tapered over the outer :data:`PICARD_TAPER_FRACTION` of the
     domain so the construction's slow polynomial tails cannot seed wrap-around.
     """
@@ -584,7 +586,6 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
     grid = GridFunction(-L, h, np.zeros(2 * config.n_edge + 1))
     ladder = Ladder.over(grid, config.T, config.dt)
     ladder.pair = ladder.phase_pair()
-    ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
     ladder.filon = filon_tables(ladder)
 
     spline = _spline_matrix(ladder.times, ladder.trace)
@@ -614,7 +615,7 @@ def picard_iterate(config: ScenarioConfig, lam: LambdaVector,
                 flux = lvls * sampled_derivative(lvls, h, 1)
                 flux *= taper
                 wfield = SpaceTimeField(-L, h, ladder.out_dt, flux)
-                kf = -duhamel_inhomog(wfield, decay_tol=1e-3, ladder=ladder).levels
+                kf = -duhamel_inhomog(wfield, decay_tol=1e-3).levels
                 base.append(free + kf)
                 for j in range(3):
                     vals = vertex_limit(kf, i0, h, "centered", j)

@@ -6,10 +6,13 @@ grid; inputs must decay at both ends so periodization is harmless.  Data
 are real, so every transform is real (``rfft``/``irfft``) and every phase
 table holds the half spectrum, the first n // 2 + 1 DFT frequencies; the
 kernels raise ContractError on complex samples.  The group over a time
-ladder and the Duhamel integral at every level of a field are each one
-batched pass over all levels (one FFT, one phase matrix, one inverse FFT),
-not a loop over times.  Every phase table is rows of one coarse x fine pair
-of ~2 sqrt(M) rows over a trace of M times (:meth:`Ladder.trace_rows`).
+ladder is one batched pass over all levels (one FFT, one phase matrix, one
+inverse FFT), not a loop over times.  Every phase table is rows of one
+coarse x fine pair of ~2 sqrt(M) rows over a trace of M times
+(:meth:`Ladder.trace_rows`).  The chain has one time rule: every time
+integral of exp(i (t - t') xi^3) against samples, the Duhamel integral of a
+field and the forcing classes alike, advances exactly per cell for the
+linear interpolant of the samples (:func:`_filon_base`).
 """
 
 from __future__ import annotations
@@ -160,11 +163,10 @@ class Ladder:
     is the output ladder, uniform from 0.  Given ``dt``, the output times sit
     on the ``trace`` dt * (0 .. n_trace - 1), every ``stride``-th sample
     (without dt, the trace is the output ladder).  The tables start as None:
-    ``pair`` (:func:`ladder_phases` of the trace), ``phases`` (its output
-    :meth:`trace_rows`), ``weights`` (:func:`_ladder_weights`) and ``filon``
-    (:func:`forcing.filon_tables`, its powers trace rows too).  The owner of
-    a loop sets those it holds and may drop one early; a consumer that finds
-    one None builds it for that call only.
+    ``pair`` (:func:`ladder_phases` of the trace, whose rows give the output
+    phases) and ``filon`` (:func:`forcing.filon_tables`, its powers trace
+    rows too).  The owner of a loop sets those it holds and may drop one
+    early; a consumer that finds one None builds it for that call only.
     """
 
     def __init__(self, grid: GridFunction, times, dt: float = None,
@@ -187,7 +189,7 @@ class Ladder:
         self.n, self.spacing, self.origin = len(grid), grid.spacing, grid.origin
         self.out_dt, self.stride = float(times[1] - times[0]), int(strides[0])
         self.trace = times if dt is None else dt * np.arange(n_trace)
-        self.phases = self.pair = self.weights = self.filon = None
+        self.pair = self.filon = None
 
     @classmethod
     def over(cls, grid: GridFunction, T: float, trace_dt: float, n_levels: int = None):
@@ -231,12 +233,7 @@ class Ladder:
         return np.multiply(rows, fine[k % len(fine)], out=rows)
 
     def output_phases(self) -> np.ndarray:
-        return self.trace_rows(self.stride * np.arange(self.times.size)) \
-            if self.phases is None else self.phases
-
-    def duhamel_weights(self) -> np.ndarray:
-        return _ladder_weights(self.times.size, self.out_dt) \
-            if self.weights is None else self.weights
+        return self.trace_rows(self.stride * np.arange(self.times.size))
 
 
 def trace_phases(n: int, spacing: float, times) -> np.ndarray:
@@ -300,48 +297,50 @@ def free_vertex_traces(data, ladder: Ladder):
             for j in (0, 1, 2)]
 
 
-def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL,
-                    ladder=None) -> SpaceTimeField:
+def _filon_base(omega, dt):
+    """p = e^{i w dt}, E0 = int_0^dt e^{i w tau} dtau and
+    E1 = int_0^dt tau e^{i w tau} dtau: over one cell of length dt,
+    int exp(i w (t_{m+1} - t')) f(t') dt' = b f_m + a f_{m+1} for the linear
+    interpolant of f, b = E1/dt, a = E0 - b."""
+    wd = omega * dt
+    small = np.abs(wd) < 1e-2
+    iw = 1j * omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.exp(1j * wd)
+        e0 = (p - 1.0) / iw
+        e1 = dt * p / iw - e0 / iw
+    z = 1j * wd
+    s0 = dt * (1 + z / 2 + z ** 2 / 6 + z ** 3 / 24 + z ** 4 / 120)
+    s1 = dt ** 2 * (0.5 + z / 3 + z ** 2 / 8 + z ** 3 / 30 + z ** 4 / 144)
+    e0 = np.where(small, s0, e0)
+    e1 = np.where(small, s1, e1)
+    return p, e0, e1
+
+
+def duhamel_inhomog(w: SpaceTimeField, decay_tol: float = DECAY_TOL) -> SpaceTimeField:
     """Inhomogeneous Duhamel integral of a forcing field at every stored level.
 
-    Level m is sum_j W_mj exp(i (t_m - t_j) xi^3) F_j: composite Simpson
-    in t' over levels 0..m (3/8 closure for an odd interval count), with
-    the phase split as exp(i t_m xi^3) exp(-i t_j xi^3).  One batched FFT,
-    one phase matrix, one lower-triangular (M x M) @ (M x n) product and
-    one batched inverse FFT serve all levels, on the half spectrum;
-    ``ladder`` may hold the phase matrix and the weights (:meth:`Ladder.fit`).
+    Level m is int_0^{t_m} exp(i (t_m - t') xi^3) F(t') dt', exact per cell
+    for the linear interpolant of the levels in time:
+    acc_{m+1} = p acc_m + b F_m + a F_{m+1} (:func:`_filon_base` at the
+    level step), so the phase turning xi^3 dt per step is integrated, not
+    sampled.  One batched FFT and one batched inverse FFT serve all levels,
+    on the half spectrum.
     """
     levels = real_only(w.levels, "duhamel_inhomog")
-    ladder = Ladder(w.level(0), w.times).fit(ladder)
     ends = np.maximum(np.abs(levels[:, 0]), np.abs(levels[:, -1]))
     bad = np.flatnonzero(ends > decay_tol)
     if bad.size:
         _check_decay(w.level(int(bad[0])), decay_tol)
-    phases = ladder.output_phases()
-    spec = ladder.duhamel_weights() @ (phases.conj() * np.fft.rfft(levels, axis=1))
-    spec *= phases
-    acc = np.fft.irfft(spec, levels.shape[1], axis=1)
-    return SpaceTimeField(w.origin, w.spacing, w.dt, acc)
-
-
-def _ladder_weights(n_t: int, dt: float) -> np.ndarray:
-    """Row m: quadrature weights over nodes 0..m for int_0^{m dt}; row 0
-    is zero."""
-    wts = np.zeros((n_t, n_t))
-    for m in range(1, n_t):
-        row = wts[m]
-        if m == 1:
-            row[:2] = 0.5
-            continue
-        # Simpson on [0, k], 3/8 rule on the last three intervals if m is odd
-        k = m if m % 2 == 0 else m - 3
-        if k > 0:
-            row[0] = row[k] = 1.0 / 3.0
-            row[1:k:2] = 4.0 / 3.0
-            row[2:k:2] = 2.0 / 3.0
-        if k < m:
-            row[k:m + 1] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
-    return wts * dt
+    n = levels.shape[1]
+    p, e0, e1 = _filon_base(half_frequencies(n, w.spacing) ** 3, w.dt)
+    b = e1 / w.dt
+    spec = np.fft.rfft(levels, axis=1)
+    gain = b * spec[:-1] + (e0 - b) * spec[1:]
+    acc = np.zeros_like(spec)      # level 0 (t = 0) stays zero
+    for m, g in enumerate(gain):
+        acc[m + 1] = p * acc[m] + g
+    return SpaceTimeField(w.origin, w.spacing, w.dt, np.fft.irfft(acc, n, axis=1))
 
 
 def trace_at_zero(f, deriv: int = 0, side: str = "centered"):
@@ -365,15 +364,18 @@ def sobolev_norm(f: GridFunction, s: float) -> float:
     """Discrete H^s norm of the supplied whole-line extension.
 
     Uses (1/2pi) sum <xi>^{2s} |fhat|^2 dxi with <xi> = 1 + |xi|; at s = 0
-    this reduces to the L2 norm by Parseval.
+    this reduces to the L2 norm by Parseval.  The samples are real, so the
+    sum runs over the half spectrum, with weight 2 on 0 < xi < Nyquist.
     """
     if not -1.0 <= s <= 2.0:
         raise DomainError("s must lie in [-1, 2]")
+    real_only(f.samples, "sobolev_norm")
     _check_decay(f, DECAY_TOL)
     n = len(f)
-    xi = frequencies(n, f.spacing)
-    fhat = f.spacing * np.fft.fft(f.samples)
+    xi = half_frequencies(n, f.spacing)
+    fhat = f.spacing * np.fft.rfft(f.samples)
     dxi = 2.0 * math.pi / (n * f.spacing)
     weight = (1.0 + np.abs(xi)) ** (2.0 * s)
+    weight[1:(n + 1) // 2] *= 2.0     # the conjugate half
     total = np.sum(weight * np.abs(fhat) ** 2) * dxi / (2.0 * math.pi)
     return float(math.sqrt(total))

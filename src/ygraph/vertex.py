@@ -389,9 +389,7 @@ def assemble_linear_solution(u0: GridFunction, v0: GridFunction,
     data = (u0, v0, w0)
     ladder.pair = ladder.phase_pair()
     traces = free_vertex_traces(data, ladder)
-    ladder.phases = ladder.output_phases()
     free = [group_multi(d, ladder.times, ladder=ladder).levels for d in data]
-    ladder.phases = None
     ladder.filon, ladder.pair = filon_tables(ladder), None   # the tables copy their rows
     m, gammas, fields = solve_vertex(coupling, lam, traces, free, ladder)
     ladder.filon = None

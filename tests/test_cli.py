@@ -124,6 +124,15 @@ class TestParseConfig:
         assert cfg.mode == "linear"
         assert cfg.initial_u.kind == "zero"
 
+    def test_soliton_vertex_case_parses(self):
+        # the nonlinear case CI runs through `ygraph picard` at h = 0.0125:
+        # type-1 compatible data, a trace step of h / 50 and T = 0.1
+        cfg = parse_config(Path(__file__).parent / "data" / "soliton_vertex.cfg")
+        assert (cfg.L, cfg.h, cfg.dt, cfg.T, cfg.mode) == (25.0, 0.0125, 2.5e-4, 0.1,
+                                                          "nonlinear")
+        assert cfg.initial_u.kind == "soliton" and cfg.initial_v == cfg.initial_w
+        assert cfg.initial_v(0.0) == cfg.initial_u(0.0)
+
     def test_compatibility_violation_reported(self, tmp_path):
         text = MINIMAL + "[initial]\nu = gaussian amplitude=1 center=0 width=2\n"
         with pytest.raises(ConfigError) as err:

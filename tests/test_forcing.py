@@ -18,9 +18,9 @@ from ygraph import forcing
 from ygraph.errors import ContractError, DomainError
 from ygraph.fracops import (TimeTrace, riemann_liouville, sampled_derivative,
                             vertex_limit)
-from ygraph.linops import GridFunction, Ladder, SpaceTimeField, frequencies, \
-    trace_at_zero
-from ygraph.forcing import (SMOOTH_FIT_WINDOW, _filon_base, _filon_field,
+from ygraph.linops import GridFunction, Ladder, SpaceTimeField, _filon_base, \
+    frequencies, trace_at_zero
+from ygraph.forcing import (SMOOTH_FIT_WINDOW, _filon_field,
                             _sigma_field, filon_tables, duhamel_forcing,
                             duhamel_forcing_deriv, forcing_class,
                             minus_trace_factor, one_sided_limits,

@@ -157,24 +157,18 @@ def test_duhamel_pde_residual():
 
 
 def _duhamel_one_level(w, m):
-    """Level m of the Duhamel integral, one FFT pair per earlier level:
-    composite Simpson over 0..m, 3/8 rule on the last three intervals for
-    odd m, trapezoid for m = 1."""
-    wts = np.zeros(m + 1)
-    if m == 1:
-        wts[:] = 0.5
-    elif m > 1:
-        k = m if m % 2 == 0 else m - 3
-        for j in range(1, k, 2):
-            wts[j - 1:j + 2] += (1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0)
-        if k < m:
-            wts[k:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    """Level m of the Duhamel integral, one FFT pair per earlier level: the
+    sum over cells j < m of exp(i (t_m - t_{j+1}) xi^3) (b F_j + a F_{j+1}),
+    each cell exact for the linear interpolant in time, on the full
+    spectrum."""
     xi = frequencies(w.levels.shape[1], w.spacing)
+    _, e0, e1 = linops._filon_base(xi ** 3, w.dt)
+    b = e1 / w.dt
     acc = np.zeros(w.levels.shape[1], dtype=complex)
-    for j in range(m + 1):
-        tau = (m - j) * w.dt
-        acc += wts[j] * w.dt * np.fft.ifft(np.exp(1j * tau * xi ** 3)
-                                           * np.fft.fft(w.levels[j]))
+    for j in range(m):
+        tau = (m - j - 1) * w.dt
+        acc += np.fft.ifft(np.exp(1j * tau * xi ** 3) * (
+            b * np.fft.fft(w.levels[j]) + (e0 - b) * np.fft.fft(w.levels[j + 1])))
     return acc
 
 
@@ -201,6 +195,47 @@ def test_duhamel_ladder_matches_per_level_loop(kind, n_levels):
                   for part in (lv.real, lv.imag))
         got = re + 1j * im
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _linear_in_time_duhamel(omega, t, alpha, beta):
+    """int_0^t exp(i (t - s) omega) (alpha + beta s) ds per frequency:
+    (alpha + beta t) E0 - beta E1 with E0 = int_0^t e^{i omega u} du and
+    E1 = int_0^t u e^{i omega u} du, in closed form where |omega t| >= 1 and
+    from 30 terms of their power series below (the closed forms cancel)."""
+    z = 1j * omega * t
+    e0, e1 = np.empty_like(z), np.empty_like(z)
+    big = np.abs(z) >= 1.0
+    e0[big] = (np.exp(z[big]) - 1.0) / (1j * omega[big])
+    e1[big] = (t * np.exp(z[big]) - e0[big]) / (1j * omega[big])
+    term, s0, s1 = np.ones(np.count_nonzero(~big), dtype=complex), 0.0, 0.0
+    for k in range(30):     # term = z^k / k!
+        s0, s1 = s0 + term / (k + 1), s1 + term / (k + 2)
+        term = term * z[~big] / (k + 1)
+    e0[~big], e1[~big] = t * s0, t ** 2 * s1
+    return (alpha + beta * t) * e0 - beta * e1
+
+
+def test_duhamel_is_exact_for_forcing_linear_in_time():
+    # (alpha + beta s) phi(x) on picard's grid and output step: h = 0.05,
+    # dt = 0.02, so the phase turns xi^3 dt ~ 5e3 rad per step at Nyquist.
+    # Sampling that phase (composite Simpson over the levels) misses the
+    # integral by orders of magnitude more than rounding; integrating it
+    # exactly per cell against the linear interpolant matches the closed
+    # form.  Windowed noise keeps every frequency, Nyquist included, in play
+    h, dt, n_levels = 0.05, 0.02, 26
+    n = 1001
+    rng = np.random.default_rng(11)
+    phi = np.hanning(n) * rng.standard_normal(n)
+    alpha, beta = 0.7, -2.3
+    t = dt * np.arange(n_levels)
+    w = SpaceTimeField(-25.0, h, dt, np.outer(alpha + beta * t, phi))
+    got = duhamel_inhomog(w).levels
+    omega = frequencies(n, h)[:n // 2 + 1] ** 3
+    assert abs(omega[-1]) * dt > 4e3
+    spec = np.fft.rfft(phi)
+    want = np.array([np.fft.irfft(_linear_in_time_duhamel(omega, tm, alpha, beta) * spec, n)
+                     for tm in t])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_duhamel_decay_contract_first_failing_level():
@@ -290,6 +325,13 @@ class TestSobolev:
         with pytest.raises(DomainError):
             sobolev_norm(g, 2.5)
 
+    def test_complex_samples_rejected(self):
+        h = 0.02
+        x = np.arange(-40.0, 40.0, h)
+        g = GridFunction(x[0], h, np.exp(-x ** 2 / 2.0) * (1.0 + 0.5j))
+        with pytest.raises(ContractError, match="sobolev_norm"):
+            sobolev_norm(g, 1.0)
+
 
 def test_group_trace_history_matches_field():
     h = 0.05
@@ -307,9 +349,6 @@ TRACE_LADDER_ENTRIES = {
     "trace_d1": lambda phi, times, **kw: group_trace_history(phi, times, 1, **kw),
     "trace_d2": lambda phi, times, **kw: group_trace_history(phi, times, 2, **kw),
     "group": lambda phi, times, **kw: group_multi(phi, times, **kw).levels,
-    "duhamel": lambda phi, times, **kw: duhamel_inhomog(SpaceTimeField(
-        phi.origin, phi.spacing, times[1] - times[0],
-        np.outer(np.cos(times), phi.samples)), **kw).levels,
 }
 
 
@@ -467,40 +506,34 @@ class TestTracePhases:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_prebuilt_table_gives_the_same_group_and_duhamel(self, kind):
-        # one ladder's phases and weights for several calls, as picard_iterate
-        # holds them
+    def test_prebuilt_pair_gives_the_same_group(self, kind):
+        # one ladder's phase pair for several calls, as the free flows of
+        # picard_iterate and assemble_linear_solution hold it
         h = 0.05
         x = np.arange(-30.0, 30.0, h)
         prof = InitialProfile("gaussian", 1.0, 3.0, 1.2)(x)
-        flux = np.outer(np.linspace(0.0, 1.0, 11),
-                        InitialProfile("gaussian", 0.5, -2.0, 0.8)(x))
         if kind == "complex":
-            prof, flux = prof * np.exp(0.7j * x), flux * (1.0 - 0.4j)
-        ladder = Ladder(GridFunction(x[0], h, prof.real), 0.02 * np.arange(11))
-        ladder.phases, ladder.weights = ladder.output_phases(), ladder.duhamel_weights()
-        # both are real: complex data run as their two real parts
-        parts = ((prof.real, flux.real), (prof.imag, flux.imag)) if kind == "complex" \
-            else ((prof, flux),)
-        for p, f in parts * 2:
-            phi, w = GridFunction(x[0], h, p), SpaceTimeField(x[0], h, 0.02, f)
-            got = group_multi(phi, w.times, ladder=ladder).levels
-            assert np.array_equal(got, group_multi(phi, w.times).levels)
-            got = duhamel_inhomog(w, ladder=ladder).levels
-            assert np.array_equal(got, duhamel_inhomog(w).levels)
+            prof = prof * np.exp(0.7j * x)
+        times = 0.02 * np.arange(11)
+        ladder = Ladder(GridFunction(x[0], h, prof.real), times)
+        ladder.pair = ladder.phase_pair()
+        # the group is real: complex data run as their two real parts
+        parts = (prof.real, prof.imag) if kind == "complex" else (prof,)
+        for p in parts * 2:
+            phi = GridFunction(x[0], h, p)
+            got = group_multi(phi, times, ladder=ladder).levels
+            assert np.array_equal(got, group_multi(phi, times).levels)
             assert not np.iscomplexobj(got)
 
     def test_mismatched_output_table_rejected(self):
         h = 0.05
         x = np.arange(-30.0, 30.0, h)
         phi = GridFunction(x[0], h, InitialProfile("gaussian", 1.0, 3.0, 1.2)(x))
-        w = SpaceTimeField(x[0], h, 0.02, np.zeros((11, x.size)))
-        for bad in _other_ladders(phi, w.times):
-            bad.phases, bad.weights = bad.output_phases(), bad.duhamel_weights()
+        times = 0.02 * np.arange(11)
+        for bad in _other_ladders(phi, times):
+            bad.pair = bad.phase_pair()
             with pytest.raises(ContractError, match="ladder was built"):
-                group_multi(phi, w.times, ladder=bad)
-            with pytest.raises(ContractError, match="ladder was built"):
-                duhamel_inhomog(w, ladder=bad)
+                group_multi(phi, times, ladder=bad)
 
     def test_mismatched_matrix_rejected(self):
         h = 0.05
